@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-cold test test-service faults bench bench-full bench-grid bench-store bench-record bench-check stats serve
+.PHONY: lint lint-cold test test-service faults bench bench-full bench-grid bench-store bench-record bench-check perfbench stats serve
 
 # Repo-aware static analysis on the incremental engine (unchanged files
 # replay from .repro-lint-cache.json), then ruff/mypy when installed.
@@ -77,3 +77,9 @@ bench-record:
 # re-measurement, and exit non-zero on any surviving regression.
 bench-check:
 	$(PYTHON) -m repro bench --check
+
+# One traced end-to-end benchmark run (perfbench/README.md); the last
+# stdout line is the JSON result with the per-layer metrics.
+WORKLOAD ?= npb_suite
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed 7 --seconds 20 --trace 1

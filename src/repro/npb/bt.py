@@ -27,11 +27,12 @@ from .pseudo import (
     VELOCITY,
     VISCOSITY,
     ModelProblem,
+    adi_step,
     make_result,
     march_to_steady_state,
 )
 
-__all__ = ["run_bt", "block_tridiag_solve", "bt_step", "line_blocks"]
+__all__ = ["run_bt", "block_tridiag_solve", "BlockTridiagFactor", "bt_step", "line_blocks"]
 
 
 def line_blocks(
@@ -59,6 +60,47 @@ def line_blocks(
     return a, b, cc
 
 
+class BlockTridiagFactor:
+    """Forward-elimination factors of a block tridiagonal system.
+
+    ``c_prime`` and the eliminated diagonal blocks ``denom`` depend only
+    on the blocks, so they are computed once; each solve then runs only
+    the right-hand-side sweep, with the same ``np.linalg.solve`` calls on
+    the same matrices as the one-shot block Thomas algorithm.
+    """
+
+    __slots__ = ("a", "denom", "c_prime")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+        n = len(b)
+        if n < 2:
+            raise ValueError("need at least two points along the solve direction")
+        self.a = a
+        self.denom = np.empty_like(b)
+        self.c_prime = np.empty_like(c)
+        self.denom[0] = b[0]
+        self.c_prime[0] = np.linalg.solve(b[0], c[0])
+        for i in range(1, n):
+            self.denom[i] = b[i] - a[i] @ self.c_prime[i - 1]
+            self.c_prime[i] = np.linalg.solve(self.denom[i], c[i])
+
+    def solve(self, d: np.ndarray) -> np.ndarray:
+        """Solve for right-hand sides ``d`` of shape ``(n, m, k)``."""
+        a, denom, c_prime = self.a, self.denom, self.c_prime
+        n = len(denom)
+        d_prime = np.empty_like(d)
+        d_prime[0] = np.linalg.solve(denom[0], d[0].T).T
+        for i in range(1, n):
+            rhs = d[i] - d_prime[i - 1] @ a[i].T
+            d_prime[i] = np.linalg.solve(denom[i], rhs.T).T
+
+        x = np.empty_like(d)
+        x[n - 1] = d_prime[n - 1]
+        for i in range(n - 2, -1, -1):
+            x[i] = d_prime[i] - x[i + 1] @ c_prime[i].T
+        return x
+
+
 def block_tridiag_solve(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
@@ -74,42 +116,36 @@ def block_tridiag_solve(
 
     Returns the solutions with the same shape as ``d``.
     """
-    n, m, k = d.shape
+    n, _m, k = d.shape
     if a.shape != (n, k, k) or b.shape != (n, k, k) or c.shape != (n, k, k):
         raise ValueError("block shapes do not match the right-hand side")
-    if n < 2:
-        raise ValueError("need at least two points along the solve direction")
+    return BlockTridiagFactor(a, b, c).solve(d)
 
-    c_prime = np.empty_like(c)
-    d_prime = np.empty_like(d)
-    c_prime[0] = np.linalg.solve(b[0], c[0])
-    d_prime[0] = np.linalg.solve(b[0], d[0].T).T
-    for i in range(1, n):
-        denom = b[i] - a[i] @ c_prime[i - 1]
-        c_prime[i] = np.linalg.solve(denom, c[i])
-        rhs = d[i] - d_prime[i - 1] @ a[i].T
-        d_prime[i] = np.linalg.solve(denom, rhs.T).T
 
-    x = np.empty_like(d)
-    x[n - 1] = d_prime[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d_prime[i] - x[i + 1] @ c_prime[i].T
-    return x
+def _factor_directions(
+    problem: ModelProblem, dt: float
+) -> tuple[BlockTridiagFactor, BlockTridiagFactor, BlockTridiagFactor]:
+    """One block factorisation of ``I + dt L_axis`` per direction."""
+    return tuple(
+        BlockTridiagFactor(
+            *line_blocks(problem.n, problem.h, dt, axis, problem.k_matrix)
+        )
+        for axis in range(3)
+    )
 
 
 def _solve_direction(
-    problem: ModelProblem, rhs: np.ndarray, dt: float, axis: int
+    factor: BlockTridiagFactor, rhs: np.ndarray, axis: int
 ) -> np.ndarray:
     """Solve ``(I + dt L_axis) x = rhs`` for every line along ``axis``.
 
     ``rhs`` has field shape ``(NCOMP, n, n, n)``.
     """
-    n = problem.n
-    a, b, c = line_blocks(n, problem.h, dt, axis, problem.k_matrix)
+    n = rhs.shape[1]
     # Bring the solve axis first and components last: (n, m, 5).
     moved = np.moveaxis(rhs, axis + 1, 1)  # (NCOMP, n, n, n)
     lines = np.moveaxis(moved, 0, -1).reshape(n, n * n, NCOMP)
-    solved = block_tridiag_solve(a, b, c, lines)
+    solved = factor.solve(lines)
     solved = np.moveaxis(solved.reshape(n, n, n, NCOMP), -1, 0)
     return np.moveaxis(solved, 1, axis + 1)
 
@@ -118,10 +154,8 @@ def bt_step(
     problem: ModelProblem, _u: np.ndarray, residual: np.ndarray, dt: float
 ) -> np.ndarray:
     """One ADI update: three factored block-tridiagonal sweeps."""
-    delta = dt * residual
-    for axis in range(3):
-        delta = _solve_direction(problem, delta, dt, axis)
-    return delta
+    step = adi_step(_factor_directions(problem, dt), _solve_direction)
+    return step(problem, _u, residual, dt)
 
 
 def run_bt(npb_class: NPBClass | str = NPBClass.S) -> BenchmarkResult:
@@ -133,7 +167,8 @@ def run_bt(npb_class: NPBClass | str = NPBClass.S) -> BenchmarkResult:
     dt = 0.5 * problem.h  # CFL-safe for the model coefficients
 
     with Timer() as t:
+        step = adi_step(_factor_directions(problem, dt), _solve_direction)
         _u, errors, residuals = march_to_steady_state(
-            problem, bt_step, p.iterations, dt
+            problem, step, p.iterations, dt
         )
     return make_result("bt", npb_class, p, t.elapsed_s, errors, residuals)

@@ -6,10 +6,10 @@ congruential generator (``randlc`` in the Fortran sources):
     x_{k+1} = a * x_k  mod 2^46,      a = 5^13,  x_0 = 314159265
 
 returning ``x / 2^46`` in (0, 1).  Because 2^46 divides 2^64, the update
-is exact in wrapping 64-bit unsigned arithmetic, which lets us run it
-vectorised over NumPy arrays (and jump ahead in O(log n) by repeated
-squaring of the multiplier -- the same trick NPB's EP uses to parallelise
-generation).
+is exact in wrapping 64-bit unsigned arithmetic, which lets us evaluate
+the closed form ``x_k = a^k x_0 mod 2^46`` over whole NumPy arrays (and
+jump ahead in O(log n) by repeated squaring of the multiplier -- the
+same trick NPB's EP uses to parallelise generation).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "NPBClass",
     "Randlc",
     "randlc_jump_multiplier",
+    "lcg_stream",
     "BenchmarkResult",
     "Timer",
 ]
@@ -58,10 +59,6 @@ class NPBClass(enum.Enum):
 
     def __lt__(self, other: "NPBClass") -> bool:
         return self.rank < other.rank
-
-
-def _as_u64(x: int | np.uint64) -> np.uint64:
-    return np.uint64(int(x) & ((1 << 64) - 1))
 
 
 def randlc_jump_multiplier(a: int, k: int) -> int:
@@ -119,38 +116,60 @@ class Randlc:
     def generate(self, n: int, block: int = 4096) -> np.ndarray:
         """The next ``n`` uniforms as a float64 array.
 
-        Uses jump-ahead to seed ``ceil(n / block)`` independent lanes and
-        then iterates ``block`` steps with all lanes advancing in lockstep
-        -- sequential work drops from ``n`` multiplies to ``block``.
+        Closed form: value ``k`` of the stream is ``x * a^(k+1)``.  Lanes
+        of ``block`` values start from jump-ahead seeds and share one
+        table of in-lane powers, so the whole draw is one ``uint64``
+        outer product -- no sequential step loop at all.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         if block < 1:
             raise ValueError("block must be >= 1")
-        n_lanes = -(-n // block)
         a = int(self._a)
-        jump = randlc_jump_multiplier(a, block)
-        # Seed lane i with the state after i*block steps from current
-        # (Python ints: numpy uint64 scalars warn on wraparound).
-        seeds = np.empty(n_lanes, dtype=np.uint64)
-        s = int(self._x)
-        mask = (1 << 46) - 1
-        for i in range(n_lanes):
-            seeds[i] = s
-            s = (jump * s) & mask
-        out = np.empty((n_lanes, block), dtype=np.float64)
-        x = seeds.copy()
-        a64 = self._a
-        for step in range(block):
-            x = (a64 * x) & MASK46
-            out[:, step] = x
-        # Final generator state = state after n steps from the start.
+        start = (a * int(self._x)) & ((1 << 46) - 1)
+        flat = lcg_stream(start, a, n, block).astype(np.float64)
         self.skip(n)
-        flat = out.reshape(-1)[:n]
         flat /= TWO_POW_46
         return flat
+
+
+def _lcg_powers(base: int, count: int) -> np.ndarray:
+    """``base^0 .. base^(count-1) mod 2^46`` as ``uint64``, by doubling.
+
+    Each doubling multiplies the filled prefix by ``base^filled``: exact
+    in wrapping 64-bit arithmetic because 2^46 divides 2^64.
+    """
+    out = np.empty(count, dtype=np.uint64)
+    if count:
+        out[0] = 1
+    filled = 1
+    while filled < count:
+        width = min(filled, count - filled)
+        jump = np.uint64(randlc_jump_multiplier(base, filled))
+        chunk = out[filled : filled + width]
+        np.multiply(out[:width], jump, out=chunk)
+        chunk &= MASK46
+        filled += width
+    return out
+
+
+def lcg_stream(start: int, mult: int, n: int, block: int = 4096) -> np.ndarray:
+    """``start * mult^k mod 2^46`` for ``k = 0 .. n-1`` as ``uint64``.
+
+    Lane ``i`` covers ``k = i*block .. (i+1)*block - 1``: its seed is
+    ``start * (mult^block)^i`` and its values are that seed times the
+    shared in-lane powers ``mult^0 .. mult^(block-1)``.
+    """
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    width = min(block, n)
+    n_lanes = -(-n // width)
+    seeds = _lcg_powers(randlc_jump_multiplier(mult, width), n_lanes)
+    seeds *= np.uint64(start)
+    seeds &= MASK46
+    out = np.multiply.outer(seeds, _lcg_powers(mult, width))
+    out &= MASK46
+    return out.reshape(-1)[:n]
 
 
 @dataclass

@@ -57,19 +57,23 @@ class Hyperplanes:
             flat[order[boundaries[i] : boundaries[i + 1]]]
             for i in range(3 * n - 2)
         ]
-        # Neighbour offsets in flat C-order.
-        self._strides = (n * n, n, 1)
-        gi_f, gj_f, gk_f = gi.ravel(), gj.ravel(), gk.ravel()
-        self._has_lower = [
-            (gi_f > 0).astype(np.bool_),
-            (gj_f > 0).astype(np.bool_),
-            (gk_f > 0).astype(np.bool_),
-        ]
-        self._has_upper = [
-            (gi_f < n - 1).astype(np.bool_),
-            (gj_f < n - 1).astype(np.bool_),
-            (gk_f < n - 1).astype(np.bool_),
-        ]
+        # Per plane and axis: which points have a lower (upper)
+        # neighbour, and that neighbour's flat C-order index.  A mask of
+        # ``None`` means every point has one, so the sweep can update the
+        # whole plane without a boolean scatter.
+        coords = (gi.ravel(), gj.ravel(), gk.ravel())
+        self._lower = [self._links(p, coords, -1) for p in self.planes]
+        self._upper = [self._links(p, coords, 1) for p in self.planes]
+
+    def _links(self, plane, coords, sign):
+        links = []
+        for axis, stride in enumerate((self.n * self.n, self.n, 1)):
+            pos = coords[axis][plane]
+            mask = pos > 0 if sign < 0 else pos < self.n - 1
+            if mask.any():
+                nb = plane[mask] + sign * stride
+                links.append((axis, None if mask.all() else mask, nb))
+        return plane, links
 
     def n_planes(self) -> int:
         return len(self.planes)
@@ -88,20 +92,15 @@ class Hyperplanes:
         upper (backward) neighbour stencil.
         """
         x = np.zeros_like(rhs)
-        planes = self.planes if forward else self.planes[::-1]
-        masks = self._has_lower if forward else self._has_upper
-        sign = -1 if forward else 1
-        for plane in planes:
-            acc = rhs[:, plane].copy()
-            for axis in range(3):
-                mask = masks[axis][plane]
-                if not mask.any():
-                    continue
-                pts = plane[mask]
-                nb = pts + sign * self._strides[axis]
-                acc[:, mask] -= (
-                    OMEGA * neighbour_coeff[axis] * x[:, nb]
-                )
+        planes = self._lower if forward else self._upper[::-1]
+        weight = [OMEGA * c for c in neighbour_coeff]
+        for plane, links in planes:
+            acc = rhs[:, plane]
+            for axis, mask, nb in links:
+                if mask is None:
+                    acc -= weight[axis] * x[:, nb]
+                else:
+                    acc[:, mask] -= weight[axis] * x[:, nb]
             x[:, plane] = diag_inv @ acc
         return x
 

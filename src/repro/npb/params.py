@@ -264,7 +264,6 @@ class PseudoAppParams:
     grid: int
     iterations: int
     flops_per_point_iter: float
-    dt: float
 
     @property
     def n_points(self) -> int:
@@ -283,25 +282,25 @@ class PseudoAppParams:
 # flops/point/iteration constants chosen to land the official NPB totals
 # (BT C ~= 6.8e11, LU C ~= 4.1e11, SP C ~= 5.8e11 flops).
 _BT = {
-    NPBClass.S: PseudoAppParams("bt", 12, 60, 800.0, 0.010),
-    NPBClass.W: PseudoAppParams("bt", 24, 200, 800.0, 0.0008),
-    NPBClass.A: PseudoAppParams("bt", 64, 200, 800.0, 0.0008),
-    NPBClass.B: PseudoAppParams("bt", 102, 200, 800.0, 0.0003),
-    NPBClass.C: PseudoAppParams("bt", 162, 200, 800.0, 0.0001),
+    NPBClass.S: PseudoAppParams("bt", 12, 60, 800.0),
+    NPBClass.W: PseudoAppParams("bt", 24, 200, 800.0),
+    NPBClass.A: PseudoAppParams("bt", 64, 200, 800.0),
+    NPBClass.B: PseudoAppParams("bt", 102, 200, 800.0),
+    NPBClass.C: PseudoAppParams("bt", 162, 200, 800.0),
 }
 _LU = {
-    NPBClass.S: PseudoAppParams("lu", 12, 50, 385.0, 0.5),
-    NPBClass.W: PseudoAppParams("lu", 33, 300, 385.0, 1.5e-3),
-    NPBClass.A: PseudoAppParams("lu", 64, 250, 385.0, 2.0),
-    NPBClass.B: PseudoAppParams("lu", 102, 250, 385.0, 2.0),
-    NPBClass.C: PseudoAppParams("lu", 162, 250, 385.0, 2.0),
+    NPBClass.S: PseudoAppParams("lu", 12, 50, 385.0),
+    NPBClass.W: PseudoAppParams("lu", 33, 300, 385.0),
+    NPBClass.A: PseudoAppParams("lu", 64, 250, 385.0),
+    NPBClass.B: PseudoAppParams("lu", 102, 250, 385.0),
+    NPBClass.C: PseudoAppParams("lu", 162, 250, 385.0),
 }
 _SP = {
-    NPBClass.S: PseudoAppParams("sp", 12, 100, 341.0, 0.015),
-    NPBClass.W: PseudoAppParams("sp", 36, 400, 341.0, 0.0015),
-    NPBClass.A: PseudoAppParams("sp", 64, 400, 341.0, 0.0015),
-    NPBClass.B: PseudoAppParams("sp", 102, 400, 341.0, 0.001),
-    NPBClass.C: PseudoAppParams("sp", 162, 400, 341.0, 0.00067),
+    NPBClass.S: PseudoAppParams("sp", 12, 100, 341.0),
+    NPBClass.W: PseudoAppParams("sp", 36, 400, 341.0),
+    NPBClass.A: PseudoAppParams("sp", 64, 400, 341.0),
+    NPBClass.B: PseudoAppParams("sp", 102, 400, 341.0),
+    NPBClass.C: PseudoAppParams("sp", 162, 400, 341.0),
 }
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "coupling_matrix",
     "manufactured_solution",
     "apply_operator",
+    "adi_step",
     "march_to_steady_state",
     "make_result",
 ]
@@ -91,8 +92,11 @@ class ModelProblem:
         return float(np.sqrt(((u - self.u_exact) ** 2).mean()))
 
     def residual_norm(self, u: np.ndarray) -> float:
-        r = self.residual(u)
-        return float(np.sqrt((r * r).mean()))
+        return _rms(self.residual(u))
+
+
+def _rms(r: np.ndarray) -> float:
+    return float(np.sqrt((r * r).mean()))
 
 
 def manufactured_solution(n: int) -> np.ndarray:
@@ -133,6 +137,23 @@ def apply_operator(u: np.ndarray, h: float, k_matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def adi_step(factors, solve_direction):
+    """A march ``step`` that applies one pre-factored solve per direction.
+
+    ``solve_direction(factor, field, axis)`` solves along ``axis`` with
+    ``factors[axis]``.  The caller factors once per run, so each
+    iteration only sweeps right-hand sides.
+    """
+
+    def step(_problem, _u, residual: np.ndarray, dt: float) -> np.ndarray:
+        delta = dt * residual
+        for axis, factor in enumerate(factors):
+            delta = solve_direction(factor, delta, axis)
+        return delta
+
+    return step
+
+
 def march_to_steady_state(
     problem: ModelProblem,
     step,
@@ -142,7 +163,9 @@ def march_to_steady_state(
     """Generic driver: repeatedly apply a solver ``step``.
 
     ``step(problem, u, residual, dt) -> delta_u``.  Returns the final
-    field plus per-iteration error and residual norms.
+    field plus per-iteration error and residual norms.  The residual of
+    each updated field is computed once: its norm is reported and it
+    drives the next step.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -150,11 +173,12 @@ def march_to_steady_state(
     u = np.zeros((NCOMP, n, n, n))
     errors: list[float] = []
     residuals: list[float] = []
+    r = problem.residual(u)
     for _ in range(iterations):
-        r = problem.residual(u)
         u = u + step(problem, u, r, dt)
         errors.append(problem.error_norm(u))
-        residuals.append(problem.residual_norm(u))
+        r = problem.residual(u)
+        residuals.append(_rms(r))
     return u, errors, residuals
 
 

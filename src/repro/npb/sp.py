@@ -24,11 +24,12 @@ from .pseudo import (
     VELOCITY,
     VISCOSITY,
     ModelProblem,
+    adi_step,
     make_result,
     march_to_steady_state,
 )
 
-__all__ = ["run_sp", "penta_solve", "sp_step", "line_coefficients"]
+__all__ = ["run_sp", "penta_solve", "PentaFactor", "sp_step", "line_coefficients"]
 
 #: Fourth-order dissipation strength (the NPB smoothing constant role).
 DISSIPATION = 0.05
@@ -60,6 +61,61 @@ def line_coefficients(
     return e, a, b, c, f
 
 
+class PentaFactor:
+    """Forward-elimination factors of pentadiagonal systems.
+
+    The elimination multipliers and the reduced diagonal and upper band
+    depend only on the bands, so they are computed once and every solve
+    then sweeps only its right-hand side.  Band arrays have shape
+    ``(n,)`` or ``(n, *batch)``; row ``i`` of each broadcasts against row
+    ``i`` of the right-hand side.
+    """
+
+    __slots__ = ("m1", "m2", "b", "c", "f")
+
+    def __init__(self, e, a, b, c, f) -> None:
+        n = len(b)
+        if n < 3:
+            raise ValueError("need at least three points along the line")
+        b = np.array(b, dtype=np.float64)
+        c = np.array(c, dtype=np.float64)
+        f = self.f = np.array(f, dtype=np.float64)
+        self.m1 = np.zeros_like(b)
+        self.m2 = np.zeros_like(b)
+        # i = 1: eliminate the single sub-diagonal entry.
+        m1 = self.m1[1] = a[1] / b[0]
+        b[1] -= m1 * c[0]
+        c[1] -= m1 * f[0]
+        for i in range(2, n):
+            # Stage 1: eliminate e[i] against row i-2.
+            m2 = self.m2[i] = e[i] / b[i - 2]
+            ai = a[i] - m2 * c[i - 2]
+            bi = b[i] - m2 * f[i - 2]
+            # Stage 2: eliminate the updated a[i] against row i-1.
+            m1 = self.m1[i] = ai / b[i - 1]
+            b[i] = bi - m1 * c[i - 1]
+            c[i] -= m1 * f[i - 1]
+        self.b = b
+        self.c = c
+
+    def solve(self, d: np.ndarray) -> np.ndarray:
+        """Sweep the right-hand sides ``d`` (row ``i`` is ``d[i]``)."""
+        m1, m2, b, c, f = self.m1, self.m2, self.b, self.c, self.f
+        n = len(b)
+        d = np.array(d, dtype=np.float64)
+        d[1] -= m1[1] * d[0]
+        for i in range(2, n):
+            d[i] -= m2[i] * d[i - 2]
+            d[i] -= m1[i] * d[i - 1]
+
+        x = np.empty_like(d)
+        x[n - 1] = d[n - 1] / b[n - 1]
+        x[n - 2] = (d[n - 2] - c[n - 2] * x[n - 1]) / b[n - 2]
+        for i in range(n - 3, -1, -1):
+            x[i] = (d[i] - c[i] * x[i + 1] - f[i] * x[i + 2]) / b[i]
+        return x
+
+
 def penta_solve(
     e: np.ndarray,
     a: np.ndarray,
@@ -75,64 +131,45 @@ def penta_solve(
     diagonally dominant by construction), then three-term back
     substitution -- the exact control flow of NPB SP's ``x_solve``.
     """
-    n, _m = d.shape
-    if n < 3:
-        raise ValueError("need at least three points along the line")
-    b = b.astype(np.float64).copy()
-    c = c.astype(np.float64).copy()
-    f = f.astype(np.float64).copy()
-    a = a.astype(np.float64).copy()
-    d = d.astype(np.float64).copy()
+    return PentaFactor(e, a, b, c, f).solve(d)
 
-    # i = 1: eliminate the single sub-diagonal entry.
-    m1 = a[1] / b[0]
-    b[1] -= m1 * c[0]
-    c[1] -= m1 * f[0]
-    d[1] -= m1 * d[0]
-    for i in range(2, n):
-        # Stage 1: eliminate e[i] against row i-2.
-        m2 = e[i] / b[i - 2]
-        ai = a[i] - m2 * c[i - 2]
-        d[i] -= m2 * d[i - 2]
-        bi = b[i] - m2 * f[i - 2]
-        # Stage 2: eliminate the updated a[i] against row i-1.
-        m1 = ai / b[i - 1]
-        b[i] = bi - m1 * c[i - 1]
-        c[i] -= m1 * f[i - 1]
-        d[i] -= m1 * d[i - 1]
 
-    x = np.empty_like(d)
-    x[n - 1] = d[n - 1] / b[n - 1]
-    x[n - 2] = (d[n - 2] - c[n - 2] * x[n - 1]) / b[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (d[i] - c[i] * x[i + 1] - f[i] * x[i + 2]) / b[i]
-    return x
+def _factor_directions(
+    problem: ModelProblem, dt: float
+) -> tuple[PentaFactor, PentaFactor, PentaFactor]:
+    """One factor per direction, the components stacked as ``(n, NCOMP, 1)``."""
+    n = problem.n
+    k_diag = np.diagonal(problem.k_matrix)
+    factors = []
+    for axis in range(3):
+        per_comp = [
+            line_coefficients(n, problem.h, dt, axis, float(k)) for k in k_diag
+        ]
+        bands = [np.stack(band, axis=1)[:, :, None] for band in zip(*per_comp)]
+        factors.append(PentaFactor(*bands))
+    return tuple(factors)
 
 
 def _solve_direction(
-    problem: ModelProblem, rhs: np.ndarray, dt: float, axis: int
+    factor: PentaFactor, rhs: np.ndarray, axis: int
 ) -> np.ndarray:
-    """Scalar pentadiagonal solves for every component along ``axis``."""
-    n = problem.n
-    out = np.empty_like(rhs)
-    for comp in range(NCOMP):
-        e, a, b, c, f = line_coefficients(
-            n, problem.h, dt, axis, float(problem.k_matrix[comp, comp])
-        )
-        field = np.moveaxis(rhs[comp], axis, 0).reshape(n, -1)
-        solved = penta_solve(e, a, b, c, f, field)
-        out[comp] = np.moveaxis(solved.reshape((n, n, n)), 0, axis)
-    return out
+    """Scalar pentadiagonal solves for every component along ``axis``.
+
+    ``rhs`` has field shape ``(NCOMP, n, n, n)``; the lines are laid out
+    as ``(n, NCOMP, n*n)`` so all components sweep together.
+    """
+    n = rhs.shape[1]
+    lines = np.moveaxis(rhs, axis + 1, 0).reshape(n, NCOMP, n * n)
+    solved = factor.solve(lines).reshape(n, NCOMP, n, n)
+    return np.moveaxis(solved, 0, axis + 1)
 
 
 def sp_step(
     problem: ModelProblem, _u: np.ndarray, residual: np.ndarray, dt: float
 ) -> np.ndarray:
     """One diagonalised ADI update: three scalar pentadiagonal sweeps."""
-    delta = dt * residual
-    for axis in range(3):
-        delta = _solve_direction(problem, delta, dt, axis)
-    return delta
+    step = adi_step(_factor_directions(problem, dt), _solve_direction)
+    return step(problem, _u, residual, dt)
 
 
 def run_sp(npb_class: NPBClass | str = NPBClass.S) -> BenchmarkResult:
@@ -144,7 +181,8 @@ def run_sp(npb_class: NPBClass | str = NPBClass.S) -> BenchmarkResult:
     dt = 0.5 * problem.h
 
     with Timer() as t:
+        step = adi_step(_factor_directions(problem, dt), _solve_direction)
         _u, errors, residuals = march_to_steady_state(
-            problem, sp_step, p.iterations, dt
+            problem, step, p.iterations, dt
         )
     return make_result("sp", npb_class, p, t.elapsed_s, errors, residuals)

@@ -88,19 +88,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, code: int, payload: dict | list) -> None:
         body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(code, body, "application/json")
 
     def _send_text(self, code: int, text: str, content_type: str) -> None:
-        body = text.encode()
+        self._send(code, text.encode(), content_type)
+
+    def _send(self, code: int, body: bytes, content_type: str) -> None:
+        """Write status line, headers and body in one ``wfile.write``.
+
+        ``end_headers`` would send the headers on their own, and Nagle's
+        algorithm then holds the body until a keep-alive client ACKs
+        them -- which a delayed-ACK client does only after ~40 ms.
+        Queueing the blank line and the body behind the buffered headers
+        makes the response one send.
+        """
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})

@@ -14,10 +14,13 @@ counters after a fixed request sequence.  Refresh intentionally with
 """
 
 import difflib
+import http.client
 import json
 from pathlib import Path
+from urllib.parse import urlparse
 
 from repro.service import JobManager, create_server
+from repro.service.api import _Handler
 
 from .conftest import http_get, http_get_json, http_post_json
 
@@ -112,6 +115,39 @@ class TestEndpoints:
         )
         assert status == 400
         assert "wait" in body["error"]
+
+    def test_each_response_is_one_write(self, live_server, monkeypatch):
+        # Headers and body in separate sends stall keep-alive clients on
+        # delayed ACK; every response must leave the server in one write.
+        writes: list[bytes] = []
+        setup = _Handler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            write = handler.wfile.write
+
+            def counted(data):
+                writes.append(bytes(data))
+                return write(data)
+
+            handler.wfile.write = counted
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        job_id, _ = _submit_and_finish(live_server)
+        writes.clear()
+        url = urlparse(live_server.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        paths = ["/health", f"/api/v1/jobs/{job_id}/artifact", "/nope"]
+        try:
+            for path in paths:
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                assert body and writes[-1].endswith(body)
+        finally:
+            conn.close()
+        assert len(writes) == len(paths)
+        assert all(w.startswith(b"HTTP/1.1 ") for w in writes)
 
     def test_stats_reports_service_counters(self, live_server):
         _submit_and_finish(live_server)
