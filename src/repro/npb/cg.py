@@ -20,12 +20,11 @@ Section 6 RVV vectorisation anomaly.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .common import BenchmarkResult, NPBClass, Timer
+from .common import BenchmarkResult, NPBClass, Timer, lcg_stream
 from .params import CGParams, cg_params
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
 
 _AMULT = 1220703125
 _MASK46 = (1 << 46) - 1
-_MASK23 = (1 << 23) - 1
 _TWO46 = float(1 << 46)
 _RANDLC_BLOCK = 1024
 
@@ -62,33 +60,13 @@ class _ScalarRandlc:
         return np.array([self.next() for _ in range(k)], dtype=np.float64)
 
 
-@lru_cache(maxsize=1)
-def _randlc_jump_table() -> tuple[np.ndarray, np.ndarray]:
-    """23-bit halves of the jump multipliers ``a^(i+1) mod 2^46``.
-
-    With these, a whole block of randlc states follows from one state by
-    elementwise modular multiplication -- no sequential dependency.
-    """
-    mults = np.empty(_RANDLC_BLOCK, dtype=np.uint64)
-    m = 1
-    for i in range(_RANDLC_BLOCK):
-        m = (m * _AMULT) & _MASK46
-        mults[i] = m
-    return mults >> np.uint64(23), mults & np.uint64(_MASK23)
-
-
 class _BatchedRandlc:
-    """randlc stream generated in vectorised blocks via precomputed jumps.
+    """randlc stream generated in vectorised blocks through ``lcg_stream``.
 
     Produces the exact sequence of :class:`_ScalarRandlc` under any mix of
     ``next()`` and ``draw(k)`` calls.  ``x`` always holds the state of the
     most recently *consumed* value, so a fresh instance seeded from ``x``
     continues the stream exactly (what the matrix cache relies on).
-
-    The 46-bit modular products are formed in uint64 from 23-bit halves:
-    with ``a^i = hi * 2^23 + lo`` and ``x = x1 * 2^23 + x0``,
-    ``a^i * x mod 2^46 = (((hi*x0 + lo*x1) mod 2^23) << 23) + lo*x0``,
-    every intermediate staying below 2^47.
     """
 
     __slots__ = ("x", "_states", "_values", "_pos")
@@ -101,13 +79,9 @@ class _BatchedRandlc:
 
     def _refill(self, k: int) -> None:
         # Only called with the buffer exhausted, so self.x is the
-        # generation frontier.
-        hi, lo = _randlc_jump_table()
+        # generation frontier: the block is x * a^1 .. x * a^m mod 2^46.
         m = min(max(k, 256), _RANDLC_BLOCK)
-        x0 = np.uint64(self.x & _MASK23)
-        x1 = np.uint64(self.x >> 23)
-        t = (hi[:m] * x0 + lo[:m] * x1) & np.uint64(_MASK23)
-        states = ((t << np.uint64(23)) + lo[:m] * x0) & np.uint64(_MASK46)
+        states = lcg_stream((_AMULT * self.x) & _MASK46, _AMULT, m)
         self._states = states
         self._values = states.astype(np.float64) / _TWO46
         self._pos = 0

@@ -23,9 +23,10 @@ Three guarantees, proven by ``tests/store``:
   (bounded) for the owner's published entry and takes the lease over if
   the owner dies.
 
-Size is bounded by LRU eviction over an advisory index (monotonic
-sequence numbers, no wall clock anywhere); entries under an active lease
-are never evicted.
+Size is bounded by LRU eviction over an in-memory index whose recency
+persists through an append-only, compacted ``index.log`` (touch order,
+no wall clock anywhere); entries under an active lease are never
+evicted.
 """
 
 from .store import STORE_VERSION, ResultStore, store_from_env

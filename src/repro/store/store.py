@@ -4,7 +4,7 @@ Layout (everything under one root directory)::
 
     <root>/objects/<digest>.json   one entry per key (atomic writes)
     <root>/leases/<digest>.lease   O_EXCL cross-process execution claims
-    <root>/index.json              advisory LRU index (sizes + recency)
+    <root>/index.log               advisory recency log (append-only)
 
 ``<digest>`` is the sha256 of the canonical JSON encoding of the key
 tuple, so the mapping from key to path is a pure function -- any process
@@ -19,18 +19,35 @@ for rendered artifacts.  The codec renders floats with ``repr``
 (shortest round-trip), so restored values are bit-identical to freshly
 computed ones.
 
-Concurrency: one instance is thread-safe (its lock guards only the
-in-memory index; file I/O happens through atomic writes).  Across
-processes, writers race benignly -- both write byte-identical content
-for the same key -- and :meth:`try_lease` gives callers that need
-at-most-once *execution* an O_EXCL claim.  Recency is advisory: each
-process tracks what it touched; the persisted index is a hint rebuilt
-from the objects directory whenever it is missing or stale.
+The LRU index (entry sizes, recency order, a running byte total) lives
+in memory.  Sizes come from a listdir plus stat of ``objects/`` on first
+use; only recency needs persisting, and it goes to ``index.log``: one
+digest per line, oldest touch first.  A publication appends the digests
+touched since the last append in one write -- O(1) in the store's size,
+one append per :meth:`ResultStore.put_many` batch -- and a ``get``
+writes nothing (its touch rides along with the next publication).  When
+the log outgrows ``2 * entries + _LOG_SLACK`` lines it is rewritten
+compacted, one line per live entry in recency order.
 
-No wall clock anywhere: recency is a monotonic per-instance sequence
-number and lease waits are attempt-counted by the caller, keeping every
-store-backed run deterministic enough for the repo's telemetry
-contracts (lint rules R001/R006).
+The log is advisory.  Replay keeps the last occurrence of each digest
+and skips lines naming no live object, including any that are not a
+digest at all (a torn tail left by a crash mid-append).  Objects the log
+never mentions rank newest, in digest order, and the next publication
+rewrites the log compacted.  Losing or corrupting the log therefore
+costs recency, never entries.  A leftover ``index.json`` from older
+stores is ignored.
+
+Concurrency: one instance is thread-safe (its lock guards the in-memory
+index and the log writes; entries land through atomic writes).  Across
+processes, writers race benignly -- both write byte-identical content
+for the same key, and every process appends to the same log -- and
+:meth:`ResultStore.try_lease` gives callers that need at-most-once
+*execution* an O_EXCL claim.
+
+No wall clock anywhere: recency is the order of touches and lease waits
+are attempt-counted by the caller, keeping every store-backed run
+deterministic enough for the repo's telemetry contracts (lint rules
+R001/R006).
 """
 
 from __future__ import annotations
@@ -38,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -54,7 +72,13 @@ STORE_VERSION = 1
 
 _OBJECTS_DIR = "objects"
 _LEASES_DIR = "leases"
-_INDEX_NAME = "index.json"
+_LOG_NAME = "index.log"
+
+#: Lines the recency log may carry beyond two per live entry before the
+#: next publication rewrites it compacted.
+_LOG_SLACK = 256
+
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def _canonical_key(key: tuple) -> str:
@@ -83,6 +107,10 @@ def _decode(payload: dict):
 class ResultStore:
     """One store directory: get/put by key, leases, LRU eviction.
 
+    Publication costs one atomic object write per entry plus one append
+    to the recency log per :meth:`put` / :meth:`put_many` call,
+    independent of how many entries the store already holds.
+
     Parameters
     ----------
     root:
@@ -92,7 +120,8 @@ class ResultStore:
         disables eviction.  When a put pushes the total over the cap,
         least-recently-used entries are evicted until it fits -- except
         entries under an active lease, which are never evicted (their
-        owner is about to read or republish them).
+        owner is about to read or republish them).  Recency survives
+        restarts through the append-only ``index.log``.
     lease_timeout_s, poll_interval_s:
         The wait budget callers use when another process holds a key's
         lease: poll every ``poll_interval_s`` for up to
@@ -117,11 +146,16 @@ class ResultStore:
         self.poll_interval_s = poll_interval_s
         self._objects = self.root / _OBJECTS_DIR
         self._leases = self.root / _LEASES_DIR
-        self._index_path = self.root / _INDEX_NAME
+        self._log_path = self.root / _LOG_NAME
+        self._dirs_ready = False
         self._lock = threading.Lock()
-        #: digest -> {"size": int, "seq": int}; None until first use.
-        self._entries: dict[str, dict] | None = None
-        self._seq = 0
+        #: digest -> entry size, oldest touch first; None until first use.
+        self._entries: dict[str, int] | None = None
+        self._bytes = 0
+        #: Digests touched since the last log write, oldest touch first.
+        self._unlogged: dict[str, None] = {}
+        self._log_lines = 0
+        self._log_stale = False
 
     # ------------------------------------------------------------------
     # Reads
@@ -192,6 +226,28 @@ class ResultStore:
 
     def put(self, key: tuple, value) -> None:
         """Publish one entry atomically (idempotent: same key, same bytes)."""
+        self.put_many({key: value})
+
+    def put_many(self, items: dict) -> None:
+        """Publish a ``key -> value`` map with one recency-log append."""
+        self._ensure_dirs()
+        with self._lock:
+            # Load before writing: our own new objects must not look
+            # like entries the log failed to record.
+            self._ensure_index_locked()
+        written = []
+        try:
+            for key, value in items.items():
+                written.append(self._write_entry(key, value))
+        finally:
+            if written:
+                with self._lock:
+                    for digest, size in written:
+                        self._touch_locked(digest, size=size)
+                    self._evict_locked()
+                    self._write_log_locked()
+
+    def _write_entry(self, key: tuple, value) -> tuple[str, int]:
         digest = _digest_key(key)
         payload_text = json.dumps(_encode(value), sort_keys=True)
         entry_text = (
@@ -206,41 +262,35 @@ class ResultStore:
             )
             + "\n"
         )
-        self._objects.mkdir(parents=True, exist_ok=True)
-        path = self._objects / f"{digest}.json"
-        write_text_atomic(path, entry_text)
+        write_text_atomic(self._objects / f"{digest}.json", entry_text)
         obs.incr("store.writes")
         obs.incr("store.bytes_written", len(entry_text))
-        with self._lock:
-            self._touch_locked(digest, size=len(entry_text))
-            self._evict_locked()
-            self._write_index_locked()
+        return digest, len(entry_text)
 
-    def put_many(self, items: dict) -> None:
-        """Bulk :meth:`put` over a ``key -> value`` map."""
-        for key, value in items.items():
-            self.put(key, value)
+    def _ensure_dirs(self) -> None:
+        if not self._dirs_ready:
+            self._objects.mkdir(parents=True, exist_ok=True)
+            self._leases.mkdir(parents=True, exist_ok=True)
+            self._dirs_ready = True
 
     def _evict_locked(self) -> None:
         if self.max_bytes is None:
             return
-        total = sum(meta["size"] for meta in self._entries.values())
-        if total <= self.max_bytes:
-            return
-        by_recency = sorted(
-            self._entries.items(), key=lambda item: (item[1]["seq"], item[0])
-        )
-        for digest, meta in by_recency:
-            if total <= self.max_bytes:
+        excess = self._bytes - self.max_bytes
+        victims = []
+        for digest, size in self._entries.items():  # oldest first
+            if excess <= 0:
                 break
             if (self._leases / f"{digest}.lease").exists():
                 continue  # never evict under an active lease
+            victims.append(digest)
+            excess -= size
+        for digest in victims:
             try:
                 os.unlink(self._objects / f"{digest}.json")
             except OSError:
                 pass
-            total -= meta["size"]
-            del self._entries[digest]
+            self._forget_locked(digest)
             obs.incr("store.evictions")
 
     # ------------------------------------------------------------------
@@ -259,7 +309,7 @@ class ResultStore:
         in which case waiters take the lease over after their bounded
         wait (:attr:`lease_timeout_s`).
         """
-        self._leases.mkdir(parents=True, exist_ok=True)
+        self._ensure_dirs()
         try:
             fd = os.open(self.lease_path(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -288,81 +338,86 @@ class ResultStore:
         self.release_lease(key)
 
     # ------------------------------------------------------------------
-    # Advisory index (sizes + recency)
+    # Advisory index (sizes + recency log)
     # ------------------------------------------------------------------
 
     def _ensure_index_locked(self) -> None:
         if self._entries is not None:
             return
-        self._entries = {}
-        try:
-            data = json.loads(self._index_path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, OSError, ValueError):
-            data = None
-        if (
-            isinstance(data, dict)
-            and data.get("version") == STORE_VERSION
-            and isinstance(data.get("entries"), dict)
-        ):
-            for digest, meta in data["entries"].items():
-                if (
-                    isinstance(meta, dict)
-                    and isinstance(meta.get("size"), int)
-                    and isinstance(meta.get("seq"), int)
-                ):
-                    self._entries[digest] = {"size": meta["size"], "seq": meta["seq"]}
-            self._seq = max(
-                (meta["seq"] for meta in self._entries.values()), default=0
-            )
-        # Reconcile against the objects directory (sorted: deterministic
-        # seq assignment): entries another process wrote join the index,
-        # entries that vanished leave it.
+        # Sizes from the objects directory (sorted: deterministic order
+        # for objects the log never mentions).
         on_disk = {}
         try:
             names = sorted(os.listdir(self._objects))
         except OSError:
             names = []
         for name in names:
-            if name.endswith(".json"):
+            if name.endswith(".json") and _DIGEST.fullmatch(name[:-5]):
                 try:
                     on_disk[name[:-5]] = (self._objects / name).stat().st_size
                 except OSError:
                     continue
-        for digest in list(self._entries):
-            if digest not in on_disk:
-                del self._entries[digest]
+        try:
+            log_text = self._log_path.read_text(encoding="utf-8", errors="replace")
+        except OSError:
+            log_text = ""
+        lines = log_text.splitlines()
+        # Replay: the last occurrence of a digest sets its recency.
+        entries: dict[str, int] = {}
+        for line in lines:
+            size = on_disk.get(line)
+            if size is not None:
+                entries.pop(line, None)
+                entries[line] = size
+        mentioned = len(entries)
         for digest, size in on_disk.items():
-            if digest not in self._entries:
-                self._seq += 1
-                self._entries[digest] = {"size": size, "seq": self._seq}
-            else:
-                self._entries[digest]["size"] = size
+            if digest not in entries:
+                entries[digest] = size
+        self._entries = entries
+        self._bytes = sum(entries.values())
+        self._log_lines = len(lines)
+        # A log that misses live objects, ends torn or holds garbage is
+        # rewritten whole by the next publication instead of appended to.
+        self._log_stale = (
+            len(entries) > mentioned
+            or (log_text != "" and not log_text.endswith("\n"))
+            or any(not _DIGEST.fullmatch(line) for line in lines)
+        )
 
     def _touch_locked(self, digest: str, size: int | None = None) -> None:
         self._ensure_index_locked()
-        self._seq += 1
-        meta = self._entries.get(digest)
-        if meta is None:
-            if size is None:
-                try:
-                    size = (self._objects / f"{digest}.json").stat().st_size
-                except OSError:
-                    return  # raced with an eviction/unlink; nothing to track
-            self._entries[digest] = {"size": size, "seq": self._seq}
-            return
-        meta["seq"] = self._seq
-        if size is not None:
-            meta["size"] = size
+        old = self._entries.pop(digest, None)
+        if size is None:
+            size = old
+        if size is None:
+            try:
+                size = (self._objects / f"{digest}.json").stat().st_size
+            except OSError:
+                return  # raced with an eviction/unlink; nothing to track
+        self._entries[digest] = size
+        self._bytes += size - (old or 0)
+        self._unlogged.pop(digest, None)
+        self._unlogged[digest] = None
 
     def _forget_locked(self, digest: str) -> None:
-        if self._entries is not None:
-            self._entries.pop(digest, None)
+        if self._entries is None:
+            return
+        size = self._entries.pop(digest, None)
+        if size is not None:
+            self._bytes -= size
+        self._unlogged.pop(digest, None)
 
-    def _write_index_locked(self) -> None:
-        snapshot = json.dumps(
-            {"version": STORE_VERSION, "entries": self._entries}, sort_keys=True
-        )
-        write_text_atomic(self._index_path, snapshot + "\n")
+    def _write_log_locked(self) -> None:
+        """Append the unlogged touches, or rewrite the log compacted."""
+        self._log_lines += len(self._unlogged)
+        if self._log_stale or self._log_lines > 2 * len(self._entries) + _LOG_SLACK:
+            write_text_atomic(self._log_path, "".join(f"{d}\n" for d in self._entries))
+            self._log_lines = len(self._entries)
+            self._log_stale = False
+        elif self._unlogged:
+            with open(self._log_path, "a", encoding="utf-8") as log:
+                log.write("".join(f"{d}\n" for d in self._unlogged))
+        self._unlogged.clear()
 
     # ------------------------------------------------------------------
     # Introspection / maintenance
@@ -372,7 +427,7 @@ class ResultStore:
         """Static shape for /health and ``repro stats``: size and bounds."""
         with self._lock:
             self._ensure_index_locked()
-            total = sum(meta["size"] for meta in self._entries.values())
+            total_bytes = self._bytes
             entries = len(self._entries)
         try:
             leases = sum(
@@ -383,13 +438,13 @@ class ResultStore:
         return {
             "root": str(self.root),
             "entries": entries,
-            "bytes": total,
+            "bytes": total_bytes,
             "max_bytes": self.max_bytes,
             "leases": leases,
         }
 
     def clear(self) -> None:
-        """Remove every entry, lease and the index (a fresh store)."""
+        """Remove every entry, lease and the recency log (a fresh store)."""
         with self._lock:
             for directory, suffix in ((self._objects, ".json"), (self._leases, ".lease")):
                 try:
@@ -403,11 +458,14 @@ class ResultStore:
                         except OSError:
                             pass
             try:
-                os.unlink(self._index_path)
+                os.unlink(self._log_path)
             except OSError:
                 pass
             self._entries = {}
-            self._seq = 0
+            self._bytes = 0
+            self._unlogged.clear()
+            self._log_lines = 0
+            self._log_stale = False
 
 
 def store_from_env() -> ResultStore | None:

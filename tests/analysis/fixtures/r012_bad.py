@@ -19,4 +19,4 @@ def grab_lease(lease_path):
 
 
 def clobber_index(store_dir, entry):
-    (store_dir / "index.json").write_text(entry)  # finding 4: direct index write corrupts LRU bookkeeping
+    (store_dir / "index.log").write_text(entry)  # finding 4: direct index write corrupts LRU bookkeeping

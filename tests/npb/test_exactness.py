@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.npb.bt import BlockTridiagFactor, block_tridiag_solve, line_blocks
+from repro.npb.cg import _BatchedRandlc, _ScalarRandlc
 from repro.npb.common import DEFAULT_MULTIPLIER, NPBClass, Randlc
 from repro.npb.ep import ep_kernel
 from repro.npb.params import ep_params
@@ -24,6 +25,13 @@ MASK = (1 << 46) - 1
 EP_S_SX = float.fromhex("-0x1.95fab5782f084p+11")
 EP_S_SY = float.fromhex("-0x1.b2e683649f52bp+12")
 EP_S_COUNTS = [6140517, 5865300, 1100361, 68546, 1648, 17, 0, 0, 0, 0]
+
+CG_S_DETAILS = {
+    "zeta": "0x1.131c140145f4dp+3",
+    "zeta_ref": "0x1.131c140145f48p+3",
+    "rnorm": "0x1.081e9bdca7763p-49",
+    "nnz": "0x1.3144000000000p+16",
+}
 
 PSEUDO_S_DETAILS = {
     "bt": {
@@ -62,6 +70,30 @@ def test_ep_class_s_bit_identical():
     assert sx.hex() == EP_S_SX.hex()
     assert sy.hex() == EP_S_SY.hex()
     assert counts.tolist() == EP_S_COUNTS
+
+
+def test_cg_class_s_details_bit_identical():
+    result = run_benchmark("cg", "S")
+    assert result.verified
+    assert {key: value.hex() for key, value in result.details.items()} == CG_S_DETAILS
+
+
+@given(
+    calls=st.lists(st.integers(0, 1300), min_size=1, max_size=12),
+    cut=st.integers(0, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_randlc_matches_scalar(calls, cut):
+    """Mixed ``next()`` (0) / ``draw(k)`` calls; a reseed from ``.x`` mid-way."""
+    scalar, batched = _ScalarRandlc(), _BatchedRandlc()
+    for i, k in enumerate(calls):
+        if i == cut:
+            batched = _BatchedRandlc(batched.x)  # drops any lookahead
+        if k == 0:
+            assert batched.next() == scalar.next()
+        else:
+            assert batched.draw(k).tolist() == scalar.draw(k).tolist()
+        assert batched.x == scalar.x
 
 
 @pytest.mark.parametrize("kernel", sorted(PSEUDO_S_DETAILS))

@@ -7,12 +7,15 @@ execution at-most-once without ever blocking a read.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import obs
 from repro.core.perfmodel import DNRError
 from repro.core.sweep import SweepEngine, expand_grid
+from repro.faults.atomic import write_text_atomic
 from repro.store import STORE_VERSION, ResultStore, store_from_env
 
 
@@ -215,16 +218,17 @@ class TestIndex:
     def test_rebuilt_after_index_loss(self, store, tmp_path):
         store.put(("a",), "1")
         store.put(("b",), "2")
-        (tmp_path / "store" / "index.json").unlink()
+        (tmp_path / "store" / "index.log").unlink()
         fresh = ResultStore(tmp_path / "store")
         assert fresh.stats()["entries"] == 2
         assert fresh.get(("a",)) == "1"
 
     def test_corrupt_index_is_rebuilt(self, store, tmp_path):
         store.put(("a",), "1")
-        (tmp_path / "store" / "index.json").write_text("{broken")
+        (tmp_path / "store" / "index.log").write_text("{broken")
         fresh = ResultStore(tmp_path / "store")
         assert fresh.stats()["entries"] == 1
+        assert fresh.get(("a",)) == "1"
 
     def test_stats_shape(self, store):
         stats = store.stats()
@@ -252,6 +256,167 @@ class TestIndex:
             "leases": 0,
         }
 
+
+
+def _digest(store, key):
+    return store.lease_path(key).stem
+
+
+def _log_lines(store):
+    return (store.root / "index.log").read_text().splitlines()
+
+
+class TestRecencyLog:
+    """``index.log``: O(1) appends, restart recency, compaction, repair."""
+
+    @pytest.fixture
+    def log_writes(self, monkeypatch):
+        """Every write the store makes to its log: "append" or "rewrite"."""
+        import builtins
+
+        from repro.store import store as store_module
+
+        writes = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                writes.append("append")
+            return builtins.open(file, mode, *args, **kwargs)
+
+        def counting_atomic(path, text, *args, **kwargs):
+            if path.name == "index.log":
+                writes.append("rewrite")
+            return write_text_atomic(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "open", counting_open, raising=False)
+        monkeypatch.setattr(store_module, "write_text_atomic", counting_atomic)
+        return writes
+
+    @pytest.mark.parametrize("n", [0, 500])
+    def test_put_appends_one_line_whatever_the_store_size(self, store, log_writes, n):
+        store.put_many({("fill", i): "x" for i in range(n)})
+        before = _log_lines(store) if n else []
+        log_writes.clear()
+        store.put(("new",), "v")
+        after = _log_lines(store)
+        assert after == before + [_digest(store, ("new",))]
+        reopened = ResultStore(store.root)
+        reopened.put(("newer",), "v")
+        assert _log_lines(store) == after + [_digest(store, ("newer",))]
+        assert log_writes == ["append", "append"]
+
+    def test_put_many_appends_once_per_batch(self, store, log_writes):
+        sizes = []
+        for batch in range(3):
+            items = {("batch", batch, i): str(i) for i in range(7)}
+            store.put_many(items)
+            lines = _log_lines(store)
+            sizes.append(len(lines))
+            assert lines[-7:] == [_digest(store, key) for key in items]
+        assert sizes == [7, 14, 21]
+        assert log_writes == ["append"] * 3
+
+    def test_get_recency_survives_restart(self, tmp_path):
+        probe = ResultStore(tmp_path / "probe")
+        probe.put(("probe", 0), "x" * 64)
+        size = probe.stats()["bytes"]
+        root, cap = tmp_path / "store", 3 * size + size // 2
+        a, b, c, d = (("probe", i) for i in range(1, 5))
+
+        first = ResultStore(root, max_bytes=cap)
+        first.put(a, "a" * 64)
+        first.put(b, "b" * 64)
+        assert first.get(a) == "a" * 64  # persisted by the next put
+        first.put(c, "c" * 64)
+
+        restarted = ResultStore(root, max_bytes=cap)
+        restarted.put(d, "d" * 64)
+        assert b not in restarted  # least recent across the restart
+        assert a in restarted and c in restarted and d in restarted
+
+    @pytest.mark.parametrize("tail", ["garbage line\n", "torn"])
+    def test_bad_last_line_is_ignored(self, store, tail):
+        keys = [("k", i) for i in range(3)]
+        for key in keys:
+            store.put(key, repr(key))
+        log_path = store.root / "index.log"
+        if tail == "torn":
+            tail = _digest(store, ("k", 9))[:30]  # crash mid-append
+        log_path.write_text(log_path.read_text() + tail)
+
+        fresh = ResultStore(store.root)
+        assert fresh.stats()["entries"] == 3
+        for key in keys:
+            assert fresh.get(key) == repr(key)
+        fresh.put(("k", 3), "new")  # a damaged log is rewritten compacted
+        lines = _log_lines(fresh)
+        assert sorted(lines) == sorted(_digest(fresh, ("k", i)) for i in range(4))
+        assert lines[-1] == _digest(fresh, ("k", 3))
+
+    def test_log_is_compacted(self, store, log_writes):
+        from repro.store.store import _LOG_SLACK
+
+        n = 40
+        for _ in range(10):
+            for i in range(n):
+                store.put(("key", i), str(i))
+                assert len(_log_lines(store)) <= 2 * n + _LOG_SLACK
+        assert "rewrite" in log_writes
+        assert ResultStore(store.root).stats()["entries"] == n
+
+    def test_running_total_matches_disk(self, tmp_path):
+        store = ResultStore(tmp_path / "store", max_bytes=2000)
+        for i in range(40):
+            store.put(("k", i), "x" * (i * 7))
+        store.get(("k", 39))
+        _entry_path(store, ("k", 38)).write_text("not json")
+        assert store.get(("k", 38)) is None  # forgotten as corrupt
+        on_disk = sum(path.stat().st_size for path in store._objects.iterdir())
+        assert store.stats()["bytes"] == on_disk <= store.max_bytes
+        assert ResultStore(store.root).stats()["bytes"] == on_disk
+
+    def test_concurrent_publishers_lose_no_update(self, tmp_path):
+        """Threads publishing and reading at once keep index and log whole."""
+        store = ResultStore(tmp_path / "store")
+        n_threads, per_thread = 12, 30
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(per_thread):
+                    if i % 3:
+                        store.put(("t", t, i), "x" * (t + i))
+                    else:
+                        store.put_many({("t", t, i, j): "y" * j for j in range(3)})
+                    store.get(("t", (t + 1) % n_threads, i))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        objects = list(store._objects.iterdir())
+        on_disk = sum(path.stat().st_size for path in objects)
+        assert store.stats() == {
+            "root": str(store.root),
+            "entries": len(objects),
+            "bytes": on_disk,
+            "max_bytes": None,
+            "leases": 0,
+        }
+        assert {path.stem for path in objects} <= set(_log_lines(store))
 
 class TestStoreFromEnv:
     def test_absent_means_none(self, monkeypatch):
