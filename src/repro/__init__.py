@@ -14,18 +14,15 @@ Quickstart
 >>> r = runner.run(ExperimentConfig(machine="sg2044", kernel="ep", n_threads=64))
 >>> r.mean_mops  # doctest: +SKIP
 2538.0
+
+The names below resolve lazily (PEP 562, :mod:`repro._lazy`): importing
+``repro`` loads no submodule, so ``import repro.machines`` does not drag
+in the sweep engine and each CLI command imports only what it runs.
+``from repro import ExperimentConfig`` loads the model stack on first
+use, exactly as before.
 """
 
-from .core import (
-    DNRError,
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentRunner,
-    PerformanceModel,
-    times_faster,
-)
-from .machines import get_machine, machine_names
-from .npb import NPBClass, signature_for
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -42,3 +39,19 @@ __all__ = [
     "signature_for",
     "times_faster",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        ".core": (
+            "DNRError",
+            "ExperimentConfig",
+            "ExperimentResult",
+            "ExperimentRunner",
+            "PerformanceModel",
+            "times_faster",
+        ),
+        ".machines": ("get_machine", "machine_names"),
+        ".npb": ("NPBClass", "signature_for"),
+    },
+)

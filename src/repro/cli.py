@@ -45,11 +45,17 @@ Sweep-backed commands accept ``--store DIR`` (or ``REPRO_STORE``): a
 persistent content-addressed result store that makes every restart
 warm -- results and rendered artifacts land there once and are reused
 bit-identically by any later process.
+
+Every process pays its own start-up, so each command imports only what
+it runs: :func:`build_parser` needs nothing beyond :mod:`argparse`, and
+each ``_cmd_*`` handler imports its packages in its body.
+``tests/cli/test_import_budget.py`` pins the module sets.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections.abc import Sequence
 
@@ -379,16 +385,28 @@ def _journal_detach(engine) -> None:
         engine.detach_journal()
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.harness import build_table
+@contextlib.contextmanager
+def _instrumented(args: argparse.Namespace):
+    """``--telemetry`` and ``--journal`` around one artifact-building command.
 
+    Both are torn down even when the builder raises, so a failing
+    command never leaves the process-wide recorder installed or the
+    journal attached to the shared engine.
+    """
     recorder = _telemetry_start(args.telemetry)
     engine = _journal_attach(args.journal)
     try:
-        result = build_table(args.number)
+        yield
     finally:
         _journal_detach(engine)
-    _telemetry_finish(args.telemetry, recorder)
+        _telemetry_finish(args.telemetry, recorder)
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.harness import build_table
+
+    with _instrumented(args):
+        result = build_table(args.number)
     sys.stdout.write(result.to_csv() if args.csv else result.render())
     return 0
 
@@ -396,13 +414,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.harness import build_figure
 
-    recorder = _telemetry_start(args.telemetry)
-    engine = _journal_attach(args.journal)
-    try:
+    with _instrumented(args):
         result = build_figure(args.number)
-    finally:
-        _journal_detach(engine)
-    _telemetry_finish(args.telemetry, recorder)
     sys.stdout.write(result.to_csv() if args.csv else result.render())
     return 0
 
@@ -560,13 +573,8 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.harness.export import export_all
 
-    recorder = _telemetry_start(args.telemetry)
-    engine = _journal_attach(args.journal)
-    try:
+    with _instrumented(args):
         written = export_all(args.directory)
-    finally:
-        _journal_detach(engine)
-    _telemetry_finish(args.telemetry, recorder)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -806,12 +814,14 @@ def _cmd_score(_args: argparse.Namespace) -> int:
 
 
 def _lint_help() -> str:
-    """Derived from the registry so the range can never go stale."""
-    from repro.analysis.registry import registered_codes
+    """The ``lint`` subcommand's one-line help.
 
-    codes = registered_codes()
-    span = f"{codes[0]}-{codes[-1]}" if len(codes) > 1 else codes[0]
-    return f"repo-aware static analysis ({span})"
+    A literal, not derived from :mod:`repro.analysis.registry`: every
+    command builds the parser, and importing the rule registry here cost
+    each of them ~50 ms.  ``TestLintHelp`` fails the moment the span and
+    the registered codes disagree.
+    """
+    return "repo-aware static analysis (R001-R013)"
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

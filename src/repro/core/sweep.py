@@ -26,16 +26,15 @@ isolation is ever needed.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro import faults, obs
-from repro.faults import GroupTimeoutError, SweepJournal, TransientError
+from repro.faults import GroupTimeoutError, TransientError
 
 from .experiment import DEFAULT_RUNS, ExperimentConfig, ExperimentRunner
 from .perfmodel import DNRError, PerformanceModel
@@ -250,7 +249,7 @@ class SweepEngine:
         self._sweep_seq = 0
         self._held_leases: set[tuple] = set()
         self._lock = threading.Lock()
-        self._journals: list[tuple[SweepJournal, frozenset | None]] = []
+        self._journals: list[tuple[faults.SweepJournal, frozenset | None]] = []
         self._family_hooks: list = []
         self.hits = 0
         self.misses = 0
@@ -321,6 +320,9 @@ class SweepEngine:
         persistence is a behaviour an operator opts into explicitly.
         """
         if store is None:
+            # Most runs have no store: they never import repro.store.
+            if not os.environ.get("REPRO_STORE"):
+                return None
             from repro.store import store_from_env
 
             return store_from_env()
@@ -395,7 +397,7 @@ class SweepEngine:
         """
         pattern = journal.path.name + ".shard*"
         for sidecar_path in sorted(journal.path.parent.glob(pattern)):
-            entries = SweepJournal(sidecar_path).results()
+            entries = faults.SweepJournal(sidecar_path).results()
             if entries:
                 journal.record(entries)
                 with self._lock:
@@ -964,6 +966,9 @@ class SweepEngine:
             shards.append([(i, groups[i]) for i in range(start, start + size)])
             start += size
         telemetry = obs.is_enabled()
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             pool = ProcessPoolExecutor(
                 max_workers=procs,
@@ -1160,6 +1165,8 @@ class SweepEngine:
 
 def _fork_available() -> bool:
     """Whether this platform can fork shard workers at all."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -1217,7 +1224,7 @@ def _shard_worker(payload: tuple):
     runner = ExperimentRunner(
         model=PerformanceModel(calibrate=calibrate), noise_cv=noise_cv, seed=seed
     )
-    journal = SweepJournal(sidecar) if sidecar is not None else None
+    journal = faults.SweepJournal(sidecar) if sidecar is not None else None
     try:
         planned = plan_groups(runner, groups)
     except PlanNotApplicable:

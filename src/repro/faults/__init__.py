@@ -19,12 +19,17 @@ This package supplies the four pieces that make that testable:
 The key invariant, locked in by ``tests/faults``: a sweep under injected
 transient faults converges to bit-identical results and non-volatile
 telemetry counters versus a fault-free run.
+
+The journal names resolve lazily (PEP 562, :mod:`repro._lazy`): an
+export that only needs :func:`write_text_atomic` loads the atomic writer
+and the plan its ``io`` probe consults, not the journal and its codec.
 """
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
+
 from .atomic import write_text_atomic
-from .journal import SweepJournal, decode_value, encode_value
 from .plan import FaultPlan, NullFaultPlan, disable, inject, install, is_enabled, plan
 from .taxonomy import (
     FaultError,
@@ -54,3 +59,7 @@ __all__ = [
     "encode_value",
     "decode_value",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(), {".journal": ("SweepJournal", "decode_value", "encode_value")}
+)

@@ -165,12 +165,14 @@ def parse_request(payload: dict) -> JobRequest:
         return JobRequest(kind=kind, number=number)
 
     if kind == "whatif":
-        from repro.npb.suite import RUNNERS
+        # The benchmark names alone: the suite registry would import all
+        # eight functional kernels (and SciPy) to check one string.
+        from repro.npb.params import ALL_BENCHMARKS
 
         kernel = payload.get("kernel")
-        if kernel not in RUNNERS:
+        if kernel not in ALL_BENCHMARKS:
             raise RequestError(
-                f"whatif kernel must be one of {sorted(RUNNERS)}, got {kernel!r}"
+                f"whatif kernel must be one of {sorted(ALL_BENCHMARKS)}, got {kernel!r}"
             )
         (n_threads,) = _int_axis(payload, "threads", (64,)) or (64,)
         return JobRequest(kind="whatif", kernel=kernel, n_threads=n_threads)

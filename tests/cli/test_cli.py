@@ -122,3 +122,30 @@ class TestStatsCommand:
         assert report["version"] == 1
         assert report["counters"]["harness.tables_built"] == 1
         assert "timings" in report
+
+    @pytest.mark.parametrize(
+        ("target", "argv"),
+        [
+            ("repro.harness.build_table", ["table", "6"]),
+            ("repro.harness.build_figure", ["figure", "2"]),
+            ("repro.harness.export.export_all", ["export", "{out}"]),
+        ],
+    )
+    def test_failing_builder_leaves_telemetry_disabled(
+        self, monkeypatch, tmp_path, target, argv
+    ):
+        from repro import obs
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("builder failed")
+
+        monkeypatch.setattr(target, boom)
+        path = tmp_path / "report.json"
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        try:
+            with pytest.raises(RuntimeError, match="builder failed"):
+                main([*argv, "--telemetry", str(path)])
+            assert not obs.is_enabled()
+            assert path.exists()  # the failed run's telemetry is kept
+        finally:
+            obs.disable()
