@@ -4,7 +4,9 @@ Covers the three claims the engine makes: ``predict_batch`` beats the
 config-at-a-time loop on grid evaluation, a warmed engine serves whole
 table/figure grids from its result cache, and the megagrid planner beats
 the per-family path on a cold full-paper regeneration by >= 3x while
-producing bit-identical results.
+producing bit-identical results.  Two cold ``run_many`` queries, one of
+4 configs and one of ~2900, put the per-batch fixed cost and the
+per-config cost of the cold path on the record separately.
 """
 
 from repro.compilers.gcc import get_compiler
@@ -16,6 +18,7 @@ from repro.machines.catalog import get_machine
 from repro.npb.signatures import signature_for
 
 _THREADS = (1, 2, 4, 8, 16, 26, 32, 64)
+_ALL_KERNELS = ("is", "mg", "ep", "cg", "ft", "bt", "lu", "sp")
 
 # The planner's cold-path speedup floor over the per-family path, and the
 # escalation margin (stop re-measuring once the headline has headroom).
@@ -156,4 +159,66 @@ def test_thread_sweep_through_engine(benchmark, time_best_of, bench_artifact):
         n_points=len(results),
         sweep_s=sweep_s,
         points_per_s=len(results) / sweep_s,
+    )
+
+
+def _cold_query_large():
+    """~2900 configs over 4 machines: every kernel, class S-C, both
+    vectorise settings, and every listed thread count each machine has."""
+    threads = (1, 2, 4, 8, 12, 16, 26, 32, 48, 64)
+    grid = []
+    for machine in ("sg2044", "sg2042", "epyc7742", "skylake8170"):
+        cores = get_machine(machine).n_cores
+        grid += expand_grid(
+            machine,
+            _ALL_KERNELS,
+            classes=("S", "W", "A", "B", "C"),
+            thread_counts=[t for t in threads if t <= cores],
+            vectorise=(True, False),
+        )
+    return grid
+
+
+def _time_cold_query(time_best_of, label, grid, reps):
+    """Best-of-``reps`` cold ``run_many`` (fresh engine and runner each)."""
+
+    def run_cold():
+        return SweepEngine(runner=ExperimentRunner(), jobs=1).run_many(grid, on_dnr="none")
+
+    results = run_cold()
+    assert len(results) == len(grid)
+    # Bit-identical to the per-family path, whatever the batch shape.
+    engine = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
+    assert results == engine.run_many(grid, on_dnr="none")
+    query_s, _ = time_best_of(label, run_cold, reps)
+    return query_s
+
+
+def test_cold_query_small(benchmark, time_best_of, bench_artifact):
+    """4 configs on one machine: the cold path's per-batch fixed cost."""
+    grid = expand_grid("sg2044", ("is", "mg"), classes="C", thread_counts=(1, 64))
+    assert len(grid) == 4
+    benchmark(lambda: SweepEngine(runner=ExperimentRunner(), jobs=1).run_many(grid))
+    query_s = _time_cold_query(time_best_of, "sweep.cold_query_small", grid, 20)
+    bench_artifact(
+        "sweep.cold_query_small",
+        n_configs=len(grid),
+        batch_fixed_s=query_s,
+    )
+
+
+def test_cold_query_large(benchmark, time_best_of, bench_artifact):
+    """~2900 configs on 4 machines: the cold path's per-config cost."""
+    grid = _cold_query_large()
+    assert 2800 <= len(grid) <= 3000
+    benchmark(
+        lambda: SweepEngine(runner=ExperimentRunner(), jobs=1).run_many(grid, on_dnr="none")
+    )
+    query_s = _time_cold_query(time_best_of, "sweep.cold_query_large", grid, 5)
+    bench_artifact(
+        "sweep.cold_query_large",
+        n_configs=len(grid),
+        query_s=query_s,
+        per_config_s=query_s / len(grid),
+        configs_per_s=len(grid) / query_s,
     )

@@ -7,7 +7,11 @@ construction.  This module flattens *all* cold families of a batch into
 one structured-array **megagrid** (one row per config, per-family columns
 broadcast across each family's row slice), evaluates the model's four
 cost terms in a single pass per machine segment, and derives every
-config's measurement-noise PCG64 stream in bulk.
+config's measurement-noise PCG64 stream in bulk.  Everything after the
+cost terms -- calibration scaling, noise magnitudes, the per-run times
+and Mop/s, and the result records -- is one batch-wide tail
+(:func:`_measure_batch`) over all live request rows, not a loop over
+families.
 
 Exactness contract: every number produced here is **bit-identical** to
 the per-family path.  That falls out of three properties:
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -114,6 +119,7 @@ class _FamilyPlan:
     vectorised: bool = False
     notes: tuple = ()
     rows: slice | None = None
+    calibration_factor: float = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -237,29 +243,30 @@ _MASK128 = (1 << 128) - 1
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_const_chain(init: int, mult: int, count: int) -> tuple:
-    """Precompute ``(xor_const, mult_const)`` pairs of SeedSequence's
-    data-independent hash-constant chain (the constants advance per call,
-    never per input, so they are shared by every seed in a batch)."""
-    out = []
+def _hash_const_chain(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Precompute SeedSequence's data-independent hash-constant chain.
+
+    The constants advance per call, never per input, so they are shared
+    by every seed in a batch.  Returned as ``(xor_consts, mult_consts)``
+    column vectors of shape ``(count, 1)``, so hash ``k`` broadcasts
+    against row ``k`` of a ``(count, N)`` word array.
+    """
+    xors, mults = [], []
     const = init
     for _ in range(count):
         advanced = const * mult & _MASK32
-        out.append((np.uint32(const), np.uint32(advanced)))
+        xors.append(const)
+        mults.append(advanced)
         const = advanced
-    return tuple(out)
+    return (
+        np.asarray(xors, dtype=np.uint32)[:, None],
+        np.asarray(mults, dtype=np.uint32)[:, None],
+    )
 
 
-#: 4 pool-fill + 12 pool-mix hashes consume the INIT_A chain; the 8
-#: output words consume the INIT_B chain.
-_POOL_CONSTS = _hash_const_chain(_INIT_A, _MULT_A, 16)
-_OUT_CONSTS = _hash_const_chain(_INIT_B, _MULT_B, 8)
-
-
-def _hashmix(v: np.ndarray, consts: tuple) -> np.ndarray:
-    xor_const, mult_const = consts
-    v = v ^ xor_const
-    v = v * mult_const  # uint32 wraparound is the algorithm
+def _hashmix(v: np.ndarray, xor_consts: np.ndarray, mult_consts: np.ndarray) -> np.ndarray:
+    v = v ^ xor_consts
+    v = v * mult_consts  # uint32 wraparound is the algorithm
     return v ^ (v >> _XSHIFT)
 
 
@@ -268,43 +275,55 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _XSHIFT)
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[dict]:
-    """Vectorised ``SeedSequence(seed) -> PCG64`` state for many seeds.
+#: 4 pool-fill + 12 pool-mix hashes consume the INIT_A chain; the 8
+#: output words consume the INIT_B chain.
+_POOL_XOR, _POOL_MULT = _hash_const_chain(_INIT_A, _MULT_A, 16)
+#: Source word ``src`` is hashed three times and mixed into the other
+#: three pool words, in ascending order: ``(dsts, xor, mult)`` per src.
+_MIX_STEPS = tuple(
+    (
+        [dst for dst in range(4) if dst != src],
+        _POOL_XOR[4 + 3 * src : 7 + 3 * src],
+        _POOL_MULT[4 + 3 * src : 7 + 3 * src],
+    )
+    for src in range(4)
+)
+_OUT_XOR, _OUT_MULT = _hash_const_chain(_INIT_B, _MULT_B, 8)
+_OUT_SRC = [k % 4 for k in range(8)]
 
-    Replicates NumPy's entropy-pool mixing (vectorised over seeds) and
-    PCG64's ``inc``/``state`` initialisation.  Only used after
-    :func:`fastpath_available` has verified bit-equality against
-    ``np.random.default_rng`` on probe seeds in this NumPy build.
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """Vectorised ``np.random.default_rng(seed).bit_generator.state``.
+
+    Replicates NumPy's SeedSequence entropy-pool mixing over a ``(4, N)``
+    pool (each source word's three hashes and mixes are one broadcast
+    step) and PCG64's ``inc``/``state`` initialisation.  Each returned
+    dict is exactly what ``default_rng(seed)`` installs, ready to assign
+    to a ``PCG64.state``.  Only used after :func:`fastpath_available`
+    has verified that equality on probe seeds in this NumPy build.
     """
     arr = np.asarray(seeds, dtype=np.uint64)
-    lo = (arr & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (arr >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(lo)
+    pool = np.zeros((4, arr.shape[0]), dtype=np.uint32)
+    pool[0] = arr & np.uint64(_MASK32)
+    pool[1] = arr >> np.uint64(32)
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    for src, (dsts, xor, mult) in enumerate(_MIX_STEPS):
+        pool[dsts] = _mix(pool[dsts], _hashmix(pool[src], xor, mult))
+    out = _hashmix(pool[_OUT_SRC], _OUT_XOR, _OUT_MULT).astype(np.uint64)
+    w0, w1, w2, w3 = (out[0::2] | (out[1::2] << np.uint64(32))).tolist()
 
-    consts = iter(_POOL_CONSTS)
-    pool = [
-        _hashmix(lo, next(consts)),
-        _hashmix(hi, next(consts)),
-        _hashmix(zero, next(consts)),
-        _hashmix(zero, next(consts)),
-    ]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    out = [_hashmix(pool[k % 4], _OUT_CONSTS[k]) for k in range(8)]
-
-    words = [
-        out[2 * j].astype(np.uint64) | (out[2 * j + 1].astype(np.uint64) << np.uint64(32))
-        for j in range(4)
-    ]
     states = []
-    for i in range(arr.shape[0]):
-        initstate = (int(words[0][i]) << 64) | int(words[1][i])
-        initseq = (int(words[2][i]) << 64) | int(words[3][i])
-        inc = ((initseq << 1) | 1) & _MASK128
-        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-        states.append({"state": state, "inc": inc})
+    for a, b, c, d in zip(w0, w1, w2, w3):
+        inc = ((((c << 64) | d) << 1) | 1) & _MASK128
+        state = ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
     return states
 
 
@@ -356,7 +375,7 @@ def fastpath_available() -> bool:
             try:
                 derived = _pcg64_states(np.asarray(_PROBE_SEEDS, dtype=np.uint64))
                 _FASTPATH_OK = all(
-                    d == np.random.default_rng(s).bit_generator.state["state"]
+                    d == np.random.default_rng(s).bit_generator.state
                     for s, d in zip(_PROBE_SEEDS, derived)
                 )
             except (KeyError, TypeError, ValueError, OverflowError):
@@ -498,72 +517,167 @@ def _family_scalars(fam: _FamilyPlan) -> tuple:
     )
 
 
-def _measure_family(
-    runner, fam: _FamilyPlan, preds: list[Prediction], rng_for, fast_new: bool
-) -> list[ExperimentResult]:
-    """``ExperimentRunner._measure`` for every config of one family.
+def _build(cls, rows: list[dict], fast_new: bool) -> list:
+    """Frozen-dataclass records of ``cls`` from their field maps, in order.
 
-    The noise magnitudes ``cv`` are derived for the whole family in one
-    vectorised pass (``np.log2`` over the thread counts produces the
-    same float64 values elementwise as the per-config scalar calls).
+    With ``fast_new`` (see :func:`_fast_new_available`) each instance
+    dict is assigned wholesale; otherwise the real constructor runs.
     """
-    sig = fam.sig
-    total_mops = sig.total_mops
-    ns = np.asarray([c.n_threads for c in fam.group], dtype=np.int64)
-    cvs = (runner.noise_cv * (1.0 + 0.3 * np.log2(ns + 1))).tolist()
-    sample_new = RunSample.__new__
-    result_new = ExperimentResult.__new__
-    results = []
-    for config, pred, cv in zip(fam.group, preds, cvs):
-        rng = rng_for(config)
-        factors = rng.lognormal(mean=0.0, sigma=cv, size=config.runs)
-        times = pred.time_s * factors
-        mops_vals = (total_mops / times).tolist()
-        if fast_new:
-            samples = []
-            for i, (t, m) in enumerate(zip(times.tolist(), mops_vals)):
-                sample = sample_new(RunSample)
-                _OSA(sample, "__dict__", {"run_index": i, "time_s": t, "mops": m})
-                samples.append(sample)
-            samples = tuple(samples)
-            # samples is never empty (runs >= 1), so ExperimentResult's
-            # __post_init__ validation is vacuous here.
-            result = result_new(ExperimentResult)
-            _OSA(
-                result,
-                "__dict__",
-                {
-                    "machine": config.machine,
-                    "kernel": config.kernel,
-                    "npb_class": config.npb_class,
-                    "n_threads": config.n_threads,
-                    "compiler": fam.compiler_name,
-                    "vectorised": pred.vectorised,
-                    "samples": samples,
-                    "prediction": pred,
-                    "notes": pred.notes,
-                },
+    if not fast_new:
+        return [cls(**fields) for fields in rows]
+    new = cls.__new__
+    records = []
+    for fields in rows:
+        record = new(cls)
+        _OSA(record, "__dict__", fields)
+        records.append(record)
+    return records
+
+
+def _measure_batch(runner, fams, t_compute, t_stream, t_latency, t_sync) -> list:
+    """Predictions and ``ExperimentRunner._measure`` for every live family.
+
+    One pass over the whole batch instead of one per family: the live
+    request rows are gathered in family order, every prediction term and
+    every run's time and Mop/s is one vectorised operation over the
+    batch, and each record type is built in one flat pass.  Each operation
+    is elementwise the per-family path's (per-row ``alpha``/``kappa``/
+    ``total_mops`` columns stand in for its per-family scalars), and
+    each config still draws its ``lognormal`` factors from its own
+    seeded stream, so every number is bit-identical.
+    """
+    model = runner.model
+    live = [fam for fam in fams if fam.dnr is None]
+    configs: list[ExperimentConfig] = []
+    row_fams: list[_FamilyPlan] = []
+    seeds: list[int] = []
+    alphas: list[float] = []
+    kappas: list[float] = []
+    for fam in live:
+        if model.calibrate:
+            alpha, kappa = model._calibration_factors(fam.machine, fam.sig)
+        else:
+            alpha, kappa = 1.0, 1.0
+        alphas.append(alpha)
+        kappas.append(kappa)
+        fam.calibration_factor = alpha * kappa
+        for config in fam.group:
+            configs.append(config)
+            row_fams.append(fam)
+            seeds.append(measurement_seed(runner.seed, config, fam.compiler_name))
+    if not configs:
+        return [fam.dnr for fam in fams]
+
+    lengths = np.asarray([len(fam.group) for fam in live], dtype=np.int64)
+    starts = np.asarray([fam.rows.start for fam in live], dtype=np.int64)
+    # Each live family's request rows are contiguous in the machine-major
+    # megagrid; gather them in family (= batch) order.
+    offsets = starts - (np.cumsum(lengths) - lengths)
+    rows = np.arange(len(configs)) + np.repeat(offsets, lengths)
+    alpha = np.repeat(np.asarray(alphas, dtype=np.float64), lengths)
+    kappa = np.repeat(np.asarray(kappas, dtype=np.float64), lengths)
+    total_mops = np.repeat(
+        np.asarray([fam.sig.total_mops for fam in live], dtype=np.float64), lengths
+    )
+    t_comp = t_compute[rows] * alpha
+    t_str = t_stream[rows]
+    t_lat = t_latency[rows]
+    t_syn = t_sync[rows]
+    time_s = (np.maximum(t_comp, t_str) + t_lat + t_syn) * kappa
+    time_list = time_s.tolist()
+    mops_list = (total_mops / time_s).tolist()
+    t_comp_k = (t_comp * kappa).tolist()
+    t_stream_k = (t_str * kappa).tolist()
+    t_latency_k = (t_lat * kappa).tolist()
+    t_sync_k = (t_syn * kappa).tolist()
+
+    # Noise: cv once per distinct thread count (np.log2 on int64, as the
+    # per-family path computed it), then one lognormal draw per config
+    # from its own stream, in batch order.
+    thread_counts = [config.n_threads for config in configs]
+    distinct = sorted(set(thread_counts))
+    distinct_ns = np.asarray(distinct, dtype=np.int64)
+    cvs = runner.noise_cv * (1.0 + 0.3 * np.log2(distinct_ns + 1))
+    cv_of = dict(zip(distinct, cvs.tolist()))
+    runs = [config.runs for config in configs]
+    if fastpath_available():
+        gen = np.random.Generator(np.random.PCG64(0))
+        bit_generator = gen.bit_generator
+        draws = []
+        for state, n, size in zip(
+            _pcg64_states(np.asarray(seeds, dtype=np.uint64)), thread_counts, runs
+        ):
+            bit_generator.state = state
+            draws.append(gen.lognormal(mean=0.0, sigma=cv_of[n], size=size))
+    else:
+        draws = [
+            np.random.default_rng(seed).lognormal(mean=0.0, sigma=cv_of[n], size=size)
+            for seed, n, size in zip(seeds, thread_counts, runs)
+        ]
+    runs_arr = np.asarray(runs, dtype=np.int64)
+    run_times = np.repeat(time_s, runs_arr) * np.concatenate(draws)
+    run_mops = (np.repeat(total_mops, runs_arr) / run_times).tolist()
+    run_times = run_times.tolist()
+
+    fast_new = _fast_new_available()
+    samples = _build(
+        RunSample,
+        [
+            {"run_index": j, "time_s": t, "mops": m}
+            for j, t, m in zip(
+                (j for size in runs for j in range(size)), run_times, run_mops
             )
-            results.append(result)
-            continue
-        samples = tuple(
-            RunSample(run_index=i, time_s=t, mops=m)
-            for i, (t, m) in enumerate(zip(times.tolist(), mops_vals))
-        )
-        results.append(
-            ExperimentResult(
-                machine=config.machine,
-                kernel=config.kernel,
-                npb_class=config.npb_class,
-                n_threads=config.n_threads,
-                compiler=fam.compiler_name,
-                vectorised=pred.vectorised,
-                samples=samples,
-                prediction=pred,
-                notes=pred.notes,
-            )
-        )
-    return results
+        ],
+        fast_new,
+    )
+    preds = _build(
+        Prediction,
+        [
+            {
+                "machine": fam.machine.name,
+                "kernel": fam.sig.name,
+                "npb_class": fam.sig.npb_class,
+                "n_threads": config.n_threads,
+                "time_s": time_list[i],
+                "mops": mops_list[i],
+                "t_compute": t_comp_k[i],
+                "t_stream": t_stream_k[i],
+                "t_latency": t_latency_k[i],
+                "t_sync": t_sync_k[i],
+                "vectorised": fam.vectorised,
+                "calibration_factor": fam.calibration_factor,
+                "notes": fam.notes,
+            }
+            for i, (config, fam) in enumerate(zip(configs, row_fams))
+        ],
+        fast_new,
+    )
+    # samples per config are never empty (runs >= 1), so ExperimentResult's
+    # __post_init__ validation is vacuous on the fast path.
+    results = _build(
+        ExperimentResult,
+        [
+            {
+                "machine": config.machine,
+                "kernel": config.kernel,
+                "npb_class": config.npb_class,
+                "n_threads": config.n_threads,
+                "compiler": fam.compiler_name,
+                "vectorised": pred.vectorised,
+                "samples": tuple(samples[end - config.runs : end]),
+                "prediction": pred,
+                "notes": pred.notes,
+            }
+            for config, fam, pred, end in zip(configs, row_fams, preds, accumulate(runs))
+        ],
+        fast_new,
+    )
+
+    flat = iter(results)
+    return [
+        fam.dnr if fam.dnr is not None else list(islice(flat, len(fam.group)))
+        for fam in fams
+    ]
 
 
 def plan_groups(
@@ -663,101 +777,4 @@ def plan_groups(
             factors = factors_from_raw(anchor_fam.sig, anchor_fam.anchor, raw)
         model._kappa_cache[key] = factors
 
-    # Bulk-derive every config's noise stream when the vectorised seeding
-    # is validated for this NumPy; otherwise per-config default_rng.
-    seeds = []
-    for fam in fams:
-        if fam.dnr is None:
-            for config in fam.group:
-                seeds.append(measurement_seed(runner.seed, config, fam.compiler_name))
-    if fastpath_available() and seeds:
-        states = _pcg64_states(np.asarray(seeds, dtype=np.uint64))
-        shared_gen = np.random.Generator(np.random.PCG64(0))
-        cursor = iter(states)
-
-        def rng_for(config):
-            shared_gen.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": next(cursor),
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            return shared_gen
-
-    else:
-        seed_cursor = iter(seeds)
-
-        def rng_for(config):
-            return np.random.default_rng(next(seed_cursor))
-
-    fast_new = _fast_new_available()
-    outcomes: list[DNRError | list[ExperimentResult]] = []
-    for fam in fams:
-        if fam.dnr is not None:
-            outcomes.append(fam.dnr)
-            continue
-        sig = fam.sig
-        if model.calibrate:
-            alpha, kappa = model._calibration_factors(fam.machine, sig)
-        else:
-            alpha, kappa = 1.0, 1.0
-        sl = fam.rows
-        t_comp = t_compute[sl] * alpha
-        time_s = (
-            np.maximum(t_comp, t_stream[sl]) + t_latency[sl] + t_sync[sl]
-        ) * kappa
-        mops = sig.total_mops / time_s
-        time_list = time_s.tolist()
-        mops_list = mops.tolist()
-        t_comp_k = (t_comp * kappa).tolist()
-        t_stream_k = (t_stream[sl] * kappa).tolist()
-        t_latency_k = (t_latency[sl] * kappa).tolist()
-        t_sync_k = (t_sync[sl] * kappa).tolist()
-        machine_name = fam.machine.name
-        calibration_factor = alpha * kappa
-        preds = []
-        if fast_new:
-            pred_new = Prediction.__new__
-            for i, config in enumerate(fam.group):
-                pred = pred_new(Prediction)
-                _OSA(
-                    pred,
-                    "__dict__",
-                    {
-                        "machine": machine_name,
-                        "kernel": sig.name,
-                        "npb_class": sig.npb_class,
-                        "n_threads": config.n_threads,
-                        "time_s": time_list[i],
-                        "mops": mops_list[i],
-                        "t_compute": t_comp_k[i],
-                        "t_stream": t_stream_k[i],
-                        "t_latency": t_latency_k[i],
-                        "t_sync": t_sync_k[i],
-                        "vectorised": fam.vectorised,
-                        "calibration_factor": calibration_factor,
-                        "notes": fam.notes,
-                    },
-                )
-                preds.append(pred)
-        else:
-            for i, config in enumerate(fam.group):
-                preds.append(
-                    Prediction(
-                        machine=machine_name,
-                        kernel=sig.name,
-                        npb_class=sig.npb_class,
-                        n_threads=config.n_threads,
-                        time_s=time_list[i],
-                        mops=mops_list[i],
-                        t_compute=t_comp_k[i],
-                        t_stream=t_stream_k[i],
-                        t_latency=t_latency_k[i],
-                        t_sync=t_sync_k[i],
-                        vectorised=fam.vectorised,
-                        calibration_factor=calibration_factor,
-                        notes=fam.notes,
-                    )
-                )
-        outcomes.append(_measure_family(runner, fam, preds, rng_for, fast_new))
-    return outcomes
+    return _measure_batch(runner, fams, t_compute, t_stream, t_latency, t_sync)

@@ -207,11 +207,11 @@ class SweepEngine:
     single-flight table (``_inflight``) guarantees each cache key is
     executed at most once even when concurrent :meth:`run_many` calls
     race on the same cold keys -- late arrivals wait on the claimant's
-    event instead of duplicating work.  Single-flight extends to
-    **subgrid containment**: a batch whose cold keys are all contained
-    in one in-flight super-sweep waits on that sweep's single completion
-    event (counted by ``sweep.containment_waits``) instead of
-    accumulating per-key events.
+    event instead of duplicating work.  Each claimed batch has one
+    completion event, shared by every key it claimed, so **subgrid
+    containment** is the general case: a batch whose cold keys are all
+    in flight under one claimant waits on that single event (counted by
+    ``sweep.containment_waits``).
 
     Observability: cache hits/misses, executed configs/groups and DNR
     outcomes are mirrored into :mod:`repro.obs` counters, and every
@@ -245,8 +245,6 @@ class SweepEngine:
         self._sleep = time.sleep
         self._results: dict[tuple, ExperimentResult | DNRError] = {}
         self._inflight: dict[tuple, threading.Event] = {}
-        self._inflight_sweeps: dict[int, tuple[frozenset, threading.Event]] = {}
-        self._sweep_seq = 0
         self._held_leases: set[tuple] = set()
         self._lock = threading.Lock()
         self._journals: list[tuple[faults.SweepJournal, frozenset | None]] = []
@@ -484,11 +482,15 @@ class SweepEngine:
     ) -> list[ExperimentResult | None]:
         """Execute a batch, memoised and (for cold work) parallelised.
 
-        Cold configs are grouped into thread-sweep families (identical in
-        everything but ``n_threads``) so each family is one batched model
-        evaluation; families execute on a thread pool when more than one
-        is pending and ``jobs > 1``, with a silent serial fallback if the
-        pool cannot start.  Output order always matches input order.
+        Every cache key is computed once, here, and handed down to the
+        commit.  Cold keys are claimed under one single-flight event for
+        the whole batch; keys another caller holds are waited on through
+        that caller's batch event, once per distinct event.  Cold configs
+        are grouped into thread-sweep families (identical in everything
+        but ``n_threads``) and evaluated in one megagrid planner pass, or
+        per family -- on a thread pool when more than one is pending and
+        ``jobs > 1``, with a silent serial fallback if the pool cannot
+        start.  Output order always matches input order.
 
         ``on_dnr`` controls "Did Not Run" configs: ``"raise"`` propagates
         the :class:`DNRError`, ``"none"`` yields ``None`` in that slot
@@ -501,10 +503,10 @@ class SweepEngine:
         obs.incr("sweep.configs_requested", len(configs))
 
         with obs.span("run_many"):
-            pending, waiting, events = self._claim(keys, configs)
+            pending, claim, waiting, events = self._claim(keys, configs)
             while pending or waiting:
                 if pending:
-                    self._execute_pending(pending)
+                    self._execute_pending(pending, claim)
                 for event in events:
                     event.wait()
                 if not waiting:
@@ -521,7 +523,7 @@ class SweepEngine:
                     }
                 if not missing:
                     break
-                pending, waiting, events = self._reclaim(missing)
+                pending, claim, waiting, events = self._reclaim(missing)
 
         with self._lock:
             values = [self._results[key] for key in keys]
@@ -549,6 +551,7 @@ class SweepEngine:
         self, keys: list[tuple], configs: list[ExperimentConfig]
     ) -> tuple[
         dict[tuple, ExperimentConfig],
+        threading.Event | None,
         dict[tuple, ExperimentConfig],
         list[threading.Event],
     ]:
@@ -557,76 +560,90 @@ class SweepEngine:
         A key already cached (or duplicated earlier in the batch, or being
         executed by a concurrent caller) counts as a hit; each unique cold
         key counts as one miss and is claimed in the single-flight table so
-        no other caller executes it.  Returns the claimed configs, the
-        configs being executed by concurrent callers (``waiting``), and the
-        events signalling those concurrent executions.
+        no other caller executes it.  Every key claimed here maps to one
+        shared event, created only if something is claimed.  Returns the
+        claimed configs, that event, the configs being executed by
+        concurrent callers (``waiting``), and the distinct events of the
+        batches executing them.
 
-        Subgrid containment: when the batch claims nothing and every key
-        it is waiting on belongs to a single in-flight super-sweep, the
-        per-key events collapse to that sweep's one completion event --
-        the contained request simply rides the super-sweep.
+        Subgrid containment: a batch that claims nothing and waits on
+        exactly one event rides a single in-flight batch wholesale.
         """
         pending: dict[tuple, ExperimentConfig] = {}
         waiting: dict[tuple, ExperimentConfig] = {}
-        events: list[threading.Event] = []
+        events: dict[threading.Event, None] = {}
+        claim: threading.Event | None = None
         hits = misses = 0
-        contained = False
+        inflight = self._inflight
         with self._lock:
+            results = self._results
             for key, config in zip(keys, configs):
-                if key in self._results or key in pending:
+                if key in results or key in pending:
                     hits += 1
-                elif key in self._inflight:
+                    continue
+                event = inflight.get(key)
+                if event is not None:
                     hits += 1
-                    if key not in waiting:
-                        waiting[key] = config
-                        events.append(self._inflight[key])
+                    waiting[key] = config
+                    events[event] = None
                 else:
                     misses += 1
                     pending[key] = config
-                    self._inflight[key] = threading.Event()
+                    if claim is None:
+                        claim = threading.Event()
+                    inflight[key] = claim
             self.hits += hits
             self.misses += misses
-            if waiting and not pending:
-                for keyset, sweep_event in self._inflight_sweeps.values():
-                    if keyset.issuperset(waiting):
-                        events = [sweep_event]
-                        contained = True
-                        break
         obs.incr("sweep.cache_hits", hits)
         obs.incr("sweep.cache_misses", misses)
-        if contained:
+        if waiting and not pending and len(events) == 1:
             obs.incr("sweep.containment_waits")
-        return pending, waiting, events
+        return pending, claim, waiting, list(events)
 
     def _reclaim(
         self, missing: dict[tuple, ExperimentConfig]
     ) -> tuple[
         dict[tuple, ExperimentConfig],
+        threading.Event | None,
         dict[tuple, ExperimentConfig],
         list[threading.Event],
     ]:
-        """Re-claim keys whose original claimant failed (no hit/miss counts)."""
+        """Re-claim keys whose original claimant failed (no hit/miss counts).
+
+        Same shape as :meth:`_claim`: at most one new event, and each
+        distinct event still in flight once.
+        """
         pending: dict[tuple, ExperimentConfig] = {}
         waiting: dict[tuple, ExperimentConfig] = {}
-        events: list[threading.Event] = []
+        events: dict[threading.Event, None] = {}
+        claim: threading.Event | None = None
         with self._lock:
             for key, config in missing.items():
                 if key in self._results:
                     continue
-                if key in self._inflight:
+                event = self._inflight.get(key)
+                if event is not None:
                     waiting[key] = config
-                    events.append(self._inflight[key])
+                    events[event] = None
                 else:
                     pending[key] = config
-                    self._inflight[key] = threading.Event()
-        return pending, waiting, events
+                    if claim is None:
+                        claim = threading.Event()
+                    self._inflight[key] = claim
+        return pending, claim, waiting, list(events)
 
-    def _execute_pending(self, pending: dict[tuple, ExperimentConfig]) -> None:
+    def _execute_pending(
+        self, pending: dict[tuple, ExperimentConfig], claim: threading.Event
+    ) -> None:
         """Execute claimed configs grouped into families, then release claims.
 
-        The whole claimed key-set is also registered as one in-flight
-        *sweep* with a single completion event, so later batches whose
-        keys it contains can wait on it wholesale (see :meth:`_claim`).
+        ``claim`` is the batch's one single-flight event.  It is set
+        exactly once, in the ``finally``, after every claimed key has left
+        the table -- also when the store absorbed the whole batch, and
+        when execution fails, so waiters re-classify instead of blocking
+        forever.  Keys absorbed from the store leave the table early but
+        do not set it: the batch's other keys are still executing, and an
+        early signal would only make their waiters spin.
 
         With a store attached, three things happen around execution, all
         outside the engine lock (the lock guards tables, never I/O):
@@ -636,46 +653,39 @@ class SweepEngine:
         instead of executed), and held leases are released in the
         ``finally`` so a failure never wedges other processes.
         """
-        if self.store is not None:
-            pending = self._store_preload(pending)
-            if not pending:
-                return
-        foreign: dict[tuple, ExperimentConfig] = {}
-        if self.store is not None:
-            pending, foreign = self._store_partition(pending)
-        claimed = dict(pending)
-        claimed.update(foreign)
-        with self._lock:
-            sweep_id = self._sweep_seq
-            self._sweep_seq += 1
-            sweep_event = threading.Event()
-            self._inflight_sweeps[sweep_id] = (frozenset(claimed), sweep_event)
+        claimed = pending
         try:
+            foreign: dict[tuple, ExperimentConfig] = {}
+            if self.store is not None:
+                pending = self._store_preload(pending)
+                if pending:
+                    pending, foreign = self._store_partition(pending)
             if pending:
                 self._execute_families(pending)
             if foreign:
                 self._resolve_foreign(foreign)
         finally:
             # Leases first (publish already released the successful ones;
-            # this catches failures), then claims -- both so waiters and
-            # other processes re-classify instead of blocking forever;
-            # successful paths have stored results by the time the events
-            # fire.
+            # this catches failures), then claims; successful paths have
+            # stored results by the time the event fires.
             self._release_leases(claimed)
             with self._lock:
                 for key in claimed:
-                    event = self._inflight.pop(key, None)
-                    if event is not None:
-                        event.set()
-                self._inflight_sweeps.pop(sweep_id, None)
-                sweep_event.set()
+                    self._inflight.pop(key, None)
+            claim.set()
 
     def _execute_families(self, pending: dict[tuple, ExperimentConfig]) -> None:
-        """Group claimed configs into thread-sweep families and execute."""
-        families: dict[tuple, list[ExperimentConfig]] = {}
-        for config in pending.values():
-            families.setdefault(config.family_key(), []).append(config)
-        self._execute_groups(list(families.values()))
+        """Group claimed ``(key, config)`` pairs into thread-sweep families
+        and execute; each family carries its keys down to the commit."""
+        families: dict[tuple, tuple[list[tuple], list[ExperimentConfig]]] = {}
+        for key, config in pending.items():
+            family = families.setdefault(config.family_key(), ([], []))
+            family[0].append(key)
+            family[1].append(config)
+        self._execute_groups(
+            [configs for _, configs in families.values()],
+            [keys for keys, _ in families.values()],
+        )
 
     # ------------------------------------------------------------------
     # Persistent store (cross-run cache + cross-process single-flight)
@@ -687,8 +697,9 @@ class SweepEngine:
         """Absorb store entries for claimed keys; returns what stays cold.
 
         Runs before planning, so a fully warm restart never touches the
-        model at all.  Absorbed keys release their single-flight claims
-        immediately (their results are in ``_results``).
+        model at all.  Absorbed keys leave the single-flight table at once
+        (their results are in ``_results``) but the batch's event stays
+        unset until the whole batch ends.
         """
         with obs.span("store.preload"):
             found = self.store.get_many(list(pending))
@@ -697,15 +708,18 @@ class SweepEngine:
         with self._lock:
             self._results.update(found)
             for key in found:
-                event = self._inflight.pop(key, None)
-                if event is not None:
-                    event.set()
+                self._inflight.pop(key, None)
         return {k: c for k, c in pending.items() if k not in found}
 
     def _store_partition(
         self, pending: dict[tuple, ExperimentConfig]
     ) -> tuple[dict[tuple, ExperimentConfig], dict[tuple, ExperimentConfig]]:
-        """Split cold keys into locally-leased vs foreign-leased sets."""
+        """Split cold keys into locally-leased vs foreign-leased sets.
+
+        The leased set is what :meth:`_recheck_leased` leaves of it: keys
+        another process published between the preload read and our lease
+        are absorbed, not executed again.
+        """
         local: dict[tuple, ExperimentConfig] = {}
         foreign: dict[tuple, ExperimentConfig] = {}
         for key, config in pending.items():
@@ -713,10 +727,30 @@ class SweepEngine:
                 local[key] = config
             else:
                 foreign[key] = config
-        if local:
-            with self._lock:
-                self._held_leases.update(local)
-        return local, foreign
+        return self._recheck_leased(local), foreign
+
+    def _recheck_leased(
+        self, leased: dict[tuple, ExperimentConfig]
+    ) -> dict[tuple, ExperimentConfig]:
+        """Record fresh leases, then re-read the store for their keys.
+
+        An owner publishes a family and only then releases its leases, so
+        a key read as missing before our ``try_lease`` may have been
+        published and released in between.  Any such hit is absorbed
+        into the memo and its lease released at once; only the remainder
+        is returned for execution.
+        """
+        if not leased:
+            return leased
+        with self._lock:
+            self._held_leases.update(leased)
+        found = self.store.get_many(list(leased))
+        if not found:
+            return leased
+        with self._lock:
+            self._results.update(found)
+        self._release_leases(found)
+        return {k: c for k, c in leased.items() if k not in found}
 
     def _release_leases(self, keys) -> None:
         """Release whichever of ``keys`` this engine still holds leases for."""
@@ -786,9 +820,9 @@ class SweepEngine:
                     for key in claimed:
                         remaining.pop(key)
                     obs.incr("store.lease_takeovers", len(claimed))
-                    with self._lock:
-                        self._held_leases.update(claimed)
-                    self._execute_families(claimed)
+                    claimed = self._recheck_leased(claimed)
+                    if claimed:
+                        self._execute_families(claimed)
                 if not remaining:
                     return
             self._sleep(store.poll_interval_s)
@@ -838,7 +872,9 @@ class SweepEngine:
             and type(self.runner.model) is PerformanceModel
         )
 
-    def _execute_groups(self, groups: list[list[ExperimentConfig]]) -> None:
+    def _execute_groups(
+        self, groups: list[list[ExperimentConfig]], group_keys: list[list[tuple]]
+    ) -> None:
         # Process sharding runs before any span handles are opened: shard
         # workers record the group spans themselves and the parent grafts
         # them, so pre-opened handles would double-count.
@@ -862,18 +898,18 @@ class SweepEngine:
         executed = [False] * len(groups)
         try:
             if self._planner_applicable():
-                if self._execute_groups_planned(groups, handles, executed):
+                if self._execute_groups_planned(groups, group_keys, handles, executed):
                     return
             if self.jobs > 1 and len(groups) > 1:
-                if self._execute_groups_pooled(groups, handles, executed):
+                if self._execute_groups_pooled(groups, group_keys, handles, executed):
                     return
             # Serial path: fresh groups, plus any the pool could not take
             # because *startup* failed.  Groups that already ran (or are
             # running) on the pool are never re-executed here.
-            for i, (group, handle) in enumerate(zip(groups, handles)):
+            for i, (group, keys, handle) in enumerate(zip(groups, group_keys, handles)):
                 if not executed[i]:
                     executed[i] = True
-                    self._execute_group(group, handle)
+                    self._execute_group(group, keys, handle)
         finally:
             for done, handle in zip(executed, handles):
                 if not done:
@@ -882,6 +918,7 @@ class SweepEngine:
     def _execute_groups_planned(
         self,
         groups: list[list[ExperimentConfig]],
+        group_keys: list[list[tuple]],
         handles: list,
         executed: list[bool],
     ) -> bool:
@@ -898,39 +935,44 @@ class SweepEngine:
             outcomes = plan_groups(self.runner, groups)
         except PlanNotApplicable:
             return False
-        for i, (group, handle, outcome) in enumerate(zip(groups, handles, outcomes)):
+        for i, (keys, handle, outcome) in enumerate(zip(group_keys, handles, outcomes)):
             executed[i] = True
-            self._commit_group(group, handle, outcome)
+            self._commit_group(keys, handle, outcome)
         return True
 
-    def _commit_group(self, group, span_handle, outcome) -> None:
+    def _commit_group(self, keys: list[tuple], span_handle, outcome) -> None:
         """Store one planned family exactly as per-family execution would.
 
-        ``outcome`` is the family's shared :class:`DNRError` verdict or
-        its result list.  Counters and the activated span mirror
-        :meth:`_execute_group` plus the ``model.batch_*`` counters the
-        runner would have emitted inside ``run_many``.
+        ``keys`` are the family's cache keys, in config order; ``outcome``
+        is its shared :class:`DNRError` verdict or its result list.
+        Counters and the activated span mirror :meth:`_execute_group`
+        plus the ``model.batch_*`` counters the runner would have emitted
+        inside ``run_many``.
         """
         with obs.activate(span_handle):
             obs.incr("model.batch_calls")
-            obs.incr("model.batch_points", len(group))
-            if isinstance(outcome, DNRError):
-                obs.incr("sweep.dnr_raises")
-                with self._lock:
-                    store = {self.cache_key(c): outcome for c in group}
-                    self._results.update(store)
-                self._journal_record(store)
-                self._publish_store(store)
-                self._notify_family(len(group), dnr=True)
-                return
+            obs.incr("model.batch_points", len(keys))
+            self._commit_outcome(keys, outcome)
+
+    def _commit_outcome(self, keys: list[tuple], outcome) -> None:
+        """Memoise, journal and publish one family's outcome, then notify.
+
+        ``outcome`` is the family's shared :class:`DNRError` (counted as
+        ``sweep.dnr_raises``) or its result list.
+        """
+        dnr = isinstance(outcome, DNRError)
+        if dnr:
+            obs.incr("sweep.dnr_raises")
+            store = dict.fromkeys(keys, outcome)
+        else:
             obs.incr("sweep.groups_executed")
-            obs.incr("sweep.configs_executed", len(group))
-            with self._lock:
-                store = dict(zip((self.cache_key(c) for c in group), outcome))
-                self._results.update(store)
-            self._journal_record(store)
-            self._publish_store(store)
-            self._notify_family(len(group), dnr=False)
+            obs.incr("sweep.configs_executed", len(keys))
+            store = dict(zip(keys, outcome))
+        with self._lock:
+            self._results.update(store)
+        self._journal_record(store)
+        self._publish_store(store)
+        self._notify_family(len(keys), dnr=dnr)
 
     def _execute_groups_sharded(self, groups: list[list[ExperimentConfig]]) -> bool:
         """Fan cold families out across forked worker processes.
@@ -1040,6 +1082,7 @@ class SweepEngine:
     def _execute_groups_pooled(
         self,
         groups: list[list[ExperimentConfig]],
+        group_keys: list[list[tuple]],
         handles: list,
         executed: list[bool],
     ) -> bool:
@@ -1059,9 +1102,9 @@ class SweepEngine:
             return False  # executor never existed; nothing was executed
         futures = {}
         all_submitted = True
-        for i, (group, handle) in enumerate(zip(groups, handles)):
+        for i, (group, keys, handle) in enumerate(zip(groups, group_keys, handles)):
             try:
-                futures[i] = pool.submit(self._execute_group, group, handle)
+                futures[i] = pool.submit(self._execute_group, group, keys, handle)
             except (RuntimeError, OSError):
                 # Worker-thread startup failed.  Already-submitted groups
                 # still run to completion below; the rest go serial.
@@ -1094,30 +1137,18 @@ class SweepEngine:
         pool.shutdown(wait=True)
         return all_submitted
 
-    def _execute_group(self, group: list[ExperimentConfig], span_handle=None) -> None:
+    def _execute_group(
+        self, group: list[ExperimentConfig], keys: list[tuple], span_handle=None
+    ) -> None:
         """Run one thread-sweep family and store its results (or its DNR)."""
         with obs.activate(span_handle):
             try:
-                results = self._run_group_resilient(group)
+                outcome = self._run_group_resilient(group)
             except DNRError as exc:
                 # DNR is a property of (machine, kernel, class), independent
                 # of thread count -- the whole family shares the verdict.
-                obs.incr("sweep.dnr_raises")
-                with self._lock:
-                    store = {self.cache_key(c): exc for c in group}
-                    self._results.update(store)
-                self._journal_record(store)
-                self._publish_store(store)
-                self._notify_family(len(group), dnr=True)
-                return
-            obs.incr("sweep.groups_executed")
-            obs.incr("sweep.configs_executed", len(group))
-            with self._lock:
-                store = dict(zip((self.cache_key(c) for c in group), results))
-                self._results.update(store)
-            self._journal_record(store)
-            self._publish_store(store)
-            self._notify_family(len(group), dnr=False)
+                outcome = exc
+            self._commit_outcome(keys, outcome)
 
     def _run_group_resilient(self, group: list[ExperimentConfig]):
         """One family through the runner, retrying transient failures.

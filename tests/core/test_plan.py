@@ -11,11 +11,14 @@ import random
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.calibration import anchor_for
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
-from repro.core.plan import PlanNotApplicable, plan_groups
+from repro.core.perfmodel import PerformanceModel
+from repro.core.plan import PlanNotApplicable, _pcg64_states, plan_groups
 from repro.core.sweep import SweepEngine, _fork_available, expand_grid
 from repro.faults import SweepJournal
 from repro.machines.catalog import get_machine
@@ -74,15 +77,40 @@ def _run_recorded(engine: SweepEngine, grid):
     return results, rec.counters_snapshot(), rec.span_tree()
 
 
-def _assert_differential(grid):
+def _assert_differential(grid, calibrate=True):
     """Planner engine vs per-family engine: everything bit-identical."""
-    planned = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=True)
-    family = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
+
+    def runner():
+        return ExperimentRunner(model=PerformanceModel(calibrate=calibrate))
+
+    planned = SweepEngine(runner=runner(), jobs=1, planner=True)
+    family = SweepEngine(runner=runner(), jobs=1, planner=False)
     p_results, p_counters, p_spans = _run_recorded(planned, grid)
     f_results, f_counters, f_spans = _run_recorded(family, grid)
     assert p_results == f_results
     assert p_counters == f_counters
     assert p_spans == f_spans
+    return p_results
+
+
+def _mixed_batch() -> list[ExperimentConfig]:
+    """Families in an order the machine-major megagrid does not keep:
+    different ``runs``, DNR families between live ones, and calibration
+    anchors on several machines."""
+    grid = []
+    grid += expand_grid("sg2044", "is", classes="C", thread_counts=(1, 4, 64), runs=3)
+    grid += expand_grid("allwinner-d1", "ft", classes="B", thread_counts=1)  # DNR
+    grid += expand_grid("sg2042", "cg", classes="B", thread_counts=(2, 32), runs=1)
+    grid += expand_grid("epyc7742", ("mg", "ep"), classes="A", thread_counts=(1, 8, 64), runs=7)
+    grid += expand_grid("allwinner-d1", "ft", classes="C", thread_counts=1, runs=2)  # DNR
+    grid += expand_grid("sg2044", "cg", classes="W", thread_counts=(2, 16), runs=4)
+    grid += expand_grid("thunderx2", "bt", classes="W", thread_counts=(4, 16))  # no anchor
+    grid += expand_grid(
+        "skylake8170", "ft", classes="A", thread_counts=(1, 26), vectorise=(True, False), runs=2
+    )
+    grid += expand_grid("allwinner-d1", "is", classes="S", thread_counts=1, runs=6)
+    grid += expand_grid("sg2042", "mg", classes="S", thread_counts=(1, 64), runs=1)
+    return grid
 
 
 class TestPlannerDifferential:
@@ -101,6 +129,21 @@ class TestPlannerDifferential:
 
     def _check(self, seed):
         _assert_differential(_random_grid(random.Random(seed)))
+
+    @pytest.mark.parametrize("calibrate", [True, False], ids=["calibrated", "raw"])
+    def test_mixed_batch_bit_identical(self, calibrate):
+        """The batch tail's running row and draw offsets, end to end."""
+        grid = _mixed_batch()
+        assert len({c.runs for c in grid}) >= 5
+        anchored = {c.machine for c in grid if anchor_for(c.machine, c.kernel) is not None}
+        assert len(anchored) >= 4
+        results = _assert_differential(grid, calibrate=calibrate)
+        dnr = [i for i, r in enumerate(results) if r is None]
+        assert dnr and 0 < min(dnr) and max(dnr) < len(grid) - 1
+        for config, result in zip(grid, results):
+            if result is not None:
+                assert len(result.samples) == config.runs
+                assert result.n_threads == config.n_threads
 
     def test_dnr_family_bit_identical(self):
         """The D1's FT DNR must flow through the planner unchanged."""
@@ -184,7 +227,45 @@ class GatedRunner(ExperimentRunner):
         return super().run_many(configs)
 
 
+def test_pcg64_states_equal_numpy_seeding():
+    """Bulk seeding installs exactly ``default_rng(seed)``'s PCG64 state."""
+    rng = random.Random(20251017)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds += [rng.getrandbits(64) for _ in range(1000)]
+    seeds += [rng.getrandbits(rng.randint(1, 63)) for _ in range(200)]
+    states = _pcg64_states(np.asarray(seeds, dtype=np.uint64))
+    assert len(states) == len(seeds)
+    for seed, state in zip(seeds, states):
+        assert state == np.random.default_rng(seed).bit_generator.state, seed
+
+
 class TestSubgridContainment:
+    def test_gated_batch_claims_share_one_event(self):
+        """Every key a batch claims maps to that batch's one event."""
+        gate = threading.Event()
+        runner = GatedRunner(gate)
+        engine = SweepEngine(runner=runner, jobs=1)
+        grid = expand_grid(
+            ("sg2044",), ("is", "mg"), classes="C", thread_counts=(1, 2, 4, 8)
+        )
+        thread = threading.Thread(target=engine.run_many, args=(grid,))
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not runner.calls and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert runner.calls, "batch never started executing"
+            with engine._lock:
+                table = dict(engine._inflight)
+        finally:
+            gate.set()
+            thread.join(timeout=30)
+        assert set(table) == {engine.cache_key(c) for c in grid}
+        assert len({id(event) for event in table.values()}) == 1
+        assert not thread.is_alive()
+        assert next(iter(table.values())).is_set()
+        assert engine._inflight == {}
+
     def test_contained_requests_never_double_execute(self):
         """8 threads riding one in-flight super-sweep: zero re-execution."""
         gate = threading.Event()
@@ -237,7 +318,6 @@ class TestSubgridContainment:
         assert sorted(len(c) for c in runner.calls) == [4, 4]
         for i, sub in enumerate(subgrids):
             assert sub_results[i] == super_results[len(grid) - len(sub) :]
-        # The single-flight tables drained completely.
+        # The single-flight table drained completely.
         assert engine._inflight == {}
-        assert engine._inflight_sweeps == {}
         obs.disable()

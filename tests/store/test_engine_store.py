@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine, expand_grid
 from repro.store import ResultStore
 
@@ -131,4 +132,155 @@ def test_orphan_lease_taken_over_without_timeout(tmp_path):
     assert len(results) == len(GRID)
     assert counters["store.lease_takeovers"] >= 1
     assert counters.get("store.lease_timeouts", 0) == 0  # no 10 s wait burned
+    assert store.stats()["leases"] == 0
+
+
+class RacingStore(ResultStore):
+    """Another process publishes ``key`` and drops its lease in the window
+    between this engine's preload read and its own ``try_lease``."""
+
+    def __init__(self, root, key, value):
+        super().__init__(root)
+        self.race = (key, value)
+
+    def try_lease(self, key):
+        if self.race is not None and key == self.race[0]:
+            self.put_many(dict([self.race]))  # published; its lease is gone
+            self.race = None
+        return super().try_lease(key)
+
+
+class OrphanRacingStore(ResultStore):
+    """A foreign owner publishes and releases ``key`` between the waiter's
+    absorb read and its ``lease_active`` check (the orphan branch)."""
+
+    def __init__(self, root, key, value):
+        super().__init__(root, lease_timeout_s=10.0, poll_interval_s=0.01)
+        self.race = (key, value)
+
+    def lease_active(self, key):
+        if self.race is not None and key == self.race[0]:
+            self.put_many(dict([self.race]))
+            self.release_lease(key)
+            self.race = None
+        return super().lease_active(key)
+
+
+def _executed(engine, grid):
+    recorder = obs.install()
+    try:
+        results = engine.run_many(grid, on_dnr="none")
+    finally:
+        obs.disable()
+    return results, recorder.counters_snapshot()
+
+
+def test_key_published_before_our_lease_is_not_executed_again(tmp_path):
+    expected = SweepEngine(jobs=1).run_many(GRID, on_dnr="none")
+    raced = SweepEngine(jobs=1).cache_key(GRID[0])
+    store = RacingStore(tmp_path / "store", raced, expected[0])
+    engine = SweepEngine(jobs=1, store=store)
+
+    results, counters = _executed(engine, GRID)
+
+    assert store.race is None  # the race window was exercised
+    assert results == expected
+    assert counters["sweep.configs_executed"] == len(GRID) - 1
+    assert store.stats()["leases"] == 0
+
+
+def test_orphan_takeover_rechecks_the_store(tmp_path):
+    expected = SweepEngine(jobs=1).run_many(GRID, on_dnr="none")
+    raced = SweepEngine(jobs=1).cache_key(GRID[0])
+    store = OrphanRacingStore(tmp_path / "store", raced, expected[0])
+    assert store.try_lease(raced)  # held by the "other process"
+    engine = SweepEngine(jobs=1, store=store)
+
+    results, counters = _executed(engine, GRID)
+
+    assert store.race is None
+    assert results == expected
+    assert counters["store.lease_takeovers"] == 1
+    assert counters["sweep.configs_executed"] == len(GRID) - 1
+    assert store.stats()["leases"] == 0
+
+
+class GatedPreloadStore(ResultStore):
+    """Holds the first ``get_many`` (the engine's preload) on a gate."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.preloading = threading.Event()
+        self.release = threading.Event()
+
+    def get_many(self, keys):
+        if not self.preloading.is_set():
+            self.preloading.set()
+            assert self.release.wait(timeout=30)
+        return super().get_many(keys)
+
+
+class GatedRunner(ExperimentRunner):
+    """Parks every family execution until ``gate`` opens."""
+
+    def __init__(self, gate):
+        super().__init__()
+        self.gate = gate
+        self.started = threading.Event()
+
+    def run_many(self, configs):
+        self.started.set()
+        assert self.gate.wait(timeout=30)
+        return super().run_many(configs)
+
+
+def test_waiter_on_store_absorbed_keys_does_not_spin(tmp_path):
+    """Store-absorbed keys leave the table without waking the batch's
+    waiters early: a waiter sleeps until the batch ends, then returns
+    without a single ``_reclaim``."""
+    SweepEngine(jobs=1, store=ResultStore(tmp_path / "store")).run_many(GRID[:4])
+    store = GatedPreloadStore(tmp_path / "store")
+    gate = threading.Event()
+    runner = GatedRunner(gate)
+    engine = SweepEngine(runner=runner, jobs=1, store=store)
+    reclaims = []
+    reclaim = engine._reclaim
+
+    def counting_reclaim(missing):
+        reclaims.append(len(missing))
+        return reclaim(missing)
+
+    engine._reclaim = counting_reclaim
+    recorder = obs.install()
+    out: dict[str, list] = {}
+    owner = threading.Thread(target=lambda: out.setdefault("owner", engine.run_many(GRID)))
+    waiter = threading.Thread(target=lambda: out.setdefault("waiter", engine.run_many(GRID[:6])))
+    try:
+        owner.start()
+        assert store.preloading.wait(timeout=30)
+        # The waiter arrives while every key is claimed and none absorbed.
+        waiter.start()
+        for _ in range(3000):
+            if recorder.counters_snapshot().get("sweep.containment_waits", 0):
+                break
+            gate.wait(0.01)
+        assert recorder.counters_snapshot().get("sweep.containment_waits", 0) == 1
+        store.release.set()
+        # The owner absorbed GRID[:4] and is parked executing the rest;
+        # the waiter's absorbed keys must not have woken it.
+        assert runner.started.wait(timeout=30)
+        waiter.join(timeout=0.2)
+        assert waiter.is_alive()
+        assert reclaims == []
+    finally:
+        store.release.set()
+        gate.set()
+        owner.join(timeout=30)
+        waiter.join(timeout=30)
+        obs.disable()
+    assert not owner.is_alive() and not waiter.is_alive()
+    assert reclaims == []
+    assert out["waiter"] == out["owner"][:6]
+    assert recorder.counters_snapshot()["sweep.configs_executed"] == len(GRID) - 4
+    assert engine._inflight == {}
     assert store.stats()["leases"] == 0
