@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-cold test test-service faults bench bench-full bench-grid bench-store bench-record bench-check perfbench stats serve
+.PHONY: lint lint-cold test test-service bench bench-full bench-grid bench-store bench-record bench-check perfbench stats serve
 
 # Repo-aware static analysis on the incremental engine (unchanged files
 # replay from .repro-lint-cache.json), then ruff/mypy when installed.
@@ -23,13 +23,6 @@ test: lint
 	@# Golden telemetry snapshots must not depend on test order: rerun
 	@# tests/obs alone, with random ordering disabled if the plugin exists.
 	$(PYTHON) -m pytest tests/obs -q -p no:randomly
-	$(MAKE) faults
-
-# Resilience smoke: sweep a 24-config grid under injected transient and
-# slow-worker faults and verify it converges bit-identically to the
-# fault-free run (exit 1 on any divergence).
-faults:
-	$(PYTHON) -m repro faults
 
 # End-to-end service suite alone: live HTTP server on an ephemeral port,
 # concurrency drills, lifecycle property tests, campaign crash-resume.

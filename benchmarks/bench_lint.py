@@ -25,13 +25,12 @@ _EXTRA_ROUNDS = 5
 _REPS = 3
 
 
-def _lint(cache_path, jobs=1):
+def _lint(cache_path):
     return run_analysis(
         [_REPO_ROOT / "src", _REPO_ROOT / "benchmarks"],
         all_rules(),
         root=_REPO_ROOT,
         cache_path=cache_path,
-        jobs=jobs,
     )
 
 
@@ -41,7 +40,7 @@ def test_lint_warm_cache_vs_cold(
     """Warm incremental lint >= 5x cold, with a byte-identical report.
 
     Cold deletes the cache before every rep (full parse + every rule);
-    warm replays a fully populated cache.  Both sides and a jobs=4 cold
+    warm replays a fully populated cache.  Both sides and an uncached
     run must render the exact same JSON -- determinism is asserted
     before any timing is trusted.
     """
@@ -55,10 +54,10 @@ def test_lint_warm_cache_vs_cold(
     warm_report = benchmark(lambda: _lint(cache))
     assert warm_report.stats is not None and warm_report.stats.files_analyzed == 0
 
-    # Caching and parallelism must be invisible in the output.
+    # Caching must be invisible in the output.
     cold_json = render_json(cold_report)
     assert render_json(warm_report) == cold_json
-    assert render_json(_lint(None, jobs=4)) == cold_json
+    assert render_json(_lint(None)) == cold_json
     files_checked = json.loads(cold_json)["files_checked"]
     assert files_checked > 90
 

@@ -67,7 +67,7 @@ def _percentile(samples_s, q):
 
 def test_warm_duplicate_latency(benchmark, bench_artifact):
     recorder = obs.install()
-    manager = JobManager(engine=SweepEngine(jobs=2), workers=2, queue_size=32)
+    manager = JobManager(engine=SweepEngine(), workers=2, queue_size=32)
     server = create_server("127.0.0.1", 0, manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -168,7 +168,7 @@ def test_warm_restart_http(benchmark, bench_artifact, tmp_path):
 
     # Phase 1: cold service -- one real execution, artifact captured.
     obs.install()
-    manager, server, thread, base = _serve(SweepEngine(jobs=2, store=store))
+    manager, server, thread, base = _serve(SweepEngine(store=store))
     try:
         status, body = http_post_json(base + "/api/v1/jobs", _PAYLOAD)
         assert status == 202 and not body["deduplicated"]
@@ -183,7 +183,7 @@ def test_warm_restart_http(benchmark, bench_artifact, tmp_path):
 
     # The kill: nothing survives but the store directory on disk.
     recorder = obs.install()
-    manager, server, thread, base = _serve(SweepEngine(jobs=2, store=store))
+    manager, server, thread, base = _serve(SweepEngine(store=store))
     try:
         submit_s, fetch_s = [], []
         for i in range(_RESTART_WARM_REQUESTS):
@@ -280,7 +280,7 @@ def test_restart_warm_campaign_speedup(
         i = len(cold_dirs)
         cold_dirs.append(i)
         store = ResultStore(tmp_path / f"cold-store-{i}")
-        return SweepEngine(jobs=2, store=store), tmp_path / f"cold-out-{i}"
+        return SweepEngine(store=store), tmp_path / f"cold-out-{i}"
 
     def cold_run(setup):
         engine, out = setup
@@ -289,11 +289,11 @@ def test_restart_warm_campaign_speedup(
 
     warm_store = ResultStore(tmp_path / "warm-store")
     run_campaign(
-        scenario, tmp_path / "seed-out", engine=SweepEngine(jobs=2, store=warm_store)
+        scenario, tmp_path / "seed-out", engine=SweepEngine(store=warm_store)
     )
 
     def warm_run():
-        engine = SweepEngine(jobs=2, store=warm_store)
+        engine = SweepEngine(store=warm_store)
         out = tmp_path / "warm-out"
         run_campaign(scenario, out, engine=engine)
         return out
@@ -377,7 +377,7 @@ def test_parallel_campaign_speedup(
     scenario_path = tmp_path / "scenario.yaml"
     scenario_path.write_text(_PARALLEL_SCENARIO, encoding="utf-8")
     scenario = load_scenario(scenario_path)
-    engine = SweepEngine(jobs=4)
+    engine = SweepEngine()
     run_campaign(scenario, tmp_path / "prewarm", engine=engine)  # fill the memo
 
     def fresh_plan():

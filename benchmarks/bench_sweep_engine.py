@@ -49,7 +49,7 @@ def test_planner_cold_paper_regeneration(
     grid = _paper_grid()
 
     def run_cold(planner):
-        engine = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=planner)
+        engine = SweepEngine(runner=ExperimentRunner(), planner=planner)
         return engine.run_many(grid, on_dnr="none")
 
     results = benchmark(lambda: run_cold(True))
@@ -183,12 +183,12 @@ def _time_cold_query(time_best_of, label, grid, reps):
     """Best-of-``reps`` cold ``run_many`` (fresh engine and runner each)."""
 
     def run_cold():
-        return SweepEngine(runner=ExperimentRunner(), jobs=1).run_many(grid, on_dnr="none")
+        return SweepEngine(runner=ExperimentRunner()).run_many(grid, on_dnr="none")
 
     results = run_cold()
     assert len(results) == len(grid)
     # Bit-identical to the per-family path, whatever the batch shape.
-    engine = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
+    engine = SweepEngine(runner=ExperimentRunner(), planner=False)
     assert results == engine.run_many(grid, on_dnr="none")
     query_s, _ = time_best_of(label, run_cold, reps)
     return query_s
@@ -198,7 +198,7 @@ def test_cold_query_small(benchmark, time_best_of, bench_artifact):
     """4 configs on one machine: the cold path's per-batch fixed cost."""
     grid = expand_grid("sg2044", ("is", "mg"), classes="C", thread_counts=(1, 64))
     assert len(grid) == 4
-    benchmark(lambda: SweepEngine(runner=ExperimentRunner(), jobs=1).run_many(grid))
+    benchmark(lambda: SweepEngine(runner=ExperimentRunner()).run_many(grid))
     query_s = _time_cold_query(time_best_of, "sweep.cold_query_small", grid, 20)
     bench_artifact(
         "sweep.cold_query_small",
@@ -212,7 +212,7 @@ def test_cold_query_large(benchmark, time_best_of, bench_artifact):
     grid = _cold_query_large()
     assert 2800 <= len(grid) <= 3000
     benchmark(
-        lambda: SweepEngine(runner=ExperimentRunner(), jobs=1).run_many(grid, on_dnr="none")
+        lambda: SweepEngine(runner=ExperimentRunner()).run_many(grid, on_dnr="none")
     )
     query_s = _time_cold_query(time_best_of, "sweep.cold_query_large", grid, 5)
     bench_artifact(

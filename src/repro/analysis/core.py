@@ -19,13 +19,13 @@ closing line (and vice versa).  Compound statements deliberately do not
 spread -- a pragma inside a function body must not silence the whole
 function.
 
-The driver is incremental and parallel.  Per-file results (raw findings,
-the effective suppression table, and the per-file *facts* project rules
+The driver is incremental.  Per-file results (raw findings, the
+effective suppression table, and the per-file *facts* project rules
 declare through the facts API) are cached in ``.repro-lint-cache.json``
 keyed by content sha256 under a rule-set signature; unchanged files are
-replayed from the cache without re-parsing, changed files fan out across
-a process pool, and the merge is deterministic regardless of worker
-count.  Bump :data:`RULESET_VERSION` whenever rule semantics change in a
+replayed from the cache without re-parsing, changed files are analysed
+in order, and the merge is deterministic regardless of cache state.
+Bump :data:`RULESET_VERSION` whenever rule semantics change in a
 way file content alone cannot capture -- the signature folds it in, so
 every cache goes cold exactly once.
 
@@ -264,7 +264,6 @@ class LintStats:
     files_checked: int = 0
     files_cached: int = 0
     files_analyzed: int = 0
-    jobs: int = 1
     cache_path: str | None = None
     cache_loaded: bool = False
     #: rule code (or ``facts[<key>]`` / ``<code>.project``) -> seconds
@@ -438,14 +437,6 @@ def _analyze_file(
     return entry
 
 
-def _analyze_payload(payload: tuple[str, str, str, tuple[str, ...]]) -> dict:
-    """Process-pool entry point: rebuild rules from the registry by code."""
-    path_str, display, sha, codes = payload
-    from .registry import rules_for
-
-    return _analyze_file(Path(path_str), display, rules_for(list(codes)), sha)
-
-
 def _sha256_file(path: Path) -> tuple[str | None, str | None]:
     """(sha256 hex, None) on success, (None, error message) otherwise."""
     try:
@@ -484,54 +475,27 @@ def _write_cache(
         pass  # a cache that cannot be written is just a cold cache
 
 
-def _parallel_analyze(
-    work: list[tuple[Path, str, str]],
-    codes: tuple[str, ...],
-    jobs: int,
-) -> list[dict] | None:
-    """Fan changed files across a process pool; None -> use serial path."""
-    import multiprocessing
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-    payloads = [(str(path), display, sha, codes) for path, display, sha in work]
-    chunk = max(1, len(payloads) // (jobs * 4))
-    try:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            return list(pool.map(_analyze_payload, payloads, chunksize=chunk))
-    except Exception:
-        return None
-
-
 def run_analysis(
     paths: Sequence[Path | str],
     rules: Sequence[Rule],
     root: Path | str | None = None,
     *,
     cache_path: Path | str | None = None,
-    jobs: int | None = None,
 ) -> AnalysisReport:
     """Run ``rules`` over every Python file reachable from ``paths``.
 
     ``root`` (when given) relativises reported paths, keeping output and
     the JSON report stable across checkouts.  ``cache_path`` enables the
-    incremental engine (unchanged files replay their cached results);
-    ``jobs`` > 1 fans changed files across a process pool.  Findings,
-    counts, and the JSON report are byte-identical across cache states
-    and worker counts.
+    incremental engine (unchanged files replay their cached results).
+    Findings, counts, and the JSON report are byte-identical across
+    cache states.
     """
     from repro import obs
 
     root_path = Path(root) if root is not None else None
     files = iter_python_files(paths)
-    jobs = max(1, int(jobs or 1))
     report = AnalysisReport(rules_run=tuple(r.code for r in rules))
     stats = report.stats
-    stats.jobs = jobs
 
     signature = _ruleset_signature(rules)
     cache: dict[str, dict] = {}
@@ -558,15 +522,9 @@ def run_analysis(
         else:
             todo.append((path, display, sha))
 
-    codes = tuple(r.code for r in rules)
-    results: list[dict] | None = None
-    if todo and jobs > 1 and _registry_backed(rules):
-        results = _parallel_analyze(todo, codes, jobs)
-    if results is None:
-        results = [
-            _analyze_file(path, display, rules, sha)
-            for path, display, sha in todo
-        ]
+    results = [
+        _analyze_file(path, display, rules, sha) for path, display, sha in todo
+    ]
     for (_path, display, _sha), entry in zip(todo, results):
         if "read_error" in entry:
             unreadable.append((display, f"cannot read file: {entry['read_error']}"))
@@ -581,7 +539,7 @@ def run_analysis(
     for display, message in unreadable:
         report.findings.append(Finding(PARSE_ERROR_CODE, display, 1, 0, message))
 
-    # -- merge: dedup + suppression, deterministic across cache/jobs ---
+    # -- merge: dedup + suppression, deterministic across cache states --
     noqa_tables = {
         display: _noqa_from_json(entries[display].get("noqa", {}))
         for display in ordered
@@ -646,14 +604,6 @@ def run_analysis(
     obs.incr("lint.findings", len(report.findings))
     obs.incr("lint.suppressed", report.suppressed)
     return report
-
-
-def _registry_backed(rules: Sequence[Rule]) -> bool:
-    """True when every rule can be rebuilt by code inside a pool worker."""
-    from .registry import registered_codes
-
-    known = set(registered_codes())
-    return all(r.code in known and type(r).__module__ != "__main__" for r in rules)
 
 
 def _materialize_modules(

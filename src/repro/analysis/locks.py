@@ -1,4 +1,4 @@
-"""Per-file lock model: the fact extractor behind R009/R010/R011.
+"""Per-file lock model: the fact extractor behind R009/R010.
 
 Each parsed ``SourceModule`` is reduced to one JSON-serializable
 "concurrency facts" bundle -- the unit the incremental lint cache stores,
@@ -7,21 +7,18 @@ records, per module:
 
 * ``aliases`` -- import table with relative imports resolved against the
   module's own dotted name (``from .plan import plan_groups`` inside
-  ``repro.core.sweep`` maps ``plan_groups`` to ``repro.core.plan.plan_groups``),
+  ``repro.core.sweep`` maps ``plan_groups`` to ``repro.core.plan.plan_groups``;
+  inside a package ``__init__`` the package itself is the anchor, so
+  ``from .atomic import x`` in ``repro/faults/__init__.py`` maps to
+  ``repro.faults.atomic.x``),
 * ``locks`` / ``classes[*].locks`` -- module-level and instance
   ``threading.Lock``/``RLock`` definitions with their kind,
-* ``executors`` -- module-level ``ProcessPoolExecutor`` globals,
 * ``functions`` -- per function/method: the ordered lock *acquisitions*
   (``with lock:`` and ``lock.acquire()``/``release()``) each with the
-  set of locks already held, the outgoing *calls* with held sets, the
-  direct *blocking operations* (``.wait()``, ``.result()``,
+  set of locks already held, the outgoing *calls* with held sets, and
+  the direct *blocking operations* (``.wait()``, ``.result()``,
   ``time.sleep``, ``subprocess.*``, ``open()`` and Path I/O) with held
-  sets, the lock *re-initialisations* (``X = threading.Lock()`` rebinds,
-  the fork-safety pattern ``sweep._reinit_forked_locks`` uses), loads of
-  executor globals, and whether the name matches the process-shard
-  worker heuristic,
-* ``submits`` -- ``pool.submit(fn, ...)`` sites with whether the pool is
-  statically known to be a ``ProcessPoolExecutor``.
+  sets.
 
 Lock references are resolved to dotted candidate ids at extraction time
 (``repro.obs._recorder_lock``, ``repro.core.sweep.SweepEngine._lock``);
@@ -40,6 +37,7 @@ function's events -- they run later, not at the point of definition.
 from __future__ import annotations
 
 import ast
+from pathlib import PurePath
 
 from .astutil import dotted_name, terminal_name
 from .callgraph import module_name_for
@@ -58,11 +56,6 @@ _IO_ATTRS = {"read_text", "write_text", "read_bytes", "write_bytes"}
 _SUBPROCESS_CALLS = {"run", "call", "check_call", "check_output", "Popen"}
 
 
-def _is_worker_name(name: str) -> bool:
-    # Mirrors R008's per-file heuristic (procshard._is_worker_name).
-    return name.endswith("_worker") or "shard" in name
-
-
 def _lock_kind(value: ast.AST) -> str | None:
     """``"Lock"``/``"RLock"`` when ``value`` is a lock-factory call."""
     if isinstance(value, ast.Call):
@@ -72,19 +65,19 @@ def _lock_kind(value: ast.AST) -> str | None:
     return None
 
 
-def _is_proc_pool_call(value: ast.AST) -> bool:
-    return (
-        isinstance(value, ast.Call)
-        and terminal_name(value.func) == "ProcessPoolExecutor"
-    )
-
-
 class _ImportMap:
-    """Alias -> dotted target, with relative imports resolved."""
+    """Alias -> dotted target, with relative imports resolved.
 
-    def __init__(self, tree: ast.AST, module: str) -> None:
+    ``is_package`` marks a package ``__init__``, whose dotted name is the
+    package itself: its relative imports anchor there, not one level up.
+    """
+
+    def __init__(self, tree: ast.AST, module: str, is_package: bool) -> None:
         self.aliases: dict[str, str] = {}
-        package = module.rsplit(".", 1)[0] if "." in module else module
+        if is_package or "." not in module:
+            package = module
+        else:
+            package = module.rsplit(".", 1)[0]
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -126,31 +119,19 @@ class _FunctionScanner:
         module_name: str,
         imports: _ImportMap,
         module_locks: dict[str, str],
-        executors: set[str],
         cls: str | None,
         func: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> None:
         self.module_name = module_name
         self.imports = imports
         self.module_locks = module_locks
-        self.executors = executors
         self.cls = cls
         self.func = func
         self.acquires: list[list] = []
         self.calls: list[list] = []
         self.blocking: list[list] = []
-        self.reinits: list[str] = []
-        self.exec_loads: list[str] = []
-        self.proc_pools: set[str] = set()
-        self.submits: list[list] = []
         self.instance_locks: dict[str, str] = {}
         self._held: list[str] = []
-        self._globals: set[str] = {
-            name
-            for node in ast.walk(func)
-            if isinstance(node, ast.Global)
-            for name in node.names
-        }
 
     # -- reference resolution ------------------------------------------
 
@@ -175,19 +156,10 @@ class _FunctionScanner:
     def run(self) -> dict:
         self._walk_body(self.func.body)
         out: dict = {"line": self.func.lineno, "col": self.func.col_offset}
-        if _is_worker_name(self.func.name):
-            out["worker"] = True
         for key in ("acquires", "calls", "blocking"):
             val = getattr(self, key)
             if val:
                 out[key] = val
-        if self.reinits:
-            out["reinits"] = sorted(set(self.reinits))
-        if self.exec_loads:
-            first: dict[str, list] = {}
-            for name, line, col in self.exec_loads:
-                first.setdefault(name, [name, line, col])
-            out["exec_loads"] = [first[name] for name in sorted(first)]
         return out
 
     # -- statement walk -------------------------------------------------
@@ -230,30 +202,15 @@ class _FunctionScanner:
                     self._held.remove(ref)
                 return
 
-        # Lock re-initialisation: `X = threading.Lock()` rebinding a
-        # global, or `_mod._their_lock = threading.Lock()`.
-        if isinstance(stmt, ast.Assign) and _lock_kind(stmt.value):
+        # Instance locks: `self._lock = threading.Lock()` in a method.
+        kind = _lock_kind(stmt.value) if isinstance(stmt, ast.Assign) else None
+        if kind and self.cls:
             for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id in self._globals:
-                    self.reinits.append(f"{self.module_name}.{target.id}")
-                elif isinstance(target, ast.Attribute):
-                    chain = dotted_name(target)
-                    if chain is None:
-                        continue
-                    if chain.startswith("self.") and self.cls:
-                        attr = chain.split(".", 1)[1]
-                        if "." not in attr:
-                            self.instance_locks[attr] = _lock_kind(stmt.value)
-                        continue
-                    resolved = self.imports.resolve(chain)
-                    if resolved is not None:
-                        self.reinits.append(resolved)
-
-        # Local ProcessPoolExecutor bindings feed submit() procness.
-        if isinstance(stmt, ast.Assign) and _is_proc_pool_call(stmt.value):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    self.proc_pools.add(target.id)
+                chain = dotted_name(target)
+                if chain is not None and chain.startswith("self."):
+                    attr = chain.split(".", 1)[1]
+                    if "." not in attr:
+                        self.instance_locks[attr] = kind
 
         self._scan_exprs(stmt)
         for body in (
@@ -271,8 +228,8 @@ class _FunctionScanner:
     # -- expression scan ------------------------------------------------
 
     def _scan_exprs(self, node: ast.AST) -> None:
-        """Record calls/blocking ops/executor loads in this statement's
-        expressions, skipping nested statements and deferred bodies."""
+        """Record calls/blocking ops in this statement's expressions,
+        skipping nested statements and deferred bodies."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.stmt, ast.Lambda)):
                 continue
@@ -293,9 +250,6 @@ class _FunctionScanner:
                 self._scan_expr_tree(child.iter)
                 for cond in child.ifs:
                     self._scan_expr_tree(cond)
-        if isinstance(expr, ast.Name) and isinstance(expr.ctx, ast.Load):
-            if expr.id in self.executors:
-                self.exec_loads.append([expr.id, expr.lineno, expr.col_offset])
 
     def _record_call(self, call: ast.Call) -> None:
         chain = dotted_name(call.func)
@@ -317,16 +271,6 @@ class _FunctionScanner:
                 return
         if isinstance(call.func, ast.Attribute):
             attr = call.func.attr
-            if attr == "submit" and call.args:
-                fn_chain = dotted_name(call.args[0])
-                recv = dotted_name(call.func.value)
-                is_proc = bool(
-                    recv
-                    and "." not in recv
-                    and (recv in self.proc_pools or recv in self.executors)
-                )
-                if fn_chain is not None:
-                    self.submits.append([fn_chain, int(is_proc), *site])
             if attr in _BLOCKING_ATTRS and len(call.args) + len(call.keywords) <= 1:
                 # Exclude `lock.acquire()`-shaped receivers handled above;
                 # Event.wait()/Future.result() is what we are after.
@@ -345,20 +289,17 @@ def extract_concurrency_facts(module: SourceModule) -> dict | None:
     if module.tree is None:
         return None
     mod_name = module_name_for(module.display_path)
-    imports = _ImportMap(module.tree, mod_name)
+    is_package = PurePath(module.display_path).name == "__init__.py"
+    imports = _ImportMap(module.tree, mod_name, is_package)
 
     module_locks: dict[str, str] = {}
-    executors: list[str] = []
     for stmt in module.tree.body:
         if isinstance(stmt, ast.Assign):
             kind = _lock_kind(stmt.value)
-            for target in stmt.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if kind:
-                    module_locks[target.id] = kind
-                elif _is_proc_pool_call(stmt.value):
-                    executors.append(target.id)
+            if kind:
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        module_locks[target.id] = kind
 
     facts: dict = {
         "module": mod_name,
@@ -367,19 +308,13 @@ def extract_concurrency_facts(module: SourceModule) -> dict | None:
         "functions": {},
         "classes": {},
     }
-    if executors:
-        facts["executors"] = executors
-    submits: list[list] = []
 
     def scan_function(
         func: ast.FunctionDef | ast.AsyncFunctionDef, cls: str | None
     ) -> None:
-        scanner = _FunctionScanner(
-            mod_name, imports, module_locks, set(executors), cls, func
-        )
+        scanner = _FunctionScanner(mod_name, imports, module_locks, cls, func)
         qual = f"{cls}.{func.name}" if cls else func.name
         facts["functions"][qual] = scanner.run()
-        submits.extend(scanner.submits)
         if cls and scanner.instance_locks:
             facts["classes"][cls]["locks"].update(scanner.instance_locks)
 
@@ -392,17 +327,15 @@ def extract_concurrency_facts(module: SourceModule) -> dict | None:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     facts["classes"][stmt.name]["methods"].append(sub.name)
                     scan_function(sub, stmt.name)
-    if submits:
-        facts["submits"] = submits
     return facts
 
 
 class ConcurrencyRule(ProjectRule):
-    """Base for the whole-program concurrency rules (R009/R010/R011).
+    """Base for the whole-program concurrency rules (R009/R010).
 
     Binds the shared fact extractor under one ``facts_key`` so the
     incremental driver extracts facts once per file and caches them for
-    all three rules.
+    both rules.
     """
 
     facts_key = "concurrency"

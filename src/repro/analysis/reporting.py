@@ -52,13 +52,12 @@ def render_stats(report: AnalysisReport) -> str:
     """One ``repro lint --stats`` line: cache effectiveness + rule costs.
 
     Deliberately not part of the JSON schema -- it describes *this run*
-    (cache state, worker count), not the code under analysis.
+    (cache state, timings), not the code under analysis.
     """
     stats = report.stats
     parts = [
         f"stats: {stats.files_checked} files "
         f"({stats.files_cached} cached, {stats.files_analyzed} analyzed)",
-        f"jobs {stats.jobs}",
         f"cache {stats.cache_path or 'off'}",
     ]
     timings = sorted(

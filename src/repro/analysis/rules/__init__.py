@@ -1,4 +1,4 @@
-"""Built-in rules.  Importing this package registers R001-R013."""
+"""Built-in rules.  Importing this package registers every rule code."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from . import (  # noqa: F401
     catalog,
     concurrency,
     determinism,
-    forksafety,
     lockorder,
     parity,
-    procshard,
     resilience,
     storeio,
     telemetry,
@@ -26,10 +24,8 @@ __all__ = [
     "parity",
     "telemetry",
     "resilience",
-    "procshard",
     "lockorder",
     "blocking",
-    "forksafety",
     "storeio",
     "benchrecord",
 ]

@@ -1,12 +1,11 @@
 """R007: exception hygiene -- broad handlers must re-raise or classify.
 
-The sweep engine's resilience contract (transient failures retried, DNR
-verdicts cached, everything else propagated exactly once) lives or dies
-on how exceptions are handled.  The archetypal regression: a broad
-``except`` around pool execution, meant for thread-starved startup, that
-also swallows failures raised *inside* a group and silently re-executes
-completed work -- double-counting telemetry and corrupting the
-counter-identity invariant.
+The sweep engine's resilience contract (DNR verdicts cached, everything
+else propagated exactly once) lives or dies on how exceptions are
+handled.  The archetypal regression: a broad ``except`` meant for one
+expected failure that also swallows failures raised *inside* a group
+and silently re-executes completed work -- double-counting telemetry
+and corrupting the counter-identity invariant.
 
 This rule flags ``except`` handlers that catch ``Exception`` /
 ``BaseException`` (or use a bare ``except:``) and then neither
@@ -47,7 +46,6 @@ _TAXONOMY_NAMES = {
     "TransientError",
     "InjectedTransientError",
     "InjectedIOError",
-    "GroupTimeoutError",
 }
 
 

@@ -18,13 +18,9 @@ Commands
 ``lint``         repo-aware static analysis (determinism, locking, units,
                  catalog invariants, model parity, telemetry discipline,
                  exception hygiene, whole-program concurrency: lock
-                 order, blocking-under-lock, fork safety) on an
-                 incremental, process-parallel engine
+                 order, blocking-under-lock) on an incremental engine
 ``stats``        regenerate one table/figure with telemetry enabled and
                  print the span tree, counters and timings
-``faults``       resilience smoke test: run a sweep under an injected
-                 fault plan and verify it converges to the fault-free
-                 answer bit for bit
 ``serve``        long-running prediction service: HTTP API + job manager
                  over the shared sweep engine (submit, poll, artifacts,
                  cancel, /health, /stats)
@@ -32,7 +28,7 @@ Commands
                  artifacts (``run``), or cost-estimate it (``plan``);
                  interrupted runs resume from journal sidecars and the
                  result store, and independent jobs (no ``needs`` edge)
-                 run concurrently under ``--jobs``
+                 run concurrently, up to ``--jobs`` at a time
 ``bench``        run a named benchmark-suite subset, merge the schema-v2
                  artifact and append the run to ``benchmarks/history/``;
                  ``--check`` gates the run against the recorded
@@ -72,19 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jobs_help = "worker threads for sweep execution (default: REPRO_JOBS or auto)"
-    procs_help = (
-        "worker processes for cold sweep execution: families are sharded "
-        "across forked workers with per-shard journals merged by cache key "
-        "(default: REPRO_PROCS or 1)"
-    )
     telemetry_help = "write a schema-v1 telemetry JSON report to PATH"
-    retries_help = "transient-failure retry budget (default: REPRO_RETRIES or 2)"
-    fault_seed_help = (
-        "install a seeded fault plan for this run (deterministic injected "
-        "transient faults; results must still be bit-identical)"
-    )
-    fault_rate_help = "injected transient-fault rate used with --fault-seed (default 0.1)"
     journal_help = (
         "crash-safe sweep journal at PATH: completed families are persisted "
         "and an interrupted run resumed from them"
@@ -101,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def _sweep_flags(p) -> None:
-        p.add_argument("--jobs", type=int, default=None, help=jobs_help)
-        p.add_argument("--procs", type=int, default=None, help=procs_help)
-        p.add_argument("--retries", type=int, default=None, help=retries_help)
-        p.add_argument("--fault-seed", type=int, default=None, help=fault_seed_help)
-        p.add_argument("--fault-rate", type=float, default=0.1, help=fault_rate_help)
         p.add_argument("--journal", metavar="PATH", default=None, help=journal_help)
         p.add_argument("--store", metavar="DIR", default=None, help=store_help)
         p.add_argument(
@@ -164,22 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     _sweep_flags(p)
     p.add_argument("--telemetry", metavar="PATH", default=None, help=telemetry_help)
 
-    p = sub.add_parser(
-        "faults",
-        help="resilience smoke test: faulted sweep must equal fault-free sweep",
-    )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=0.3,
-        help="per-attempt injected transient/slow fault rate (default 0.3)",
-    )
-    p.add_argument("--fault-seed", type=int, default=2025, help=fault_seed_help)
-    p.add_argument("--retries", type=int, default=None, help=retries_help)
-    p.add_argument("--jobs", type=int, default=None, help=jobs_help)
-
-    p = sub.add_parser("score", help="model-vs-paper error scorecard")
-    p.add_argument("--jobs", type=int, default=None, help=jobs_help)
+    sub.add_parser("score", help="model-vs-paper error scorecard")
 
     p = sub.add_parser(
         "stats",
@@ -196,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json"],
         help="report format (default: text)",
     )
-    p.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    p.add_argument("--procs", type=int, default=None, help=procs_help)
     p.add_argument("--store", metavar="DIR", default=None, help=store_help)
     p.add_argument("--store-max-mb", type=int, default=None, help=store_max_help)
 
@@ -234,6 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("scenario", help="scenario YAML path")
     pr.add_argument(
         "--out", metavar="DIR", default="campaign-out", help="artifact directory"
+    )
+    pr.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="bound on concurrently running scenario jobs (default 1)",
     )
     _sweep_flags(pr)
     pp = campaign_sub.add_parser("plan", help="cost-estimate a scenario file")
@@ -336,13 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="lint cache file (default: .repro-lint-cache.json in the root)",
-    )
-    p.add_argument(
-        "--jobs",
-        dest="lint_jobs",
-        type=int,
-        default=None,
-        help="worker processes for changed files (default: serial)",
     )
 
     return parser
@@ -580,58 +541,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Resilience smoke: a faulted sweep converges to the fault-free answer.
-
-    Runs a 24-config grid twice through fresh engines -- once clean, once
-    under a seeded fault plan injecting transient failures and slow
-    workers -- and verifies the results are bit-identical.
-    """
-    from repro import faults, obs
-    from repro.core.sweep import SweepEngine, expand_grid
-    from repro.obs.export import report_dict
-
-    grid = expand_grid(
-        ("sg2044", "sg2042"),
-        ("is", "ep", "mg", "cg"),
-        thread_counts=(1, 4, 16),
-    )
-    faults.disable()
-    obs.disable()
-    baseline = SweepEngine(jobs=args.jobs).run_many(grid, on_dnr="none")
-
-    try:
-        plan = faults.FaultPlan(
-            seed=args.fault_seed,
-            transient_rate=args.rate,
-            slow_rate=args.rate / 2.0,
-            slow_delay_s=0.001,
-        )
-    except ValueError as exc:
-        print(f"repro: error: --rate: {exc}", file=sys.stderr)
-        return 2
-    faults.install(plan)
-    recorder = obs.install()
-    try:
-        engine = SweepEngine(jobs=args.jobs, retries=args.retries)
-        faulted = engine.run_many(grid, on_dnr="none")
-    finally:
-        obs.disable()
-        faults.disable()
-
-    counters = report_dict(recorder, include_timings=False)["counters"]
-    identical = faulted == baseline
-    print(f"grid: {len(grid)} configs, fault seed {args.fault_seed}, rate {args.rate}")
-    injected = plan.stats()
-    print(
-        "injected: "
-        + (", ".join(f"{k}={n}" for k, n in injected.items()) or "none")
-    )
-    print(f"retries spent: {counters.get('sweep.retries', 0)}")
-    print(f"verdict: {'bit-identical' if identical else 'RESULTS DIVERGED'}")
-    return 0 if identical else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.core.sweep import default_engine
@@ -691,6 +600,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
         print(f"  total: {total} configs")
         return 0
+    if args.jobs < 1:
+        print(f"repro: error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     engine = _journal_attach(args.journal) or default_engine()
     manifest = run_campaign(scenario, args.out, engine=engine, jobs=args.jobs)
     for job in manifest["jobs"]:
@@ -716,14 +628,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     kind = "figure" if match.group(1) in {"figure", "fig", "f"} else "table"
     number = int(match.group(2))
 
-    from repro.core.sweep import default_engine
-
     recorder = obs.install()
-    # Surface the engine sizing this run resolved (argument, environment
-    # or default) so `repro stats` answers "how parallel was that?".
-    engine = default_engine()
-    obs.incr("sweep.jobs_resolved", engine.jobs)
-    obs.incr("sweep.procs_resolved", engine.procs)
     try:
         if kind == "table":
             from repro.harness import build_table
@@ -849,9 +754,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         cache_path = None
     else:
         cache_path = Path(args.cache) if args.cache else Path(".") / CACHE_FILENAME
-    report = run_analysis(
-        args.paths, rules, root=".", cache_path=cache_path, jobs=args.lint_jobs
-    )
+    report = run_analysis(args.paths, rules, root=".", cache_path=cache_path)
     render = render_json if args.fmt == "json" else render_text
     sys.stdout.write(render(report))
     if args.lint_stats:
@@ -876,7 +779,6 @@ _COMMANDS = {
     "score": _cmd_score,
     "bench": _cmd_bench,
     "lint": _cmd_lint,
-    "faults": _cmd_faults,
     "serve": _cmd_serve,
     "campaign": _cmd_campaign,
 }
@@ -884,33 +786,6 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        from repro.core.sweep import set_default_jobs
-
-        try:
-            set_default_jobs(jobs)
-        except ValueError as exc:
-            print(f"repro: error: --jobs: {exc}", file=sys.stderr)
-            return 2
-    procs = getattr(args, "procs", None)
-    if procs is not None:
-        from repro.core.sweep import set_default_procs
-
-        try:
-            set_default_procs(procs)
-        except ValueError as exc:
-            print(f"repro: error: --procs: {exc}", file=sys.stderr)
-            return 2
-    retries = getattr(args, "retries", None)
-    if retries is not None and args.command != "faults":
-        from repro.core.sweep import set_default_retries
-
-        try:
-            set_default_retries(retries)
-        except ValueError as exc:
-            print(f"repro: error: --retries: {exc}", file=sys.stderr)
-            return 2
     store_dir = getattr(args, "store", None)
     if store_dir is not None:
         from repro.core.sweep import set_default_store
@@ -926,28 +801,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             print(f"repro: error: --store: {exc}", file=sys.stderr)
             return 2
-    fault_seed = getattr(args, "fault_seed", None)
-    plan_installed = False
-    if fault_seed is not None and args.command != "faults":
-        from repro import faults
-
-        try:
-            faults.install(
-                faults.FaultPlan(
-                    seed=fault_seed, transient_rate=args.fault_rate
-                )
-            )
-        except ValueError as exc:
-            print(f"repro: error: --fault-rate: {exc}", file=sys.stderr)
-            return 2
-        plan_installed = True
-    try:
-        return _COMMANDS[args.command](args)
-    finally:
-        if plan_installed:
-            from repro import faults
-
-            faults.disable()
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

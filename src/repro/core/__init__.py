@@ -33,7 +33,6 @@ __all__ = [
     "paper_vectorise",
     "parallel_efficiency",
     "percent_of",
-    "set_default_jobs",
     "speedup_curve",
     "times_faster",
 ]
@@ -59,7 +58,6 @@ __getattr__, __dir__ = lazy_exports(
             "default_engine",
             "expand_grid",
             "paper_vectorise",
-            "set_default_jobs",
         ),
     },
 )

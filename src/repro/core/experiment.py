@@ -83,8 +83,8 @@ class ExperimentConfig:
         """The thread-sweep family this config belongs to.
 
         Configs identical in everything but ``n_threads`` form one
-        family: one batched model evaluation, one sweep-engine group,
-        one fault-injection site, one journal unit.
+        family: one batched model evaluation, one sweep-engine group
+        (and span), one shared DNR verdict, one journal unit.
         """
         return (
             self.machine,
@@ -128,7 +128,7 @@ class ExperimentRunner:
     @property
     def engine(self):
         """Lazily constructed :class:`repro.core.sweep.SweepEngine` over
-        this runner (memoising + parallel execution front-end)."""
+        this runner (memoising, batch-evaluating front-end)."""
         if self._engine is None:
             from .sweep import SweepEngine
 

@@ -1,4 +1,4 @@
-"""Batched sweep engine: grid expansion, memoisation, parallel execution.
+"""Batched sweep engine: grid expansion, memoisation, batch execution.
 
 The paper's methodology is one large cross-product sweep -- machines x
 kernels x classes x thread counts x compilers x vectorisation -- and every
@@ -9,13 +9,13 @@ turns those walks into batch jobs:
   list of :class:`ExperimentConfig`.
 * :class:`SweepEngine` executes config batches through
   :meth:`ExperimentRunner.run_many` (one vectorised model evaluation per
-  thread-sweep family), optionally across a thread pool, and memoises
-  every :class:`ExperimentResult` keyed by the exact seed/config tuple so
-  repeated regenerators hit cache.
+  thread-sweep family, or one megagrid planner pass per batch) and
+  memoises every :class:`ExperimentResult` keyed by the exact
+  seed/config tuple so repeated regenerators hit cache.
 
 Determinism: the runner keys its noise stream per config (sha256 of seed
 and config fields), so results are independent of execution order --
-parallel, serial, cached and one-at-a-time runs are byte-identical.
+planned, per-family, cached and one-at-a-time runs are byte-identical.
 
 Caching vs reproducibility: a cache hit returns the very object a cold
 run would have computed, because everything that influences a result
@@ -30,14 +30,11 @@ import os
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro import faults, obs
-from repro.faults import GroupTimeoutError, TransientError
 
 from .experiment import DEFAULT_RUNS, ExperimentConfig, ExperimentRunner
-from .perfmodel import DNRError, PerformanceModel
+from .perfmodel import DNRError
 from .plan import PlanNotApplicable, plan_groups
 from .results import ExperimentResult
 
@@ -47,17 +44,9 @@ __all__ = [
     "paper_vectorise",
     "compute_cache_key",
     "default_engine",
-    "set_default_jobs",
-    "set_default_retries",
-    "set_default_procs",
     "set_default_store",
     "clear_caches",
-    "DEFAULT_RETRIES",
 ]
-
-#: Transient failures are retried this many times by default (override
-#: per engine, with ``REPRO_RETRIES``, or with the ``--retries`` flag).
-DEFAULT_RETRIES = 2
 
 
 def paper_vectorise(kernel: str) -> bool:
@@ -124,9 +113,9 @@ def compute_cache_key(
 ) -> tuple:
     """The full memo key for one config under given runner settings.
 
-    Module-level (not only an engine method) so process-shard workers,
-    which reconstruct the runner from ``(seed, noise_cv, calibrate)``,
-    derive byte-identical journal keys without an engine instance.
+    Module-level (not only an engine method) so code holding only the
+    runner settings ``(seed, noise_cv, calibrate)`` derives byte-identical
+    journal and store keys without an engine instance.
     """
     return (
         seed,
@@ -143,46 +132,20 @@ def compute_cache_key(
 
 
 class SweepEngine:
-    """Memoising, optionally parallel front-end over an ExperimentRunner.
+    """Memoising front-end over an ExperimentRunner.
 
     Parameters
     ----------
     runner:
         The runner to execute through (a default calibrated runner when
         omitted).
-    jobs:
-        Worker threads for batch execution.  ``None`` reads the
-        ``REPRO_JOBS`` environment variable, falling back to
-        ``min(8, cpu_count)``.  ``1`` forces serial execution.
-    retries:
-        Retry budget for *transient* group failures
-        (:class:`repro.faults.TransientError`, including injected
-        faults).  ``None`` reads ``REPRO_RETRIES``, falling back to
-        :data:`DEFAULT_RETRIES`.  Retries back off exponentially from
-        ``backoff_s``.
-    group_timeout_s:
-        Per-group deadline for pooled execution; a group exceeding it
-        raises :class:`repro.faults.GroupTimeoutError` (fatal, never
-        silently re-run).  ``None`` (default) disables the deadline;
-        serial execution cannot be preempted and ignores it.
-    journal:
-        Optional :class:`repro.faults.SweepJournal`; completed families
-        are persisted as they land and preloaded on attach, so an
-        interrupted run resumes from completed families.
-    procs:
-        Worker *processes* for cold batches: when ``> 1`` (and the
-        planner is applicable) pending families are sharded round-robin
-        across forked workers, each journaling to a per-shard sidecar
-        merged by cache key on completion.  ``None`` reads
-        ``REPRO_PROCS``, falling back to ``1`` (no sharding).
     planner:
-        Whether cold batches may be flattened into one megagrid pass
-        (:func:`repro.core.plan.plan_groups`) instead of per-family
-        ``predict_batch`` calls.  ``None`` reads ``REPRO_PLANNER``
-        (default on; set ``0`` to disable).  The planner is bypassed
-        automatically whenever it could not reproduce the per-family
-        path bit-for-bit (fault injection enabled, per-group timeouts,
-        subclassed runners/models).
+        Whether cold batches are flattened into one megagrid pass
+        (:func:`repro.core.plan.plan_groups`) instead of one
+        ``predict_batch`` call per family.  ``None`` reads
+        ``REPRO_PLANNER`` (default on; set ``0`` for the per-family
+        oracle).  Subclassed runners/models are refused by the planner
+        itself and always take the per-family path.
     store:
         Optional :class:`repro.store.ResultStore` (or a path to one;
         ``None`` reads ``REPRO_STORE``).  The durable tier under the
@@ -192,26 +155,31 @@ class SweepEngine:
         key another process is executing is waited on (bounded), then
         taken over if the owner died.  Store-restored values are
         bit-identical to computed ones (shared ``repr``-float codec).
+    journal:
+        Optional :class:`repro.faults.SweepJournal`; completed families
+        are persisted as they land and preloaded on attach, so an
+        interrupted run resumes from completed families.
 
     Results are memoised per exact (seed, noise, calibration, config)
     tuple; "Did Not Run" configurations cache their :class:`DNRError`
     the same way, so a grid with DNR holes is still cheap to re-expand.
 
-    Failure taxonomy (see :mod:`repro.faults.taxonomy`): transient
-    errors are retried in place, DNR verdicts are cached as results, and
-    everything else propagates to the caller exactly once -- a failing
-    group never triggers re-execution of groups that already completed,
-    and its claims are released so the next caller can re-claim the key.
+    Failure taxonomy (see :mod:`repro.faults.taxonomy`): DNR verdicts
+    are cached as results, and everything else propagates to the caller
+    exactly once -- a failing family never triggers re-execution of
+    families that already completed, and its claims are released so the
+    next caller can re-claim the key.
 
-    Concurrency: the engine is safe to hammer from many threads.  A
-    single-flight table (``_inflight``) guarantees each cache key is
-    executed at most once even when concurrent :meth:`run_many` calls
-    race on the same cold keys -- late arrivals wait on the claimant's
-    event instead of duplicating work.  Each claimed batch has one
-    completion event, shared by every key it claimed, so **subgrid
-    containment** is the general case: a batch whose cold keys are all
-    in flight under one claimant waits on that single event (counted by
-    ``sweep.containment_waits``).
+    Concurrency: execution is in-process and serial per batch, but the
+    engine is safe to hammer from many threads (the service's job
+    workers share one).  A single-flight table (``_inflight``)
+    guarantees each cache key is executed at most once even when
+    concurrent :meth:`run_many` calls race on the same cold keys -- late
+    arrivals wait on the claimant's event instead of duplicating work.
+    Each claimed batch has one completion event, shared by every key it
+    claimed, so **subgrid containment** is the general case: a batch
+    whose cold keys are all in flight under one claimant waits on that
+    single event (counted by ``sweep.containment_waits``).
 
     Observability: cache hits/misses, executed configs/groups and DNR
     outcomes are mirrored into :mod:`repro.obs` counters, and every
@@ -223,25 +191,14 @@ class SweepEngine:
     def __init__(
         self,
         runner: ExperimentRunner | None = None,
-        jobs: int | None = None,
-        retries: int | None = None,
-        backoff_s: float = 0.02,
-        group_timeout_s: float | None = None,
-        journal=None,
-        procs: int | None = None,
+        *,
         planner: bool | None = None,
         store=None,
+        journal=None,
     ) -> None:
         self.runner = runner or ExperimentRunner()
-        self.jobs = self._resolve_jobs(jobs)
-        self.procs = self._resolve_procs(procs)
         self.planner = self._resolve_planner(planner)
-        self.retries = self._resolve_retries(retries)
         self.store = self._resolve_store(store)
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        self.backoff_s = backoff_s
-        self.group_timeout_s = group_timeout_s
         self._sleep = time.sleep
         self._results: dict[tuple, ExperimentResult | DNRError] = {}
         self._inflight: dict[tuple, threading.Event] = {}
@@ -256,66 +213,18 @@ class SweepEngine:
             self.attach_journal(journal)
 
     @staticmethod
-    def _resolve_jobs(jobs: int | None) -> int:
-        """Resolve the worker-thread count for batch execution.
-
-        Explicit requests -- the ``jobs`` argument or the ``REPRO_JOBS``
-        environment variable -- are honoured verbatim, with no upper
-        cap: an operator who asks for 32 threads gets 32.  Only the
-        *implicit* default is capped at ``min(8, cpu_count)``, because
-        model evaluation is GIL-bound numpy and threads beyond a handful
-        add scheduling overhead without throughput.  The value an engine
-        actually resolved is surfaced by ``repro stats`` through the
-        ``sweep.jobs_resolved`` counter.
-        """
-        if jobs is None:
-            env = os.environ.get("REPRO_JOBS")
-            if env is not None:
-                jobs = int(env)
-            else:
-                jobs = min(8, os.cpu_count() or 1)
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        return jobs
-
-    @staticmethod
-    def _resolve_procs(procs: int | None) -> int:
-        """Resolve the worker-process count (``REPRO_PROCS``, default 1).
-
-        Unlike ``jobs`` there is no implicit multi-proc default: forking
-        is a behaviour change an operator opts into via the argument,
-        the ``--procs`` flag or the environment.  Surfaced by ``repro
-        stats`` as ``sweep.procs_resolved``.
-        """
-        if procs is None:
-            env = os.environ.get("REPRO_PROCS")
-            procs = int(env) if env is not None else 1
-        if procs < 1:
-            raise ValueError("procs must be >= 1")
-        return procs
-
-    @staticmethod
     def _resolve_planner(planner: bool | None) -> bool:
         if planner is None:
             return os.environ.get("REPRO_PLANNER", "1") != "0"
         return bool(planner)
 
     @staticmethod
-    def _resolve_retries(retries: int | None) -> int:
-        if retries is None:
-            env = os.environ.get("REPRO_RETRIES")
-            retries = int(env) if env is not None else DEFAULT_RETRIES
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        return retries
-
-    @staticmethod
     def _resolve_store(store):
         """Resolve the persistent result store (``REPRO_STORE``, default none).
 
         Accepts a ready :class:`repro.store.ResultStore`, a directory
-        path, or ``None`` (consult the environment).  Like ``procs``,
-        persistence is a behaviour an operator opts into explicitly.
+        path, or ``None`` (consult the environment).  Persistence is a
+        behaviour an operator opts into explicitly.
         """
         if store is None:
             # Most runs have no store: they never import repro.store.
@@ -374,37 +283,12 @@ class SweepEngine:
         oblivious to whatever else shares the engine.  Preloading is
         never filtered -- a journal entry is valid cached work wherever
         it came from.
-
-        Leftover per-shard sidecars (``<journal>.shardN``, from a
-        sharded run that died before its merge) are folded into the
-        attached journal here and removed.
         """
         keyset = None if keys is None else frozenset(keys)
         with self._lock:
             self._journals.append((journal, keyset))
             for key, value in journal.results().items():
                 self._results.setdefault(key, value)
-        self._absorb_shard_sidecars(journal)
-
-    def _absorb_shard_sidecars(self, journal) -> None:
-        """Merge and remove ``<journal>.shardN`` sidecar files.
-
-        Sidecar entries are keyed by the same full cache keys as the
-        main journal, so they merge (then vanish) exactly like a resumed
-        main journal; entries from mismatched settings stay inert.
-        """
-        pattern = journal.path.name + ".shard*"
-        for sidecar_path in sorted(journal.path.parent.glob(pattern)):
-            entries = faults.SweepJournal(sidecar_path).results()
-            if entries:
-                journal.record(entries)
-                with self._lock:
-                    for key, value in entries.items():
-                        self._results.setdefault(key, value)
-            try:
-                os.unlink(sidecar_path)
-            except OSError:
-                pass
 
     def detach_journal(self, journal=None) -> None:
         """Detach one journal (or, with no argument, every attached one).
@@ -449,13 +333,12 @@ class SweepEngine:
     def add_family_hook(self, hook) -> None:
         """Register ``hook(n_configs, dnr)``, called after each family lands.
 
-        Hooks fire once per completed thread-sweep family -- planned,
-        pooled, serial or process-sharded -- right after its results are
-        stored and journaled, and always *outside* the engine lock, so a
-        hook may freely call back into the engine.  ``dnr`` is True when
-        the family's shared outcome was a DNR verdict.  Hook exceptions
-        propagate like any fatal group failure: the engine never
-        swallows them.
+        Hooks fire once per completed thread-sweep family -- planned or
+        per-family -- right after its results are stored and journaled,
+        and always *outside* the engine lock, so a hook may freely call
+        back into the engine.  ``dnr`` is True when the family's shared
+        outcome was a DNR verdict.  Hook exceptions propagate like any
+        fatal group failure: the engine never swallows them.
         """
         with self._lock:
             self._family_hooks.append(hook)
@@ -480,7 +363,7 @@ class SweepEngine:
         configs: Sequence[ExperimentConfig],
         on_dnr: str = "raise",
     ) -> list[ExperimentResult | None]:
-        """Execute a batch, memoised and (for cold work) parallelised.
+        """Execute a batch, memoised and (for cold work) batch-evaluated.
 
         Every cache key is computed once, here, and handed down to the
         commit.  Cold keys are claimed under one single-flight event for
@@ -488,9 +371,8 @@ class SweepEngine:
         that caller's batch event, once per distinct event.  Cold configs
         are grouped into thread-sweep families (identical in everything
         but ``n_threads``) and evaluated in one megagrid planner pass, or
-        per family -- on a thread pool when more than one is pending and
-        ``jobs > 1``, with a silent serial fallback if the pool cannot
-        start.  Output order always matches input order.
+        one family at a time when the planner is off or refuses.  Output
+        order always matches input order.
 
         ``on_dnr`` controls "Did Not Run" configs: ``"raise"`` propagates
         the :class:`DNRError`, ``"none"`` yields ``None`` in that slot
@@ -843,73 +725,30 @@ class SweepEngine:
         # always completes even if another waiter re-claimed first.
         self._execute_families(remaining)
 
-    def _planner_applicable(self) -> bool:
-        """Whether cold batches may route through the flat megagrid pass.
-
-        The planner cannot reproduce fault-injection probes (one
-        ``faults.inject`` per family attempt) or per-group timeout
-        preemption, so either forces the per-family path.  Subclassed
-        runners/models are detected inside
-        :func:`repro.core.plan.plan_groups` itself, which refuses with
-        :class:`PlanNotApplicable` (for process sharding, where the
-        worker never sees the parent's objects, :meth:`_runner_is_stock`
-        re-checks up front).
-        """
-        return (
-            self.planner
-            and self.group_timeout_s is None
-            and not faults.is_enabled()
-        )
-
-    def _runner_is_stock(self) -> bool:
-        """Whether shard workers can reconstruct this runner exactly.
-
-        Workers rebuild the runner from ``(seed, noise_cv, calibrate)``;
-        that reconstruction is only faithful for the stock classes.
-        """
-        return (
-            type(self.runner) is ExperimentRunner
-            and type(self.runner.model) is PerformanceModel
-        )
-
     def _execute_groups(
         self, groups: list[list[ExperimentConfig]], group_keys: list[list[tuple]]
     ) -> None:
-        # Process sharding runs before any span handles are opened: shard
-        # workers record the group spans themselves and the parent grafts
-        # them, so pre-opened handles would double-count.
-        if (
-            self.procs > 1
-            and len(groups) > 1
-            and self._planner_applicable()
-            and _fork_available()
-        ):
-            if self._execute_groups_sharded(groups):
-                return
-        # Group spans are opened here, in the submitting thread, so the
-        # span tree's shape is identical for serial and parallel runs.
-        # Handles whose group never executes (pool startup failure, a
-        # fatal sibling) are abandoned in the finally, so the tree stays
-        # a pure function of the work actually performed.
+        """Execute cold families: one planner pass, else one family at a time.
+
+        Group spans are opened up front, in family order, so the span
+        tree's shape is the same on both paths.  Handles whose family
+        never executes (those after a family or commit that raised) are
+        abandoned in the ``finally``, so the tree stays a pure function
+        of the work actually performed.
+        """
         handles = [
             obs.open_span(f"group[{group[0].kernel}/{group[0].npb_class}]")
             for group in groups
         ]
         executed = [False] * len(groups)
         try:
-            if self._planner_applicable():
-                if self._execute_groups_planned(groups, group_keys, handles, executed):
-                    return
-            if self.jobs > 1 and len(groups) > 1:
-                if self._execute_groups_pooled(groups, group_keys, handles, executed):
-                    return
-            # Serial path: fresh groups, plus any the pool could not take
-            # because *startup* failed.  Groups that already ran (or are
-            # running) on the pool are never re-executed here.
+            if self.planner and self._execute_groups_planned(
+                groups, group_keys, handles, executed
+            ):
+                return
             for i, (group, keys, handle) in enumerate(zip(groups, group_keys, handles)):
-                if not executed[i]:
-                    executed[i] = True
-                    self._execute_group(group, keys, handle)
+                executed[i] = True
+                self._execute_group(group, keys, handle)
         finally:
             for done, handle in zip(executed, handles):
                 if not done:
@@ -974,203 +813,22 @@ class SweepEngine:
         self._publish_store(store)
         self._notify_family(len(keys), dnr=dnr)
 
-    def _execute_groups_sharded(self, groups: list[list[ExperimentConfig]]) -> bool:
-        """Fan cold families out across forked worker processes.
-
-        All-or-nothing: results, counters, span subtrees and main-journal
-        entries are committed only after every shard returns, so a worker
-        failure (or an environment that cannot fork) leaves no trace and
-        the caller falls back to the in-process paths, which reproduce
-        exact per-family semantics -- including re-raising whatever
-        felled the worker.  Workers journal each completed family to a
-        ``<journal>.shardN`` sidecar, so even the discarded partial work
-        of a crashed run survives for :meth:`attach_journal` to absorb.
-        """
-        if not self._runner_is_stock():
-            return False
-        runner = self.runner
-        # Sidecars are keyed off the first attached journal's path; with
-        # none attached the shards run journal-free (results still merge
-        # through the all-or-nothing commit below).
-        with self._lock:
-            journals = list(self._journals)
-        base_path = str(journals[0][0].path) if journals else None
-        procs = min(self.procs, len(groups))
-        # Contiguous block shards (not round-robin): grafting the shard
-        # span trees in shard order then reproduces the exact child
-        # order the sequential path creates, keeping serialised span
-        # trees byte-identical, not merely equivalent.
-        shards: list[list[tuple[int, list[ExperimentConfig]]]] = []
-        base, extra = divmod(len(groups), procs)
-        start = 0
-        for s in range(procs):
-            size = base + (1 if s < extra else 0)
-            shards.append([(i, groups[i]) for i in range(start, start + size)])
-            start += size
-        telemetry = obs.is_enabled()
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=procs,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except (RuntimeError, OSError, ValueError):
-            return False
-        merged: list = [None] * len(groups)
-        counter_merge: dict[str, int] = {}
-        span_merge: list[list[dict]] = []
-        sidecars: list[str] = []
-        ok = False
-        try:
-            futures = []
-            for s, shard in enumerate(shards):
-                sidecar = f"{base_path}.shard{s}" if base_path is not None else None
-                payload = (
-                    [group for _, group in shard],
-                    runner.seed,
-                    runner.noise_cv,
-                    runner.model.calibrate,
-                    telemetry,
-                    sidecar,
-                )
-                try:
-                    futures.append((shard, pool.submit(_shard_worker, payload)))
-                except (RuntimeError, OSError):
-                    return False
-                if sidecar is not None:
-                    sidecars.append(sidecar)
-            for shard, future in futures:
-                try:
-                    outcomes, counters, children = future.result()
-                except Exception:  # repro: noqa[R007] -- worker failures fall back to the in-process path, which re-raises with exact per-family semantics
-                    return False
-                for (i, _group), outcome in zip(shard, outcomes):
-                    merged[i] = outcome
-                for name, value in counters.items():
-                    counter_merge[name] = counter_merge.get(name, 0) + value
-                span_merge.append(children)
-            ok = True
-        finally:
-            pool.shutdown(wait=ok, cancel_futures=not ok)
-        for name in sorted(counter_merge):
-            obs.incr(name, counter_merge[name])
-        for children in span_merge:
-            obs.graft_children(children)
-        for group, outcome in zip(groups, merged):
-            if isinstance(outcome, DNRError):
-                store = {self.cache_key(c): outcome for c in group}
-            else:
-                store = dict(zip((self.cache_key(c) for c in group), outcome))
-            with self._lock:
-                self._results.update(store)
-            self._journal_record(store)
-            self._publish_store(store)
-            self._notify_family(len(group), dnr=isinstance(outcome, DNRError))
-        for sidecar in sidecars:
-            try:
-                os.unlink(sidecar)
-            except OSError:
-                pass
-        return True
-
-    def _make_pool(self, workers: int) -> ThreadPoolExecutor:
-        """Pool construction, separated so tests can starve it."""
-        return ThreadPoolExecutor(max_workers=workers)
-
-    def _execute_groups_pooled(
-        self,
-        groups: list[list[ExperimentConfig]],
-        group_keys: list[list[tuple]],
-        handles: list,
-        executed: list[bool],
-    ) -> bool:
-        """Run groups on a thread pool; returns True when nothing is left.
-
-        Only *pool startup* failures (the executor or its worker threads
-        cannot be created -- thread-starved environments, interpreter
-        shutdown) fall back: ``False`` is returned with ``executed``
-        marking what the pool did take, and the caller runs the
-        remainder serially.  A failure raised *inside* a group is a
-        result, not a startup problem: it propagates (after sibling
-        groups finish and store their results) and nothing is re-run.
-        """
-        try:
-            pool = self._make_pool(min(self.jobs, len(groups)))
-        except (RuntimeError, OSError):
-            return False  # executor never existed; nothing was executed
-        futures = {}
-        all_submitted = True
-        for i, (group, keys, handle) in enumerate(zip(groups, group_keys, handles)):
-            try:
-                futures[i] = pool.submit(self._execute_group, group, keys, handle)
-            except (RuntimeError, OSError):
-                # Worker-thread startup failed.  Already-submitted groups
-                # still run to completion below; the rest go serial.
-                all_submitted = False
-                break
-            executed[i] = True
-        try:
-            for i, future in futures.items():
-                try:
-                    future.result(timeout=self.group_timeout_s)
-                except FuturesTimeoutError:
-                    # Cancel whatever has not started; groups already
-                    # running cannot be preempted and are disowned.
-                    for j, other in futures.items():
-                        if other.cancel():
-                            executed[j] = False
-                    group = groups[i]
-                    raise GroupTimeoutError(
-                        f"group[{group[0].kernel}/{group[0].npb_class}] exceeded "
-                        f"the {self.group_timeout_s}s group timeout"
-                    ) from None
-        except GroupTimeoutError:
-            pool.shutdown(wait=False)
-            raise
-        except BaseException:
-            # A group failed: let its siblings finish (their results are
-            # stored and counted exactly once), then propagate.
-            pool.shutdown(wait=True)
-            raise
-        pool.shutdown(wait=True)
-        return all_submitted
-
     def _execute_group(
         self, group: list[ExperimentConfig], keys: list[tuple], span_handle=None
     ) -> None:
-        """Run one thread-sweep family and store its results (or its DNR)."""
+        """Run one thread-sweep family and store its results (or its DNR).
+
+        Anything other than a :class:`DNRError` propagates unchanged, and
+        nothing of the family is stored.
+        """
         with obs.activate(span_handle):
             try:
-                outcome = self._run_group_resilient(group)
+                outcome = self.runner.run_many(group)
             except DNRError as exc:
                 # DNR is a property of (machine, kernel, class), independent
                 # of thread count -- the whole family shares the verdict.
                 outcome = exc
             self._commit_outcome(keys, outcome)
-
-    def _run_group_resilient(self, group: list[ExperimentConfig]):
-        """One family through the runner, retrying transient failures.
-
-        The installed fault plan is probed once per attempt (keyed by the
-        family, so schedules are execution-order independent).  Transient
-        failures -- injected or raised by the runner itself -- back off
-        exponentially from ``backoff_s`` and retry up to ``retries``
-        times; every other exception propagates to the caller unchanged.
-        """
-        site_key = "/".join(str(part) for part in group[0].family_key())
-        attempt = 0
-        while True:
-            try:
-                faults.inject("sweep.group", site_key)
-                return self.runner.run_many(group)
-            except TransientError:
-                if attempt >= self.retries:
-                    raise
-                attempt += 1
-                obs.incr("sweep.retries")
-                self._sleep(self.backoff_s * (2 ** (attempt - 1)))
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         """Memoised single-config execution (raises on DNR, like the runner)."""
@@ -1187,119 +845,6 @@ class SweepEngine:
         return self.run_many(
             [config.with_threads(n) for n in thread_counts]
         )
-
-
-# ----------------------------------------------------------------------
-# Process-shard workers (module-level for pickling across the fork)
-# ----------------------------------------------------------------------
-
-
-def _fork_available() -> bool:
-    """Whether this platform can fork shard workers at all."""
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _reinit_forked_locks() -> None:
-    """Give a forked shard worker fresh module-level locks.
-
-    ``fork`` snapshots lock state: a lock some other parent thread
-    happened to hold at fork time would be held forever in the child.
-    Every process-wide lock in the package is rebound here, at worker
-    startup, before anything in the child can take one.
-    """
-    import repro.cachesim.stats as _stats
-    import repro.cachesim.trace as _trace
-    import repro.faults.plan as _faults_plan
-    import repro.npb.cg as _cg
-    import repro.npb.ep as _ep
-    import repro.obs as _obs
-
-    from . import plan as _plan
-
-    global _default_lock, _default_engine
-    _obs._recorder_lock = threading.Lock()
-    _faults_plan._plan_lock = threading.Lock()
-    _stats._profile_lock = threading.Lock()
-    _trace._trace_lock = threading.Lock()
-    _cg._matrix_lock = threading.Lock()
-    _ep._golden_lock = threading.Lock()
-    _plan._fastpath_lock = threading.Lock()
-    _default_lock = threading.Lock()  # repro: noqa[R002] -- freshly forked child is single-threaded; the stale lock being replaced is itself the hazard
-    with _default_lock:
-        # The inherited default engine carries the parent's (possibly
-        # held) instance locks; drop it so any use in the child starts
-        # from a clean engine.
-        _default_engine = None
-
-
-def _shard_worker(payload: tuple):
-    """Evaluate one shard of thread-sweep families in a forked child.
-
-    Reconstructs a stock runner from the parent's ``(seed, noise_cv,
-    calibrate)`` triple (faithful by the parent's ``_runner_is_stock``
-    gate), evaluates its families through the planner with a per-family
-    fallback, and emits per-group telemetry into a private recorder
-    whose counters and span children the parent merges deterministically.
-    Completed families are journaled to the per-shard sidecar as they
-    land, so a crash after partial progress still leaves resumable
-    state.  Non-DNR errors propagate to the parent, which discards the
-    whole sharded attempt and re-executes in process.
-    """
-    groups, seed, noise_cv, calibrate, telemetry, sidecar = payload
-    _reinit_forked_locks()
-    recorder = obs.install() if telemetry else None
-    if recorder is None:
-        obs.disable()
-    runner = ExperimentRunner(
-        model=PerformanceModel(calibrate=calibrate), noise_cv=noise_cv, seed=seed
-    )
-    journal = faults.SweepJournal(sidecar) if sidecar is not None else None
-    try:
-        planned = plan_groups(runner, groups)
-    except PlanNotApplicable:
-        planned = None
-    outcomes = []
-    for idx, group in enumerate(groups):
-        handle = obs.open_span(f"group[{group[0].kernel}/{group[0].npb_class}]")
-        with obs.activate(handle):
-            if planned is not None:
-                outcome = planned[idx]
-                obs.incr("model.batch_calls")
-                obs.incr("model.batch_points", len(group))
-            else:
-                try:
-                    outcome = runner.run_many(group)
-                except DNRError as exc:
-                    outcome = exc
-            if isinstance(outcome, DNRError):
-                obs.incr("sweep.dnr_raises")
-                store = {
-                    compute_cache_key(seed, noise_cv, calibrate, c): outcome
-                    for c in group
-                }
-            else:
-                obs.incr("sweep.groups_executed")
-                obs.incr("sweep.configs_executed", len(group))
-                store = dict(
-                    zip(
-                        (
-                            compute_cache_key(seed, noise_cv, calibrate, c)
-                            for c in group
-                        ),
-                        outcome,
-                    )
-                )
-            if journal is not None:
-                journal.record(store)
-        outcomes.append(outcome)
-    if recorder is not None:
-        counters = recorder.counters_snapshot()
-        children = recorder.span_tree()["children"]
-    else:
-        counters, children = {}, []
-    return outcomes, counters, children
 
 
 # ----------------------------------------------------------------------
@@ -1321,24 +866,6 @@ def default_engine() -> SweepEngine:
         if _default_engine is None:
             _default_engine = SweepEngine()
         return _default_engine
-
-
-def set_default_jobs(jobs: int | None) -> None:
-    """Set worker-thread count on the shared engine (the ``--jobs`` flag)."""
-    engine = default_engine()
-    engine.jobs = SweepEngine._resolve_jobs(jobs)
-
-
-def set_default_retries(retries: int | None) -> None:
-    """Set the transient-retry budget on the shared engine (``--retries``)."""
-    engine = default_engine()
-    engine.retries = SweepEngine._resolve_retries(retries)
-
-
-def set_default_procs(procs: int | None) -> None:
-    """Set worker-process count on the shared engine (the ``--procs`` flag)."""
-    engine = default_engine()
-    engine.procs = SweepEngine._resolve_procs(procs)
 
 
 def set_default_store(store) -> None:

@@ -1,13 +1,12 @@
 """repro.faults -- deterministic fault injection and resilience primitives.
 
 The paper's methodology is long multi-machine sweeps; at production
-scale the sweep engine must survive flaky workers, crashes mid-write and
-slow environments without corrupting memoised results or telemetry.
-This package supplies the four pieces that make that testable:
+scale a campaign must survive crashes mid-write and slow environments
+without corrupting memoised results or telemetry.  This package
+supplies the four pieces that make that testable:
 
-* a **typed error taxonomy** (:mod:`repro.faults.taxonomy`): transient
-  failures are retried, DNR verdicts are cached, everything else
-  propagates exactly once;
+* a **typed error taxonomy** (:mod:`repro.faults.taxonomy`): DNR
+  verdicts are cached, everything else propagates exactly once;
 * a **seeded fault plan** (:mod:`repro.faults.plan`) installed behind a
   process-wide slot exactly like :mod:`repro.obs` -- call sites probe
   :func:`inject` unconditionally, and the schedule is a pure function of
@@ -16,9 +15,9 @@ This package supplies the four pieces that make that testable:
 * a **resumable sweep journal** (:class:`SweepJournal`) so interrupted
   regeneration runs restart from completed families.
 
-The key invariant, locked in by ``tests/faults``: a sweep under injected
-transient faults converges to bit-identical results and non-volatile
-telemetry counters versus a fault-free run.
+The key invariant, locked in by ``tests/faults`` and the campaign crash
+drill: a run interrupted by an injected fault and then re-run converges
+to bit-identical artifacts versus a fault-free run.
 
 The journal names resolve lazily (PEP 562, :mod:`repro._lazy`): an
 export that only needs :func:`write_text_atomic` loads the atomic writer
@@ -33,7 +32,6 @@ from .atomic import write_text_atomic
 from .plan import FaultPlan, NullFaultPlan, disable, inject, install, is_enabled, plan
 from .taxonomy import (
     FaultError,
-    GroupTimeoutError,
     InjectedIOError,
     InjectedTransientError,
     TransientError,
@@ -45,7 +43,6 @@ __all__ = [
     "TransientError",
     "InjectedTransientError",
     "InjectedIOError",
-    "GroupTimeoutError",
     "classify",
     "FaultPlan",
     "NullFaultPlan",

@@ -12,13 +12,12 @@ attempt)``: attempt ``k`` at a site/key fails iff a sha256-derived
 uniform for that exact tuple falls under the configured rate.  The
 attempt index is a per-``(kind, site, key)`` counter inside the plan, so
 the schedule is independent of thread interleaving and execution order
--- serial and parallel sweeps see byte-identical fault sequences, which
-is what lets the property suite assert that a faulted run converges to
-the fault-free answer.
+-- sequential and concurrent campaigns see byte-identical fault
+sequences, which is what lets the crash drill replay a seeded crash.
 
 ``max_failures`` caps how many times any single ``(site, key)`` may fail
-per kind (default 2), so any retry budget ``retries >= max_failures``
-is guaranteed to converge.
+per kind (default 2), so re-running a faulted site at least
+``max_failures`` times is guaranteed to converge.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class FaultPlan:
         Probability and duration of an injected slow-worker delay.
     max_failures:
         Per-``(site, key)`` cap on injected failures of each kind; keeps
-        every schedule convergent under a finite retry budget.
+        every schedule convergent under a finite number of re-runs.
     sleep:
         Delay implementation (injectable so tests run at full speed).
     """

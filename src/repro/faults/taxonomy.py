@@ -1,13 +1,14 @@
 """Typed error taxonomy for resilient sweep execution.
 
-The sweep engine sorts every failure into exactly one of three buckets,
-and each bucket has one -- and only one -- recovery policy:
+Every failure sorts into exactly one of three buckets, and each bucket
+has one -- and only one -- recovery policy:
 
 ``transient``
     :class:`TransientError` (and subclasses, including every injected
     fault from :mod:`repro.faults.plan`): the work is expected to succeed
-    on a retry.  The engine retries with exponential backoff up to its
-    ``retries`` budget, then propagates.
+    when re-run.  The sweep engine does not retry in place; the failure
+    propagates once, and the caller re-runs (a re-run campaign resumes
+    from its journals and the result store).
 ``dnr``
     :class:`repro.core.perfmodel.DNRError`: the configuration *cannot*
     run (the paper's "DNR" cells).  The verdict is a result, not a
@@ -29,7 +30,6 @@ __all__ = [
     "TransientError",
     "InjectedTransientError",
     "InjectedIOError",
-    "GroupTimeoutError",
     "classify",
 ]
 
@@ -39,11 +39,7 @@ class FaultError(Exception):
 
 
 class TransientError(FaultError):
-    """A failure expected to succeed on retry (flaky worker, busy I/O).
-
-    Raise this (or a subclass) from a runner to opt into the sweep
-    engine's retry-with-backoff path; anything else propagates once.
-    """
+    """A failure expected to succeed when re-run (flaky worker, busy I/O)."""
 
 
 class InjectedTransientError(TransientError):
@@ -56,10 +52,6 @@ class InjectedIOError(FaultError, OSError):
     Subclasses :class:`OSError` so code that guards real filesystem
     errors exercises the identical handling path under injection.
     """
-
-
-class GroupTimeoutError(FaultError):
-    """A sweep group exceeded the engine's per-group timeout (fatal)."""
 
 
 def classify(exc: BaseException) -> str:

@@ -41,8 +41,8 @@ def export_all(
     # Flatten the whole export into one megagrid up front: the union of
     # every selected artifact's prefetch grid goes through a single
     # ``run_many``, so the planner evaluates it in one vectorised pass
-    # (process-sharded under ``--procs``) and the per-artifact prefetches
-    # inside each builder below become pure cache hits.
+    # and the per-artifact prefetches inside each builder below become
+    # pure cache hits.
     prefetch = [c for n in table_numbers for c in table_grid(n)]
     prefetch += [c for n in figure_numbers for c in figure_grid(n)]
     if prefetch:

@@ -41,7 +41,6 @@ __all__ = [
     "open_span",
     "activate",
     "abandon_span",
-    "graft_children",
     "counter_value",
     "host_timer",
 ]
@@ -109,21 +108,10 @@ def abandon_span(node) -> None:
     """Release a span handle from :func:`open_span` that will never run.
 
     Keeps the span tree honest under failure: a handle opened for work
-    that ends up not executing (pool startup failure, a sibling group
-    raising first) must not count as an execution.
+    that ends up not executing (an earlier group raising first) must not
+    count as an execution.
     """
     _recorder.abandon_span(node)
-
-
-def graft_children(children: list[dict]) -> None:
-    """Merge serialised span subtrees under this thread's current span.
-
-    The process-shard merge point: workers return their recorder's
-    ``span_tree()["children"]`` and the parent folds them into its own
-    tree (by name, counts adding) so sharded and in-process runs produce
-    identical trees.
-    """
-    _recorder.graft_children(children)
 
 
 def counter_value(name: str) -> int:

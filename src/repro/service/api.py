@@ -58,7 +58,7 @@ def _bench_trajectory() -> dict | None:
 
 #: Submissions larger than this are rejected up front (HTTP 413): cost
 #: estimation is exactly what lets the service refuse a grid it should
-#: shard through the campaign runner instead.
+#: split across campaign jobs instead.
 MAX_CONFIGS_PER_JOB = 20_000
 
 
@@ -190,10 +190,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "jobs": counts,
                 "jobs_total": sum(counts.values()),
                 "queue_size": self.manager.queue_size,
-                "engine": {
-                    "jobs": self.manager.engine.jobs,
-                    "procs": self.manager.engine.procs,
-                },
                 "store": store.stats() if store is not None else None,
                 "bench": _bench_trajectory(),
             },

@@ -351,10 +351,9 @@ def run_campaign(
 
     ``jobs`` bounds how many scenario jobs run concurrently (default 1:
     strictly sequential, in scenario order deferred past ``needs``
-    edges).  Parallelism below that still lives inside the engine --
-    its thread pool, planner and ``--procs`` sharding -- and the store
-    plus per-job journals make every artifact identical whichever way
-    the schedule interleaved.  Artifacts and the manifest go through
+    edges).  Concurrent jobs share the engine's single-flight table,
+    and the store plus per-job journals make every artifact identical
+    whichever way the schedule interleaved.  Artifacts and the manifest go through
     atomic writes, so an interrupted campaign leaves only complete
     files plus resumable journals; re-running it is both the resume
     path and a cheap no-op when everything already landed.

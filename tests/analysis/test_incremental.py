@@ -1,11 +1,9 @@
-"""The incremental driver: cache replay, invalidation, parallel parity.
+"""The incremental driver: cache replay, invalidation, cache parity.
 
 The contract under test is *observational invisibility*: a warm cache
-(or a process pool) may only change how fast ``run_analysis`` gets to
-its report, never a byte of the report itself.
+may only change how fast ``run_analysis`` gets to its report, never a
+byte of the report itself.
 """
-
-import json
 
 from repro.analysis.core import CACHE_FILENAME, run_analysis
 from repro.analysis.registry import all_rules, rules_for
@@ -24,13 +22,12 @@ def _tree(tmp_path):
     return pkg
 
 
-def _run(tmp_path, pkg, *, rules=None, jobs=None, cache=True):
+def _run(tmp_path, pkg, *, rules=None, cache=True):
     return run_analysis(
         [pkg],
         rules if rules is not None else all_rules(),
         root=tmp_path,
         cache_path=(tmp_path / CACHE_FILENAME) if cache else None,
-        jobs=jobs,
     )
 
 
@@ -103,24 +100,16 @@ class TestCacheInvalidation:
         assert not (tmp_path / CACHE_FILENAME).exists()
 
 
-class TestParallelParity:
-    def test_report_identical_across_worker_counts_and_cache(self, tmp_path):
+class TestCacheParity:
+    def test_report_identical_across_cache_states(self, tmp_path):
         pkg = _tree(tmp_path)
         for i in range(9):
             (pkg / f"gen{i}.py").write_text(
                 "import time\n" + ("t = time.time()\n" if i % 2 else "x = 1\n")
             )
-        serial = _run(tmp_path, pkg, cache=False)
-        parallel = _run(tmp_path, pkg, jobs=4, cache=False)
-        assert render_json(parallel) == render_json(serial)
-        cold = _run(tmp_path, pkg, jobs=4)
+        uncached = _run(tmp_path, pkg, cache=False)
+        cold = _run(tmp_path, pkg)
         warm = _run(tmp_path, pkg)
-        assert render_json(cold) == render_json(serial)
-        assert render_json(warm) == render_json(serial)
-
-    def test_parallel_run_populates_the_cache(self, tmp_path):
-        pkg = _tree(tmp_path)
-        _run(tmp_path, pkg, jobs=2)
-        doc = json.loads((tmp_path / CACHE_FILENAME).read_text())
-        assert set(doc) == {"version", "ruleset", "files"}
-        assert len(doc["files"]) == 3
+        assert warm.stats.files_analyzed == 0
+        assert render_json(cold) == render_json(uncached)
+        assert render_json(warm) == render_json(uncached)

@@ -1,8 +1,23 @@
 """The command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: A valid invocation per sweep-backed command, so only the appended
+#: flag can make parsing fail.
+SWEEP_COMMANDS = {
+    "table": ["table", "6"],
+    "figure": ["figure", "5"],
+    "export": ["export", "out"],
+    "stats": ["stats", "table6"],
+    "score": ["score"],
+    "serve": ["serve"],
+}
 
 
 class TestParser:
@@ -13,6 +28,30 @@ class TestParser:
     def test_table_range_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "9"])
+
+
+class TestRemovedEngineFlags:
+    """The engine runs in-process and serially: no parallelism or retry knobs."""
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+    @pytest.mark.parametrize("flag", ["--jobs", "--procs", "--retries", "--fault-seed"])
+    def test_sweep_commands_reject_flag(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*SWEEP_COMMANDS[command], flag, "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_faults_command_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'faults'" in capsys.readouterr().err
+
+    def test_campaign_run_keeps_its_jobs_bound(self, capsys, tmp_path):
+        argv = ["campaign", "run", str(EXAMPLES / "campaign.yaml"), "--out", str(tmp_path)]
+        assert build_parser().parse_args([*argv, "--jobs", "2"]).jobs == 2
+        assert main([*argv, "--jobs", "0"]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestCommands:

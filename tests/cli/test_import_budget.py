@@ -5,8 +5,9 @@ the command finished, so the assertions count modules, not
 milliseconds, and hold on any host.  The forbidden lists are the
 packages a command used to drag in without using them: the lint
 framework through the parser's help text, the sweep engine through the
-eager ``repro`` package surface, ``multiprocessing`` through the sweep
-module, the store through the default engine.
+eager ``repro`` package surface, ``multiprocessing`` and
+``concurrent.futures`` through the sweep module, the store through the
+default engine.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ HEAVY_FOR_EXPORT = (
     "repro.bench",
     "repro.store",
     "multiprocessing",
-    "concurrent.futures.process",
+    "concurrent.futures",
     "scipy",
 )
 

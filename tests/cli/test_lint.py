@@ -50,7 +50,7 @@ class TestLintCommand:
 
 
 class TestLintCache:
-    """CLI wiring for the incremental engine: cache flags, --jobs, --stats."""
+    """CLI wiring for the incremental engine: cache flags and --stats."""
 
     def _project(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -84,13 +84,6 @@ class TestLintCache:
         assert "stats:" in cap.err
         main(["lint", "--stats", "--format", "json", "."])
         assert "(1 cached, 0 analyzed)" in capsys.readouterr().err
-
-    def test_jobs_output_matches_serial(self, tmp_path, monkeypatch, capsys):
-        self._project(tmp_path, monkeypatch)
-        main(["lint", "--no-cache", "--format", "json", "."])
-        serial = capsys.readouterr().out
-        main(["lint", "--no-cache", "--jobs", "2", "--format", "json", "."])
-        assert capsys.readouterr().out == serial
 
 
 class TestLintHelp:

@@ -3,8 +3,8 @@
 The planner's whole contract is *exactness*: results, DNR entries,
 telemetry counters and the span tree must all be indistinguishable from
 the per-family execution it replaces -- across random subgrids
-(property-based), under process sharding, and for the subgrid-containment
-fast path in the single-flight table.
+(property-based) and for the subgrid-containment fast path in the
+single-flight table.
 """
 
 import random
@@ -19,8 +19,7 @@ from repro.core.calibration import anchor_for
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.perfmodel import PerformanceModel
 from repro.core.plan import PlanNotApplicable, _pcg64_states, plan_groups
-from repro.core.sweep import SweepEngine, _fork_available, expand_grid
-from repro.faults import SweepJournal
+from repro.core.sweep import SweepEngine, expand_grid
 from repro.machines.catalog import get_machine
 
 try:
@@ -83,8 +82,8 @@ def _assert_differential(grid, calibrate=True):
     def runner():
         return ExperimentRunner(model=PerformanceModel(calibrate=calibrate))
 
-    planned = SweepEngine(runner=runner(), jobs=1, planner=True)
-    family = SweepEngine(runner=runner(), jobs=1, planner=False)
+    planned = SweepEngine(runner=runner(), planner=True)
+    family = SweepEngine(runner=runner(), planner=False)
     p_results, p_counters, p_spans = _run_recorded(planned, grid)
     f_results, f_counters, f_spans = _run_recorded(family, grid)
     assert p_results == f_results
@@ -151,8 +150,8 @@ class TestPlannerDifferential:
             ExperimentConfig(machine="allwinner-d1", kernel="ft", npb_class="B"),
             ExperimentConfig(machine="sg2044", kernel="ft", npb_class="B"),
         ]
-        planned = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=True)
-        family = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
+        planned = SweepEngine(runner=ExperimentRunner(), planner=True)
+        family = SweepEngine(runner=ExperimentRunner(), planner=False)
         p, _, _ = _run_recorded(planned, grid)
         f, _, _ = _run_recorded(family, grid)
         assert p == f
@@ -176,39 +175,10 @@ class TestPlannerDifferential:
     def test_planner_matches_engine_error_on_invalid_threads(self):
         bad = ExperimentConfig(machine="sg2042", kernel="is", n_threads=128)
         with pytest.raises(ValueError) as planned_err:
-            SweepEngine(runner=ExperimentRunner(), jobs=1, planner=True).run_many([bad])
+            SweepEngine(runner=ExperimentRunner(), planner=True).run_many([bad])
         with pytest.raises(ValueError) as family_err:
-            SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False).run_many([bad])
+            SweepEngine(runner=ExperimentRunner(), planner=False).run_many([bad])
         assert str(planned_err.value) == str(family_err.value)
-
-
-@pytest.mark.skipif(not _fork_available(), reason="needs the fork start method")
-class TestProcessSharding:
-    def test_sharded_bit_identical_and_sidecars_merged(self, tmp_path):
-        grid = expand_grid(
-            ("sg2044", "sg2042"),
-            ("is", "mg", "ep", "cg", "ft"),
-            classes="C",
-            thread_counts=(1, 8, 64),
-        )
-        journal_path = tmp_path / "sweep.journal"
-        sharded = SweepEngine(runner=ExperimentRunner(), jobs=1, procs=2)
-        sharded.attach_journal(SweepJournal(journal_path))
-        family = SweepEngine(runner=ExperimentRunner(), jobs=1, planner=False)
-        s_results, s_counters, s_spans = _run_recorded(sharded, grid)
-        f_results, f_counters, f_spans = _run_recorded(family, grid)
-        assert s_results == f_results
-        assert s_counters == f_counters
-        assert s_spans == f_spans
-        # Per-shard sidecar journals are folded into the main journal and
-        # removed; a fresh engine resuming from it serves pure cache hits.
-        assert list(tmp_path.glob("sweep.journal.shard*")) == []
-        resumed = SweepEngine(runner=ExperimentRunner(), jobs=1)
-        resumed.attach_journal(SweepJournal(journal_path))
-        r_results = resumed.run_many(grid, on_dnr="none")
-        assert r_results == s_results
-        assert resumed.misses == 0
-        assert resumed.hits == len(grid)
 
 
 class GatedRunner(ExperimentRunner):
@@ -244,7 +214,7 @@ class TestSubgridContainment:
         """Every key a batch claims maps to that batch's one event."""
         gate = threading.Event()
         runner = GatedRunner(gate)
-        engine = SweepEngine(runner=runner, jobs=1)
+        engine = SweepEngine(runner=runner)
         grid = expand_grid(
             ("sg2044",), ("is", "mg"), classes="C", thread_counts=(1, 2, 4, 8)
         )
@@ -270,7 +240,7 @@ class TestSubgridContainment:
         """8 threads riding one in-flight super-sweep: zero re-execution."""
         gate = threading.Event()
         runner = GatedRunner(gate)  # subclass: forces the per-family path
-        engine = SweepEngine(runner=runner, jobs=1, planner=True)
+        engine = SweepEngine(runner=runner, planner=True)
         grid = expand_grid(
             ("sg2044",), ("is", "mg"), classes="C", thread_counts=(1, 2, 4, 8)
         )

@@ -109,7 +109,7 @@ class TestSweepEngine:
         grid = expand_grid(
             PAPER_RISCV_BOARDS, paper.KERNELS, classes="B", thread_counts=1
         )
-        engine = SweepEngine(jobs=4)
+        engine = SweepEngine()
         batched = engine.run_many(grid, on_dnr="none")
 
         serial_runner = ExperimentRunner()
@@ -120,13 +120,6 @@ class TestSweepEngine:
             except DNRError:
                 serial.append(None)
         assert batched == serial
-
-    def test_parallel_equals_serial(self):
-        grid = expand_grid(("sg2044", "sg2042"), KERNELS, thread_counts=THREADS)
-        parallel = SweepEngine(jobs=4).run_many(grid)
-        serial = SweepEngine(jobs=1).run_many(grid)
-        assert parallel == serial
-        assert [r.n_threads for r in parallel] == [c.n_threads for c in grid]
 
     def test_cache_hit_returns_same_object(self):
         engine = SweepEngine()
@@ -208,14 +201,6 @@ class TestSweepEngine:
         assert engine.dnr_configs == 1
         engine.clear_cache()
         assert engine.dnr_configs == 0
-
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SweepEngine(jobs=0)
-
-    def test_jobs_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert SweepEngine().jobs == 3
 
     def test_noise_level_in_cache_key(self):
         quiet = SweepEngine(ExperimentRunner(noise_cv=0.0))

@@ -1,22 +1,21 @@
-"""Resilient sweep execution: the double-execution fix, retries, timeouts.
+"""Failure semantics of serial sweep execution.
 
-The headline regression: a group that raises used to trip the executor's
-"thread-starved pool" fallback, which serially re-executed *every*
-group -- double-counting ``sweep.groups_executed``/``configs_executed``
-and re-running work whose results were already stored.  These tests pin
-the fixed contract: only pool *startup* failures fall back, only
-not-yet-executed groups run serially, and an in-group failure propagates
-exactly once.
+The headline regression: a group that raised used to trip a fallback
+that re-executed *every* group -- double-counting
+``sweep.groups_executed``/``configs_executed`` and re-running work whose
+results were already stored.  These tests pin the contract: families run
+in order, a failing family propagates exactly once, the families before
+it stay cached, the ones after it never start, and the failed family's
+claims are released so a later call re-claims it.
 """
 
 import threading
 
 import pytest
 
-from repro import faults, obs
+from repro import obs
 from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine, expand_grid
-from repro.faults import FaultPlan, GroupTimeoutError, TransientError
 
 KERNELS = ("is", "ep", "mg", "cg")
 
@@ -47,49 +46,51 @@ class PoisonRunner(ExperimentRunner):
 
 
 class TestDoubleExecutionRegression:
-    """The ISSUE's regression: in-group failure must not re-run the sweep."""
+    """An in-group failure must not re-run the sweep."""
 
     def test_group_failure_does_not_serially_reexecute(self):
-        runner = PoisonRunner(poison_kernel="mg")
-        engine = SweepEngine(runner, jobs=4)
+        runner = PoisonRunner(poison_kernel="mg")  # third family in order
+        engine = SweepEngine(runner)
         rec = obs.install()
         with pytest.raises(RuntimeError, match="model blew up"):
             engine.run_many(_grid())
         obs.disable()
 
-        # Every family -- including the poisoned one -- was attempted
-        # exactly once.  The buggy fallback ran the survivors twice.
-        assert runner.family_calls == {k: 1 for k in KERNELS}
+        # The families before the poisoned one ran once, the poisoned one
+        # raised once, and the one after it never started.
+        assert runner.family_calls == {"is": 1, "ep": 1, "mg": 1}
         counters = rec.counters_snapshot()
-        assert counters["sweep.groups_executed"] == 3
-        assert counters["sweep.configs_executed"] == 6
+        assert counters["sweep.groups_executed"] == 2
+        assert counters["sweep.configs_executed"] == 4
+        assert engine._inflight == {}
         assert rec.quiescent()
 
     def test_survivor_results_are_cached_despite_the_failure(self):
         runner = PoisonRunner(poison_kernel="mg")
-        engine = SweepEngine(runner, jobs=4)
+        engine = SweepEngine(runner)
         grid = _grid()
         with pytest.raises(RuntimeError):
             engine.run_many(grid)
-        survivors = [c for c in grid if c.kernel != "mg"]
+        survivors = [c for c in grid if c.kernel in ("is", "ep")]
         engine.run_many(survivors)  # pure cache hits: no new executions
-        assert runner.family_calls == {k: 1 for k in KERNELS}
+        assert runner.family_calls == {"is": 1, "ep": 1, "mg": 1}
 
     def test_failed_family_is_reclaimable_after_a_fix(self):
         runner = PoisonRunner(poison_kernel="mg")
-        engine = SweepEngine(runner, jobs=4)
+        engine = SweepEngine(runner)
         grid = _grid()
         with pytest.raises(RuntimeError):
             engine.run_many(grid)
         runner.fixed = True
         results = engine.run_many(grid)
         assert all(r is not None for r in results)
-        # Only the poisoned family re-ran; the survivors stayed cached.
-        assert runner.family_calls == {"is": 1, "ep": 1, "cg": 1, "mg": 2}
+        # Only mg (re-claimed) and cg (never started) ran; is/ep stayed cached.
+        assert runner.family_calls == {"is": 1, "ep": 1, "mg": 2, "cg": 1}
+        assert engine._inflight == {}
 
     def test_serial_failure_abandons_unexecuted_group_spans(self):
         runner = PoisonRunner(poison_kernel="is")  # first family in order
-        engine = SweepEngine(runner, jobs=1)
+        engine = SweepEngine(runner)
         rec = obs.install()
         with pytest.raises(RuntimeError):
             engine.run_many(_grid())
@@ -102,195 +103,3 @@ class TestDoubleExecutionRegression:
         groups = [n["name"] for n in run_many[0]["children"]]
         assert groups == ["group[is/C]"]
         assert rec.quiescent()
-
-
-class TestPoolStartupFallback:
-    def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
-        runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=4)
-
-        def starved(workers):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(engine, "_make_pool", starved)
-        rec = obs.install()
-        results = engine.run_many(_grid())
-        obs.disable()
-
-        assert all(r is not None for r in results)
-        assert runner.family_calls == {k: 1 for k in KERNELS}
-        counters = rec.counters_snapshot()
-        assert counters["sweep.groups_executed"] == 4
-        assert counters["sweep.configs_executed"] == 8
-        assert rec.quiescent()
-
-    def test_partial_submit_failure_runs_remainder_serially(self, monkeypatch):
-        class FlakyPool:
-            """Accepts two submissions, then the workers are exhausted."""
-
-            def __init__(self, inner):
-                self.inner = inner
-                self.accepted = 0
-
-            def submit(self, fn, *args):
-                if self.accepted >= 2:
-                    raise RuntimeError("can't start new thread")
-                self.accepted += 1
-                return self.inner.submit(fn, *args)
-
-            def shutdown(self, wait=True):
-                self.inner.shutdown(wait=wait)
-
-        runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=4)
-        make_pool = engine._make_pool
-        monkeypatch.setattr(
-            engine, "_make_pool", lambda workers: FlakyPool(make_pool(workers))
-        )
-        rec = obs.install()
-        results = engine.run_many(_grid())
-        obs.disable()
-
-        assert all(r is not None for r in results)
-        # Two families ran pooled, two serially -- each exactly once.
-        assert runner.family_calls == {k: 1 for k in KERNELS}
-        assert rec.counters_snapshot()["sweep.groups_executed"] == 4
-        assert rec.quiescent()
-
-
-class TestRetriesAndTimeouts:
-    def test_transient_failures_are_retried_with_backoff(self):
-        runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=1, retries=2, backoff_s=0.01)
-        delays = []
-        engine._sleep = delays.append
-        faults.install(
-            FaultPlan(seed=1, transient_rate=1.0, max_failures=2)
-        )
-        rec = obs.install()
-        results = engine.run_many(_grid())
-        obs.disable()
-
-        assert all(r is not None for r in results)
-        assert runner.family_calls == {k: 1 for k in KERNELS}
-        counters = rec.counters_snapshot()
-        assert counters["sweep.retries"] == 8  # 2 injected faults x 4 families
-        assert counters["faults.transient"] == 8
-        # Exponential backoff: 0.01 then 0.02, per family.
-        assert sorted(delays) == [0.01] * 4 + [0.02] * 4
-
-    def test_transient_failures_beyond_budget_propagate(self):
-        runner = PoisonRunner()
-        engine = SweepEngine(runner, jobs=1, retries=1, backoff_s=0.0)
-        faults.install(FaultPlan(seed=1, transient_rate=1.0, max_failures=2))
-        with pytest.raises(TransientError):
-            engine.run_many(_grid())
-        # The runner itself never ran: injection fires before execution.
-        assert runner.family_calls == {}
-
-    def test_runner_transient_errors_also_retry(self):
-        runner = PoisonRunner(
-            poison_kernel="ep", error=TransientError("flaky backend")
-        )
-
-        original = runner.run_many
-
-        def heal_after_first(configs):
-            try:
-                return original(configs)
-            except TransientError:
-                runner.fixed = True
-                raise
-
-        runner.run_many = heal_after_first
-        engine = SweepEngine(runner, jobs=1, retries=2, backoff_s=0.0)
-        results = engine.run_many(_grid())
-        assert all(r is not None for r in results)
-        assert runner.family_calls["ep"] == 2  # failed once, retried once
-
-    def test_slow_group_raises_group_timeout(self):
-        release = threading.Event()
-
-        class StallingRunner(ExperimentRunner):
-            def run_many(self, configs):
-                if configs[0].kernel == "is":
-                    release.wait(timeout=5.0)
-                return super().run_many(configs)
-
-        engine = SweepEngine(StallingRunner(), jobs=2, group_timeout_s=0.05)
-        try:
-            with pytest.raises(GroupTimeoutError, match="group timeout"):
-                engine.run_many(_grid())
-        finally:
-            release.set()
-        # The timed-out family was not stored: a later attempt re-claims it.
-        fresh = SweepEngine(ExperimentRunner(), jobs=1)
-        assert all(r is not None for r in fresh.run_many(_grid()))
-
-
-def _pruned(node):
-    """Span tree minus injected ``fault[...]`` nodes, children sorted."""
-    return {
-        "name": node["name"],
-        "count": node["count"],
-        "children": sorted(
-            (
-                _pruned(child)
-                for child in node["children"]
-                if not child["name"].startswith("fault[")
-            ),
-            key=lambda n: n["name"],
-        ),
-    }
-
-
-def _volatile(name):
-    return name == "sweep.retries" or name.startswith("faults.")
-
-
-class TestFaultConvergence:
-    """The ISSUE's key invariant, as a property over fault rates."""
-
-    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3])
-    def test_sweep_converges_bit_identical_under_faults(self, runner, rate):
-        grid = expand_grid(
-            ("sg2044", "sg2042"), KERNELS, thread_counts=(1, 4, 16)
-        )
-        assert len(grid) == 24
-
-        rec_clean = obs.install()
-        clean = SweepEngine(runner, jobs=4).run_many(grid)
-        obs.disable()
-
-        faults.install(
-            FaultPlan(
-                seed=11,
-                transient_rate=rate,
-                slow_rate=rate / 2.0,
-                slow_delay_s=0.5,
-                sleep=lambda s: None,
-            )
-        )
-        rec_faulted = obs.install()
-        engine = SweepEngine(runner, jobs=4, retries=2, backoff_s=0.0)
-        faulted = engine.run_many(grid)
-        injected = faults.plan().stats()
-        obs.disable()
-        faults.disable()
-
-        # Bit-identical results: every float compares exactly equal.
-        assert faulted == clean
-        if rate >= 0.3:
-            assert sum(injected.values()) > 0  # the run was actually faulted
-
-        # Non-volatile telemetry is identical; only the retry/injection
-        # counters may differ between the two runs.
-        clean_counters = rec_clean.counters_snapshot()
-        faulted_counters = {
-            k: v
-            for k, v in rec_faulted.counters_snapshot().items()
-            if not _volatile(k)
-        }
-        assert faulted_counters == clean_counters
-        assert _pruned(rec_faulted.span_tree()) == _pruned(rec_clean.span_tree())
-        assert rec_clean.quiescent() and rec_faulted.quiescent()

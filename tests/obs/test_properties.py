@@ -3,7 +3,8 @@
 For random experiment grids (seeded, replayable -- see ``strategies``),
 the counters and span tree a sweep produces must be byte-identical
 
-* across serial (``jobs=1``) and parallel (``jobs=4``) execution,
+* across the planned megagrid pass and the per-family path
+  (``planner=False``),
 * across cold and warm-cache replays (warm runs are all hits),
 
 and span trees must always be well-nested (every entry exited, in
@@ -45,9 +46,9 @@ def _telemetry_off():
     obs.disable()
 
 
-def _session(grid, jobs, runner):
+def _session(grid, runner, planner=True):
     """Run ``grid`` cold then warm on a fresh engine; a report per phase."""
-    engine = SweepEngine(runner, jobs=jobs)
+    engine = SweepEngine(runner, planner=planner)
     reports = []
     results = []
     for _ in ("cold", "warm"):
@@ -73,15 +74,15 @@ def shared_runner():
 
 class TestCounterIdentity:
     @seeded
-    def test_serial_parallel_and_warm_identical(self, seed, shared_runner):
+    def test_planned_per_family_and_warm_identical(self, seed, shared_runner):
         grid = random_grid(seed)
-        _, serial, res_1 = _session(grid, 1, shared_runner)
-        _, parallel, res_4 = _session(grid, 4, shared_runner)
+        _, planned, res_planned = _session(grid, shared_runner)
+        _, per_family, res_family = _session(grid, shared_runner, planner=False)
         # Byte-identical reports, phase by phase, across execution modes.
-        assert _bytes(serial[0]) == _bytes(parallel[0])
-        assert _bytes(serial[1]) == _bytes(parallel[1])
+        assert _bytes(planned[0]) == _bytes(per_family[0])
+        assert _bytes(planned[1]) == _bytes(per_family[1])
         # And identical results, slot by slot.
-        assert res_1 == res_4
+        assert res_planned == res_family
 
     @seeded
     def test_counter_conservation(self, seed, shared_runner):
@@ -91,7 +92,7 @@ class TestCounterIdentity:
         total, unique = grid_fingerprint(grid)
         n_dnr_slots = sum(1 for c in grid if c == DNR_CONFIG)
         unique_dnr = 1 if n_dnr_slots else 0
-        engine, (cold, warm), _ = _session(grid, 4, shared_runner)
+        engine, (cold, warm), _ = _session(grid, shared_runner)
 
         c = cold["counters"]
         assert c["sweep.configs_requested"] == total
@@ -115,11 +116,11 @@ class TestCounterIdentity:
     @seeded
     def test_span_tree_shape_is_mode_independent(self, seed, shared_runner):
         grid = random_grid(seed)
-        _, (cold_1, _), _ = _session(grid, 1, shared_runner)
-        _, (cold_4, _), _ = _session(grid, 4, shared_runner)
-        assert cold_1["spans"] == cold_4["spans"]
+        _, (cold_planned, _), _ = _session(grid, shared_runner)
+        _, (cold_family, _), _ = _session(grid, shared_runner, planner=False)
+        assert cold_planned["spans"] == cold_family["spans"]
         # Every group span hangs under run_many, which hangs under session.
-        (run_many,) = cold_1["spans"]["children"]
+        (run_many,) = cold_planned["spans"]["children"]
         assert run_many["name"] == "run_many"
         assert all(c["name"].startswith("group[") for c in run_many["children"])
 

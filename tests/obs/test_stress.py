@@ -10,10 +10,9 @@ import threading
 
 import pytest
 
-from repro import faults, obs
+from repro import obs
 from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine, expand_grid
-from repro.faults import FaultPlan
 from repro.obs.export import report_dict
 
 N_THREADS = 8
@@ -38,10 +37,8 @@ class CountingRunner(ExperimentRunner):
 @pytest.fixture(autouse=True)
 def _telemetry_off():
     obs.disable()
-    faults.disable()
     yield
     obs.disable()
-    faults.disable()
 
 
 def _hammer(engine, grid, n_threads=N_THREADS):
@@ -75,7 +72,7 @@ def test_no_duplicate_executions_under_contention():
     n_unique = len(grid)
     for _ in range(5):
         runner = CountingRunner()
-        engine = SweepEngine(runner, jobs=4)
+        engine = SweepEngine(runner)
         rec = obs.install()
         try:
             results = _hammer(engine, grid)
@@ -152,7 +149,7 @@ def test_injected_fatal_failures_never_hang_waiters():
     """
     grid = expand_grid(("sg2044",), ("is", "ep", "cg", "mg"), thread_counts=(1, 2, 4, 8))
     runner = FatalThenHealedRunner(poison_kernel="mg", failures=2)
-    engine = SweepEngine(runner, jobs=4)
+    engine = SweepEngine(runner)
     rec = obs.install()
     try:
         results, errors = _hammer_collecting(engine, grid)
@@ -175,36 +172,10 @@ def test_injected_fatal_failures_never_hang_waiters():
     assert rec.quiescent()
 
 
-def test_injected_transient_faults_all_callers_succeed():
-    """With retries >= the fault cap, contention plus faults is invisible."""
-    grid = expand_grid(("sg2044",), ("is", "ep", "cg", "mg"), thread_counts=(1, 2, 4, 8))
-    runner = CountingRunner()
-    engine = SweepEngine(runner, jobs=4, retries=2, backoff_s=0.0)
-    faults.install(FaultPlan(seed=9, transient_rate=1.0, max_failures=2))
-    rec = obs.install()
-    try:
-        results, errors = _hammer_collecting(engine, grid)
-    finally:
-        obs.disable()
-        faults.disable()
-
-    assert errors == []
-    assert all(r is not None for r in results)
-    assert all(r == results[0] for r in results[1:])
-    # Retries happen around the runner, never through it: every config
-    # still executed exactly once.
-    assert set(runner.executions.values()) == {1}
-    counters = rec.counters_snapshot()
-    assert counters["sweep.retries"] == 8  # 2 capped faults x 4 families
-    assert counters["faults.transient"] == 8
-    assert engine._inflight == {}
-    assert rec.quiescent()
-
-
 def test_contended_dnr_family_resolves_once():
     grid = expand_grid(("allwinner-d1",), ("ft",), classes="B", thread_counts=1)
     runner = CountingRunner()
-    engine = SweepEngine(runner, jobs=4)
+    engine = SweepEngine(runner)
     results = _hammer(engine, grid, n_threads=4)
     # The DNR family executed once; every caller got the None slot.
     assert sum(runner.executions.values()) == 1

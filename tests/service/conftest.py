@@ -81,7 +81,7 @@ def _clean_slate():
 @pytest.fixture
 def service_engine() -> SweepEngine:
     """A private engine so execution counters are attributable."""
-    return SweepEngine(jobs=2, retries=0)
+    return SweepEngine()
 
 
 def _start_server(manager: JobManager) -> tuple:

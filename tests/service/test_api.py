@@ -46,7 +46,7 @@ class TestEndpoints:
         assert body["status"] == "ok"
         assert body["jobs_total"] == sum(body["jobs"].values())
         assert body["queue_size"] == 16
-        assert body["engine"] == {"jobs": 2, "procs": 1}
+        assert "engine" not in body
 
     def test_submit_poll_artifact_round_trip(self, live_server):
         job_id, doc = _submit_and_finish(live_server)

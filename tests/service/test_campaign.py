@@ -115,7 +115,7 @@ class TestScenarioValidation:
 
 
 def test_plan_campaign_estimates_without_running(scenario):
-    rows = plan_campaign(scenario, SweepEngine(jobs=1))
+    rows = plan_campaign(scenario, SweepEngine())
     assert [row["name"] for row in rows] == ["wide", "deep", "whatif-ep"]
     wide, deep, whatif = rows
     assert wide["configs"] == 4 and wide["families"] == 2
@@ -134,7 +134,7 @@ def _artifact_bytes(out_dir) -> dict:
 
 def test_run_campaign_writes_artifacts_and_manifest(scenario, tmp_path):
     out = tmp_path / "out"
-    manifest = run_campaign(scenario, out, SweepEngine(jobs=1))
+    manifest = run_campaign(scenario, out, SweepEngine())
     assert manifest["scenario"] == "drill"
     assert (out / "MANIFEST.json").exists()
     on_disk = json.loads((out / "MANIFEST.json").read_text())
@@ -149,15 +149,15 @@ def test_run_campaign_writes_artifacts_and_manifest(scenario, tmp_path):
 
 def test_rerun_is_idempotent_with_fresh_engine(scenario, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_campaign(scenario, out_a, SweepEngine(jobs=1))
+    run_campaign(scenario, out_a, SweepEngine())
     # Different directory AND different engine instance: the bytes are a
     # function of the scenario alone.
-    run_campaign(scenario, out_b, SweepEngine(jobs=2))
+    run_campaign(scenario, out_b, SweepEngine())
     assert _artifact_bytes(out_a) == _artifact_bytes(out_b)
     # Same directory again: journals preload, nothing re-executes.
     recorder = obs.install()
     try:
-        run_campaign(scenario, out_a, SweepEngine(jobs=1))
+        run_campaign(scenario, out_a, SweepEngine())
     finally:
         obs.disable()
     counters = recorder.counters_snapshot()
@@ -218,7 +218,7 @@ def test_needs_defer_execution_but_not_manifest_order(
     needs_scenario, tmp_path, monkeypatch
 ):
     order = _spy_order(monkeypatch)
-    manifest = run_campaign(needs_scenario, tmp_path / "out", SweepEngine(jobs=1))
+    manifest = run_campaign(needs_scenario, tmp_path / "out", SweepEngine())
     assert order == ["base", "report"]  # dependency ran first...
     names = [job["name"] for job in manifest["jobs"]]
     assert names == ["report", "base"]  # ...manifest stays scenario order
@@ -226,14 +226,14 @@ def test_needs_defer_execution_but_not_manifest_order(
 
 def test_parallel_campaign_matches_sequential(scenario, tmp_path):
     seq, par = tmp_path / "seq", tmp_path / "par"
-    run_campaign(scenario, seq, SweepEngine(jobs=1))
-    run_campaign(scenario, par, SweepEngine(jobs=1), jobs=3)
+    run_campaign(scenario, seq, SweepEngine())
+    run_campaign(scenario, par, SweepEngine(), jobs=3)
     assert _artifact_bytes(seq) == _artifact_bytes(par)
 
 
 def test_parallel_respects_needs(needs_scenario, tmp_path, monkeypatch):
     order = _spy_order(monkeypatch)
-    run_campaign(needs_scenario, tmp_path / "out", SweepEngine(jobs=1), jobs=4)
+    run_campaign(needs_scenario, tmp_path / "out", SweepEngine(), jobs=4)
     assert order.index("base") < order.index("report")
 
 
@@ -250,24 +250,24 @@ def test_parallel_failure_reraises_without_manifest(scenario, tmp_path, monkeypa
     monkeypatch.setattr(campaign, "_run_campaign_job", sabotage)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="synthetic job failure"):
-        run_campaign(scenario, out, SweepEngine(jobs=1), jobs=3)
+        run_campaign(scenario, out, SweepEngine(), jobs=3)
     assert not (out / "MANIFEST.json").exists()
 
 
 def test_jobs_must_be_positive(scenario, tmp_path):
     with pytest.raises(ValueError, match="jobs"):
-        run_campaign(scenario, tmp_path / "out", SweepEngine(jobs=1), jobs=0)
+        run_campaign(scenario, tmp_path / "out", SweepEngine(), jobs=0)
 
 
 def test_campaign_restores_artifacts_from_store(scenario, tmp_path):
     """A store-backed rerun restores artifacts without executing jobs."""
     store = ResultStore(tmp_path / "store")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_campaign(scenario, out_a, SweepEngine(jobs=1, store=store))
+    run_campaign(scenario, out_a, SweepEngine(store=store))
 
     recorder = obs.install()
     try:
-        run_campaign(scenario, out_b, SweepEngine(jobs=1, store=store))
+        run_campaign(scenario, out_b, SweepEngine(store=store))
     finally:
         obs.disable()
     counters = recorder.counters_snapshot()
@@ -287,17 +287,9 @@ def _crash_seed(scenario, engine, rate=0.5) -> int:
 
     Scans the same deterministic schedule :class:`FaultPlan` uses: the
     ``campaign.job`` probe must stay quiet for ``wide`` and fire for
-    ``deep``, and no ``sweep.group`` probe of ``wide``'s families may
-    fire (attempt 0 is the only attempt: the probe fires *instead of*
-    the family, and the injected error is terminal for the campaign).
+    ``deep`` (attempt 0 is the only attempt: the injected error is
+    terminal for the campaign).
     """
-    from repro.service import request_configs
-
-    wide = scenario.jobs[0]
-    family_sites = {
-        "/".join(str(part) for part in config.family_key())
-        for config in request_configs(wide.request)
-    }
     for seed in range(500):
         plan = FaultPlan(seed=seed, transient_rate=rate)
         roll = plan._uniform
@@ -305,10 +297,6 @@ def _crash_seed(scenario, engine, rate=0.5) -> int:
             continue  # job 1 must survive its probe
         if roll("transient", "campaign.job", "deep", 0) >= rate:
             continue  # job 2 must crash at its probe
-        if any(
-            roll("transient", "sweep.group", site, 0) < rate for site in family_sites
-        ):
-            continue  # job 1's families must all land cleanly
         return seed
     raise AssertionError("no crash seed found in 500 tries")
 
@@ -318,16 +306,16 @@ def test_crash_mid_campaign_then_resume_byte_identical(scenario, tmp_path):
     crashed = tmp_path / "crashed"
 
     # The uninterrupted reference run.
-    run_campaign(scenario, reference, SweepEngine(jobs=1))
+    run_campaign(scenario, reference, SweepEngine())
 
     # Run 1: the fault plan kills the campaign at the second job's
     # probe.  Job 1's artifact and journal are already on disk; job 2
     # and the manifest never land.
-    seed = _crash_seed(scenario, SweepEngine(jobs=1))
+    seed = _crash_seed(scenario, SweepEngine())
     faults.install(FaultPlan(seed=seed, transient_rate=0.5))
     try:
         with pytest.raises(InjectedTransientError):
-            run_campaign(scenario, crashed, SweepEngine(jobs=1, retries=0))
+            run_campaign(scenario, crashed, SweepEngine())
     finally:
         faults.disable()
 
@@ -340,7 +328,7 @@ def test_crash_mid_campaign_then_resume_byte_identical(scenario, tmp_path):
     # The journal preloads job 1's families; only the missing work runs.
     recorder = obs.install()
     try:
-        run_campaign(scenario, crashed, SweepEngine(jobs=1))
+        run_campaign(scenario, crashed, SweepEngine())
     finally:
         obs.disable()
     counters = recorder.counters_snapshot()

@@ -111,7 +111,7 @@ def gated_service(tmp_path):
     runner = GatedRunner()
     recorder = obs.install()
     manager = JobManager(
-        engine=SweepEngine(runner=runner, jobs=2, retries=0),
+        engine=SweepEngine(runner=runner),
         workers=2,
         queue_size=16,
         artifact_dir=tmp_path / "artifacts",

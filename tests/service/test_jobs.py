@@ -33,7 +33,7 @@ def _telemetry_off():
 @pytest.fixture
 def manager(tmp_path):
     return JobManager(
-        engine=SweepEngine(jobs=1),
+        engine=SweepEngine(),
         workers=0,
         queue_size=4,
         artifact_dir=tmp_path / "artifacts",
@@ -135,7 +135,7 @@ def test_done_from_store_without_worker(tmp_path):
     """A store-warm submission goes QUEUED -> DONE without a worker."""
     store = ResultStore(tmp_path / "store")
     first = JobManager(
-        engine=SweepEngine(jobs=1, store=store),
+        engine=SweepEngine(store=store),
         workers=0,
         artifact_dir=tmp_path / "a1",
     )
@@ -145,7 +145,7 @@ def test_done_from_store_without_worker(tmp_path):
 
     recorder = obs.install()
     second = JobManager(
-        engine=SweepEngine(jobs=1, store=store),
+        engine=SweepEngine(store=store),
         workers=0,
         artifact_dir=tmp_path / "a2",
     )
@@ -231,7 +231,7 @@ def test_journal_resumes_on_resubmission(tmp_path):
     """A fresh manager+engine preloads the journal instead of re-executing."""
     request = parse_request(SWEEP)
     first = JobManager(
-        engine=SweepEngine(jobs=1), workers=0, journal_dir=tmp_path / "j"
+        engine=SweepEngine(), workers=0, journal_dir=tmp_path / "j"
     )
     job, _ = first.submit(request)
     first.run_next()
@@ -239,7 +239,7 @@ def test_journal_resumes_on_resubmission(tmp_path):
 
     recorder = obs.install()
     second = JobManager(
-        engine=SweepEngine(jobs=1), workers=0, journal_dir=tmp_path / "j"
+        engine=SweepEngine(), workers=0, journal_dir=tmp_path / "j"
     )
     resumed, _ = second.submit(request)
     second.run_next()

@@ -69,7 +69,7 @@ class JobLifecycleMachine(RuleBasedStateMachine):
     def fresh_manager(self):
         obs.disable()
         self.manager = JobManager(
-            engine=SweepEngine(jobs=1), workers=0, queue_size=8
+            engine=SweepEngine(), workers=0, queue_size=8
         )
         #: job object -> list of states observed for it, in order.
         self.histories: dict[int, list[JobState]] = {}

@@ -16,7 +16,7 @@ from repro.service import (
 
 @pytest.fixture(scope="module")
 def engine():
-    return SweepEngine(jobs=1)
+    return SweepEngine()
 
 
 SWEEP = {"kind": "sweep", "machines": ["sg2044"], "kernels": ["ep"], "threads": [1, 2]}
@@ -109,9 +109,9 @@ class TestIdentity:
         from repro.core.experiment import ExperimentRunner
 
         request = parse_request(SWEEP)
-        a = request_job_id(SweepEngine(jobs=1), request)
+        a = request_job_id(SweepEngine(), request)
         b = request_job_id(
-            SweepEngine(runner=ExperimentRunner(seed=123), jobs=1), request
+            SweepEngine(runner=ExperimentRunner(seed=123)), request
         )
         assert a != b
 
@@ -130,7 +130,7 @@ class TestExecution:
     def test_sweep_csv_shape_and_determinism(self, engine):
         request = parse_request(SWEEP)
         first = execute_request(engine, request)
-        second = execute_request(SweepEngine(jobs=1), request)
+        second = execute_request(SweepEngine(), request)
         assert first == second  # cold vs warm/fresh engines, same bytes
         lines = first.strip().splitlines()
         assert lines[0].startswith("machine,kernel,class,")
@@ -168,7 +168,7 @@ class TestExecution:
         from repro.harness.tables import table_grid
 
         clear_caches()  # a warm default engine would mask a fallback
-        private = SweepEngine(jobs=1)
+        private = SweepEngine()
         recorder = obs.install()
         try:
             execute_request(private, parse_request({"kind": "table", "number": 4}))

@@ -45,11 +45,11 @@ def test_warm_artifact_is_byte_identical(payload, tmp_path):
     request = parse_request(payload)
     store = ResultStore(tmp_path / "store")
 
-    cold = execute_request(SweepEngine(jobs=1, store=store), request)
+    cold = execute_request(SweepEngine(store=store), request)
 
     recorder = obs.install()
     try:
-        warm = execute_request(SweepEngine(jobs=2, store=store), request)
+        warm = execute_request(SweepEngine(store=store), request)
     finally:
         obs.disable()
     counters = recorder.counters_snapshot()
@@ -67,12 +67,12 @@ def test_dnr_served_from_store(tmp_path):
     config = ExperimentConfig(machine="allwinner-d1", kernel="ft", npb_class="B")
 
     with pytest.raises(DNRError) as cold:
-        SweepEngine(jobs=1, store=store).run(config)
+        SweepEngine(store=store).run(config)
 
     recorder = obs.install()
     try:
         with pytest.raises(DNRError) as warm:
-            SweepEngine(jobs=1, store=store).run(config)
+            SweepEngine(store=store).run(config)
     finally:
         obs.disable()
     counters = recorder.counters_snapshot()

@@ -29,11 +29,11 @@ GRID = expand_grid(("sg2042", "sg2044"), ("ep", "is"), thread_counts=(1, 2))
 
 def test_warm_restart_executes_nothing(tmp_path):
     store = ResultStore(tmp_path / "store")
-    cold = SweepEngine(jobs=2, store=store).run_many(GRID, on_dnr="none")
+    cold = SweepEngine(store=store).run_many(GRID, on_dnr="none")
 
     recorder = obs.install()
     try:
-        warm = SweepEngine(jobs=2, store=store).run_many(GRID, on_dnr="none")
+        warm = SweepEngine(store=store).run_many(GRID, on_dnr="none")
     finally:
         obs.disable()
     counters = recorder.counters_snapshot()
@@ -47,7 +47,7 @@ def test_warm_restart_executes_nothing(tmp_path):
 def _contend(store_root, queue):
     """Child process: 4 threads sweep the same grid against one store."""
     recorder = obs.install()
-    engine = SweepEngine(jobs=1, store=ResultStore(store_root))
+    engine = SweepEngine(store=ResultStore(store_root))
     results = [None] * 4
 
     def sweep(i):
@@ -82,7 +82,7 @@ def test_two_processes_execute_each_config_once(tmp_path):
     # And the store now warm-serves a ninth sweep with zero executions.
     recorder = obs.install()
     try:
-        warm = SweepEngine(jobs=2, store=ResultStore(tmp_path / "store")).run_many(
+        warm = SweepEngine(store=ResultStore(tmp_path / "store")).run_many(
             GRID, on_dnr="none"
         )
     finally:
@@ -95,12 +95,12 @@ def test_takeover_after_lease_timeout(tmp_path):
     """A lease whose holder died mid-run is broken and re-claimed."""
     store = ResultStore(tmp_path / "store", lease_timeout_s=0.05, poll_interval_s=0.01)
     # Simulate a crashed claimant: lease held, result never published.
-    dead_key = SweepEngine(jobs=1).cache_key(GRID[0])
+    dead_key = SweepEngine().cache_key(GRID[0])
     assert store.try_lease(dead_key)
 
     recorder = obs.install()
     try:
-        engine = SweepEngine(jobs=1, store=store)
+        engine = SweepEngine(store=store)
         results = engine.run_many(GRID, on_dnr="none")
     finally:
         obs.disable()
@@ -114,7 +114,7 @@ def test_takeover_after_lease_timeout(tmp_path):
 def test_orphan_lease_taken_over_without_timeout(tmp_path):
     """If the foreign lease vanishes with no entry, take over immediately."""
     store = ResultStore(tmp_path / "store", lease_timeout_s=10.0, poll_interval_s=0.01)
-    engine = SweepEngine(jobs=1, store=store)
+    engine = SweepEngine(store=store)
     orphan_key = engine.cache_key(GRID[0])
     assert store.try_lease(orphan_key)
 
@@ -176,10 +176,10 @@ def _executed(engine, grid):
 
 
 def test_key_published_before_our_lease_is_not_executed_again(tmp_path):
-    expected = SweepEngine(jobs=1).run_many(GRID, on_dnr="none")
-    raced = SweepEngine(jobs=1).cache_key(GRID[0])
+    expected = SweepEngine().run_many(GRID, on_dnr="none")
+    raced = SweepEngine().cache_key(GRID[0])
     store = RacingStore(tmp_path / "store", raced, expected[0])
-    engine = SweepEngine(jobs=1, store=store)
+    engine = SweepEngine(store=store)
 
     results, counters = _executed(engine, GRID)
 
@@ -190,11 +190,11 @@ def test_key_published_before_our_lease_is_not_executed_again(tmp_path):
 
 
 def test_orphan_takeover_rechecks_the_store(tmp_path):
-    expected = SweepEngine(jobs=1).run_many(GRID, on_dnr="none")
-    raced = SweepEngine(jobs=1).cache_key(GRID[0])
+    expected = SweepEngine().run_many(GRID, on_dnr="none")
+    raced = SweepEngine().cache_key(GRID[0])
     store = OrphanRacingStore(tmp_path / "store", raced, expected[0])
     assert store.try_lease(raced)  # held by the "other process"
-    engine = SweepEngine(jobs=1, store=store)
+    engine = SweepEngine(store=store)
 
     results, counters = _executed(engine, GRID)
 
@@ -238,11 +238,11 @@ def test_waiter_on_store_absorbed_keys_does_not_spin(tmp_path):
     """Store-absorbed keys leave the table without waking the batch's
     waiters early: a waiter sleeps until the batch ends, then returns
     without a single ``_reclaim``."""
-    SweepEngine(jobs=1, store=ResultStore(tmp_path / "store")).run_many(GRID[:4])
+    SweepEngine(store=ResultStore(tmp_path / "store")).run_many(GRID[:4])
     store = GatedPreloadStore(tmp_path / "store")
     gate = threading.Event()
     runner = GatedRunner(gate)
-    engine = SweepEngine(runner=runner, jobs=1, store=store)
+    engine = SweepEngine(runner=runner, store=store)
     reclaims = []
     reclaim = engine._reclaim
 

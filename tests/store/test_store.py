@@ -50,7 +50,7 @@ class TestRoundTrip:
         assert ("k",) in store
 
     def test_experiment_results_bit_identical(self, store):
-        engine = SweepEngine(jobs=1)
+        engine = SweepEngine()
         grid = expand_grid("sg2044", ("ep", "cg"), thread_counts=(1, 2))
         results = engine.run_many(grid, on_dnr="none")
         for config, result in zip(grid, results):
@@ -59,7 +59,7 @@ class TestRoundTrip:
             assert store.get(key) == result  # == is exact, not approximate
 
     def test_dnr_round_trip(self, store):
-        engine = SweepEngine(jobs=1)
+        engine = SweepEngine()
         from repro.core.sweep import ExperimentConfig
 
         config = ExperimentConfig(machine="allwinner-d1", kernel="ft", npb_class="B")
