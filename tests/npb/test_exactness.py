@@ -9,12 +9,18 @@ into verification margins.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.npb.bt import BlockTridiagFactor, block_tridiag_solve, line_blocks
 from repro.npb.cg import _BatchedRandlc, _ScalarRandlc
-from repro.npb.common import DEFAULT_MULTIPLIER, NPBClass, Randlc
-from repro.npb.ep import ep_kernel
+from repro.npb.common import (
+    DEFAULT_MULTIPLIER,
+    NPBClass,
+    Randlc,
+    lcg_stream,
+    randlc_jump_multiplier,
+)
+from repro.npb.ep import _SUB_BLOCK, N_ANNULI, ep_kernel
 from repro.npb.params import ep_params
 from repro.npb.pseudo import NCOMP, coupling_matrix
 from repro.npb.sp import PentaFactor, line_coefficients, penta_solve
@@ -26,14 +32,33 @@ EP_S_SX = float.fromhex("-0x1.95fab5782f084p+11")
 EP_S_SY = float.fromhex("-0x1.b2e683649f52bp+12")
 EP_S_COUNTS = [6140517, 5865300, 1100361, 68546, 1648, 17, 0, 0, 0, 0]
 
-CG_S_DETAILS = {
-    "zeta": "0x1.131c140145f4dp+3",
-    "zeta_ref": "0x1.131c140145f48p+3",
-    "rnorm": "0x1.081e9bdca7763p-49",
-    "nnz": "0x1.3144000000000p+16",
-}
-
-PSEUDO_S_DETAILS = {
+#: Class S ``details`` of every kernel but EP.  FT's (and MG's and IS's,
+#: pinned alongside) were recorded while FT still transformed out of
+#: place into fresh full-grid arrays.
+S_DETAILS = {
+    "cg": {
+        "zeta": "0x1.131c140145f4dp+3",
+        "zeta_ref": "0x1.131c140145f48p+3",
+        "rnorm": "0x1.081e9bdca7763p-49",
+        "nnz": "0x1.3144000000000p+16",
+    },
+    "ft": {
+        "checksum1_re": "0x1.03221a5f37745p+9",
+        "checksum1_im": "0x1.f6545aff0a4d0p+8",
+        "checksum_last_re": "0x1.02cfccae23c45p+9",
+        "checksum_last_im": "0x1.f7c27be24b7dbp+8",
+    },
+    "mg": {
+        "initial_rnorm": "0x1.94c583ada5b53p-6",
+        "final_rnorm": "0x1.b10540cbd85cap-15",
+        "reduction": "0x1.de993ffc3d2d8p+8",
+    },
+    "is": {
+        "n_keys": "0x1.0000000000000p+16",
+        "max_key": "0x1.0000000000000p+11",
+        "partial_ok": "0x1.0000000000000p+0",
+        "full_ok": "0x1.0000000000000p+0",
+    },
     "bt": {
         "initial_error": "0x1.57f7451fbc72fp-2",
         "final_error": "0x1.ce2ffbc657a36p-7",
@@ -72,10 +97,64 @@ def test_ep_class_s_bit_identical():
     assert counts.tolist() == EP_S_COUNTS
 
 
-def test_cg_class_s_details_bit_identical():
-    result = run_benchmark("cg", "S")
+def oneshot_ep(n_pairs, seed, batch):
+    """EP with every batch materialised whole: one outer product per half."""
+    a = DEFAULT_MULTIPLIER
+    a2 = randlc_jump_multiplier(a, 2)
+    state = seed
+    sx = 0.0
+    sy = 0.0
+    counts = np.zeros(N_ANNULI, dtype=np.int64)
+    remaining = n_pairs
+    while remaining > 0:
+        m = min(batch, remaining)
+        x = lcg_stream((a * state) & MASK, a2, m).view(np.int64) * 2.0**-45 - 1.0
+        y = lcg_stream((a2 * state) & MASK, a2, m).view(np.int64) * 2.0**-45 - 1.0
+        state = (randlc_jump_multiplier(a, 2 * m) * state) & MASK
+        t = x * x + y * y
+        accepted = np.flatnonzero(t <= 1.0)
+        ta = t[accepted]
+        ta[ta == 0.0] = 1.0
+        factor = np.sqrt(-2.0 * np.log(ta) / ta)
+        gx = x[accepted] * factor
+        gy = y[accepted] * factor
+        sx += float(gx.sum())
+        sy += float(gy.sum())
+        mag = np.maximum(np.abs(gx), np.abs(gy)).astype(np.intp)
+        np.minimum(mag, N_ANNULI - 1, out=mag)
+        counts += np.bincount(mag, minlength=N_ANNULI)
+        remaining -= m
+    return sx, sy, counts
+
+
+@st.composite
+def ep_cases(draw):
+    """Odd 46-bit seeds; at most 64 batches so ``batch=1`` stays quick."""
+    batch = draw(st.integers(1, 1 << 16))
+    n_pairs = draw(st.integers(1, min(3 * _SUB_BLOCK + 7, 64 * batch)))
+    seed = 2 * draw(st.integers(0, (1 << 45) - 1)) + 1
+    return n_pairs, seed, batch
+
+
+@given(case=ep_cases())
+@example(case=(3 * _SUB_BLOCK + 7, 271828183, 1 << 16))  # ragged last sub-block
+@example(case=(3 * _SUB_BLOCK + 7, 271828183, 1009))  # batch below a sub-block
+@example(case=(2 * _SUB_BLOCK + 5, 12345, 2 * _SUB_BLOCK + 3))  # ragged per batch
+@settings(max_examples=40, deadline=None)
+def test_blocked_ep_matches_oneshot_batches(case):
+    sx, sy, counts = ep_kernel(*case)
+    ref_sx, ref_sy, ref_counts = oneshot_ep(*case)
+    assert sx.hex() == ref_sx.hex()
+    assert sy.hex() == ref_sy.hex()
+    assert counts.tolist() == ref_counts.tolist()
+
+
+@pytest.mark.parametrize("kernel", sorted(S_DETAILS))
+def test_class_s_details_bit_identical(kernel):
+    result = run_benchmark(kernel, "S")
     assert result.verified
-    assert {key: value.hex() for key, value in result.details.items()} == CG_S_DETAILS
+    got = {key: value.hex() for key, value in result.details.items()}
+    assert got == S_DETAILS[kernel]
 
 
 @given(
@@ -94,14 +173,6 @@ def test_batched_randlc_matches_scalar(calls, cut):
         else:
             assert batched.draw(k).tolist() == scalar.draw(k).tolist()
         assert batched.x == scalar.x
-
-
-@pytest.mark.parametrize("kernel", sorted(PSEUDO_S_DETAILS))
-def test_pseudo_app_class_s_details_bit_identical(kernel):
-    result = run_benchmark(kernel, "S")
-    assert result.verified
-    got = {key: value.hex() for key, value in result.details.items()}
-    assert got == PSEUDO_S_DETAILS[kernel]
 
 
 @given(

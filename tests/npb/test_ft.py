@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.npb.common import NPBClass
-from repro.npb.ft import evolution_factors, ft_iterations, initial_field, run_ft
+from repro.npb.common import NPBClass, Randlc
+from repro.npb.ft import (
+    _allclose_blockwise,
+    evolution_factors,
+    ft_iterations,
+    initial_field,
+    run_ft,
+)
 from repro.npb.params import ft_params
 
 
@@ -41,6 +47,28 @@ class TestInitialField:
         assert a.dtype == np.complex128
         assert np.array_equal(a, b)
         assert a.shape == (64, 64, 64)
+
+    def test_fills_interleaved_stream_in_order(self):
+        p = ft_params(NPBClass.S)
+        u = Randlc(seed=314159265).generate(2 * p.n_points)
+        expected = (u[0::2] + 1j * u[1::2]).reshape(p.nx, p.ny, p.nz)
+        assert initial_field(p).tobytes() == expected.tobytes()
+
+
+class TestAllcloseBlockwise:
+    @pytest.mark.parametrize("bad", [None, 1e-9, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_matches_allclose(self, bad, where):
+        rng = np.random.default_rng(3)
+        b = (rng.random(37) + 1j * rng.random(37)).reshape(37, 1)
+        a = b.copy()
+        if bad is not None:
+            a[where] += bad
+        if bad in (np.inf, -np.inf):
+            b[where] = a[where]  # equal infinities are close
+        expected = np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        got = _allclose_blockwise(a, b, rtol=1e-12, atol=1e-12, block=8)
+        assert got == expected
 
 
 class TestIterations:

@@ -51,6 +51,20 @@ class TestEPRejectsCorruption:
         n = int(counts.sum() / (np.pi / 4))
         assert not ep_mod._verify(NPBClass.C, 0.0, 0.0, counts, n)
 
+    # _verify pins the first sums it sees for classes without an official
+    # value, so these tests run against a fresh golden table.
+    def test_annulus_after_empty_one_fails(self, monkeypatch):
+        monkeypatch.setattr(ep_mod, "_GOLDEN", {})
+        counts = np.array([500, 300, 0, 5, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+        n = int(counts.sum() / (np.pi / 4))
+        assert not ep_mod._verify(NPBClass.W, 0.0, 0.0, counts, n)
+
+    def test_monotone_twin_verifies(self, monkeypatch):
+        monkeypatch.setattr(ep_mod, "_GOLDEN", {})
+        counts = np.array([500, 300, 5, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+        n = int(counts.sum() / (np.pi / 4))
+        assert ep_mod._verify(NPBClass.W, 0.0, 0.0, counts, n)
+
 
 class TestCGRejectsCorruption:
     def test_perturbed_matrix_changes_zeta(self):
