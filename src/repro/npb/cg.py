@@ -22,12 +22,12 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import scipy.sparse as sp
 
 from .common import BenchmarkResult, NPBClass, Timer, lcg_stream
 from .params import CGParams, cg_params
 
 __all__ = [
+    "CSRMatrix",
     "run_cg",
     "make_matrix",
     "clear_matrix_cache",
@@ -134,11 +134,80 @@ def _sprnvc(rng, n: int, nz: int, nn1: int) -> tuple[list, list]:
     return values, indices
 
 
-_matrix_cache: dict[tuple, tuple[sp.csr_matrix, int]] = {}
+class CSRMatrix:
+    """A read-only compressed-sparse-row matrix that supports ``A @ x``.
+
+    ``indptr``, ``indices`` and ``data`` are the usual compressed-row
+    arrays.  The holder takes them over and makes them read-only, because
+    :func:`make_matrix` hands one memoised instance to every caller in
+    the process.  Every row must store at least one entry (every
+    ``makea`` row holds its diagonal): the matvec reduces each row with
+    ``np.add.reduceat``, which returns ``a[start]`` rather than 0 for an
+    empty segment.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]) -> None:
+        indptr = np.asarray(indptr, dtype=np.intp)
+        indices = np.asarray(indices, dtype=np.intp)
+        data = np.asarray(data, dtype=np.float64)
+        n_rows, n_cols = shape
+        if indptr.shape != (n_rows + 1,) or indices.shape != data.shape:
+            raise ValueError("inconsistent CSR arrays")
+        if n_rows < 1 or indptr[0] != 0 or indptr[-1] != len(data):
+            raise ValueError("inconsistent CSR arrays")
+        if np.any(indptr[1:] <= indptr[:-1]):
+            raise ValueError("every CSR row needs at least one stored entry")
+        if indices.min() < 0 or indices.max() >= n_cols:
+            raise ValueError("CSR column index out of range")
+        for arr in (indptr, indices, data):
+            arr.flags.writeable = False
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (n_rows, n_cols)
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> CSRMatrix:
+        """Assemble from COO triples, summing duplicates in the order given.
+
+        Triples are stable-sorted by (row, column); each duplicate group
+        is then summed left to right from its first value -- NPB
+        ``sparse()``'s generation-order accumulation, independent of any
+        sort's tie order.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        n_rows, n_cols = shape
+        order = np.argsort(rows * n_cols + cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        group = np.cumsum(first) - 1
+        data = vals[first]
+        rest = ~first
+        np.add.at(data, group[rest], vals[rest])
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
+        return cls(indptr, cols[first], data, shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"cannot multiply {self.shape} matrix by {x.shape}")
+        prod = x[self.indices]  # the gather NPB's colidx[k] names
+        prod *= self.data
+        return np.add.reduceat(prod, self.indptr[:-1])
+
+
+_matrix_cache: dict[tuple, tuple[CSRMatrix, int]] = {}
 _matrix_lock = threading.Lock()
 
 
-def make_matrix(params: CGParams) -> tuple[sp.csr_matrix, _BatchedRandlc]:
+def make_matrix(params: CGParams) -> tuple[CSRMatrix, _BatchedRandlc]:
     """NPB ``makea``: the random SPD matrix for one problem class.
 
     Returns the CSR matrix and the advanced ``randlc`` stream (the driver
@@ -146,7 +215,7 @@ def make_matrix(params: CGParams) -> tuple[sp.csr_matrix, _BatchedRandlc]:
     like the reference main program).
 
     Generation is memoised per problem shape: a cache hit returns the
-    *same* CSR object (treat it as read-only) plus a fresh stream seeded
+    *same* read-only :class:`CSRMatrix` plus a fresh stream seeded
     at exactly the state ``makea`` left it in, so downstream draws are
     identical either way.  :func:`clear_matrix_cache` evicts.
     """
@@ -168,7 +237,19 @@ def clear_matrix_cache() -> None:
         _matrix_cache.clear()
 
 
-def _make_matrix_uncached(params: CGParams) -> tuple[sp.csr_matrix, _BatchedRandlc]:
+def _make_matrix_uncached(params: CGParams) -> tuple[CSRMatrix, _BatchedRandlc]:
+    rows, cols, vals, rng = _makea_triples(params)
+    # Duplicate entries are summed in generation order, like NPB's sparse().
+    return CSRMatrix.from_coo(rows, cols, vals, (params.n, params.n)), rng
+
+
+def _makea_triples(
+    params: CGParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _BatchedRandlc]:
+    """``makea``'s COO triples (rows, cols, values) in generation order.
+
+    Duplicates are left unsummed; the advanced stream comes last.
+    """
     n, nonzer, rcond, shift = params.n, params.nonzer, params.rcond, params.shift
     rng = _BatchedRandlc()
     rng.next()  # the driver's "zeta = randlc(tran, amult)" warm-up call
@@ -204,16 +285,11 @@ def _make_matrix_uncached(params: CGParams) -> tuple[sp.csr_matrix, _BatchedRand
     rows.append(diag)
     cols.append(diag)
     vals.append(np.full(n, rcond - shift))
-
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()  # duplicate entries are summed, like NPB's sparse()
-    return a, rng
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), rng
 
 
 def conj_grad(
-    a: sp.csr_matrix, x: np.ndarray, inner_iterations: int = 25
+    a: CSRMatrix, x: np.ndarray, inner_iterations: int = 25
 ) -> tuple[np.ndarray, float]:
     """25 CG iterations for ``A z = x`` from ``z = 0``; returns (z, ||r||).
 
@@ -243,7 +319,7 @@ def conj_grad(
 
 
 def power_method(
-    a: sp.csr_matrix,
+    a: CSRMatrix,
     shift: float,
     niter: int,
     inner_iterations: int = 25,

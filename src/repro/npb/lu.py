@@ -39,41 +39,38 @@ class Hyperplanes:
     """Precomputed wavefront index sets for an ``n^3`` grid.
 
     ``planes[h]`` holds the flat indices of all points with
-    ``i + j + k == h``; flat index convention is C-order ``(i, j, k)``.
+    ``i + j + k == h``, ascending; flat index convention is C-order
+    ``(i, j, k)``.  The planes are consecutive slices of one
+    permutation, ``order``: a sweep works in this *plane-major* layout,
+    where every hyperplane is one contiguous block of columns.
     """
 
     def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError("grid must be at least 2^3")
         self.n = n
+        npts = n**3
         idx = np.arange(n)
         gi, gj, gk = np.meshgrid(idx, idx, idx, indexing="ij")
         h = (gi + gj + gk).ravel()
-        flat = np.arange(n**3)
-        order = np.argsort(h, kind="stable")
-        sorted_h = h[order]
-        boundaries = np.searchsorted(sorted_h, np.arange(3 * n - 2 + 1))
+        self.order = np.argsort(h, kind="stable")
+        self.bounds = np.searchsorted(h[self.order], np.arange(3 * n - 1))
         self.planes = [
-            flat[order[boundaries[i] : boundaries[i + 1]]]
-            for i in range(3 * n - 2)
+            self.order[self.bounds[i] : self.bounds[i + 1]] for i in range(3 * n - 2)
         ]
-        # Per plane and axis: which points have a lower (upper)
-        # neighbour, and that neighbour's flat C-order index.  A mask of
-        # ``None`` means every point has one, so the sweep can update the
-        # whole plane without a boolean scatter.
-        coords = (gi.ravel(), gj.ravel(), gk.ravel())
-        self._lower = [self._links(p, coords, -1) for p in self.planes]
-        self._upper = [self._links(p, coords, 1) for p in self.planes]
-
-    def _links(self, plane, coords, sign):
-        links = []
-        for axis, stride in enumerate((self.n * self.n, self.n, 1)):
-            pos = coords[axis][plane]
-            mask = pos > 0 if sign < 0 else pos < self.n - 1
-            if mask.any():
-                nb = plane[mask] + sign * stride
-                links.append((axis, None if mask.all() else mask, nb))
-        return plane, links
+        # Per axis and plane-major position: where the lower (upper)
+        # neighbour sits in the same layout.  A missing neighbour points
+        # at column ``npts``, which a sweep keeps at zero.
+        position = np.empty(npts, dtype=np.intp)
+        position[self.order] = np.arange(npts)
+        self._lower = np.full((3, npts), npts, dtype=np.intp)
+        self._upper = np.full((3, npts), npts, dtype=np.intp)
+        for axis, (coord, stride) in enumerate(zip((gi, gj, gk), (n * n, n, 1))):
+            at = coord.ravel()[self.order]
+            has = at > 0
+            self._lower[axis, has] = position[self.order[has] - stride]
+            has = at < n - 1
+            self._upper[axis, has] = position[self.order[has] + stride]
 
     def n_planes(self) -> int:
         return len(self.planes)
@@ -89,20 +86,36 @@ class Hyperplanes:
 
         ``rhs`` is ``(NCOMP, n^3)`` flattened; returns the sweep solution
         of ``(D + omega T) x = rhs`` with ``T`` the lower (forward) or
-        upper (backward) neighbour stencil.
+        upper (backward) neighbour stencil.  Each plane's update is
+        ``diag_inv @ (rhs - sum_axis weight * x_neighbour)`` on one
+        C-contiguous ``(NCOMP, k)`` block, as in the point-ordered
+        formulation, so the result does not depend on the layout.
         """
-        x = np.zeros_like(rhs)
-        planes = self._lower if forward else self._upper[::-1]
-        weight = [OMEGA * c for c in neighbour_coeff]
-        for plane, links in planes:
-            acc = rhs[:, plane]
-            for axis, mask, nb in links:
-                if mask is None:
-                    acc -= weight[axis] * x[:, nb]
-                else:
-                    acc[:, mask] -= weight[axis] * x[:, nb]
-            x[:, plane] = diag_inv @ acc
-        return x
+        npts = self.n**3
+        links = self._lower if forward else self._upper
+        weight = np.array([[OMEGA * c] for c in neighbour_coeff])
+        b = np.take(rhs, self.order, axis=1)
+        x = np.zeros((NCOMP, npts + 1))  # plane-major; last column stays 0
+        bounds = self.bounds.tolist()
+        widest = int(np.diff(self.bounds).max())
+        acc_buf = np.empty(NCOMP * widest)
+        term_buf = np.empty(NCOMP * 3 * widest)
+        planes = range(self.n_planes())
+        for p in planes if forward else reversed(planes):
+            start, stop = bounds[p], bounds[p + 1]
+            k = stop - start
+            acc = acc_buf[: NCOMP * k].reshape(NCOMP, k)
+            term = term_buf[: NCOMP * 3 * k].reshape(NCOMP, 3, k)
+            # mode="clip": the default mode buffers ``out=``; indices are ours.
+            np.take(x, links[:, start:stop], axis=1, out=term, mode="clip")
+            np.multiply(weight, term, out=term)  # weight[axis] * x_neighbour
+            np.subtract(b[:, start:stop], term[:, 0], out=acc)
+            np.subtract(acc, term[:, 1], out=acc)
+            np.subtract(acc, term[:, 2], out=acc)
+            np.matmul(diag_inv, acc, out=x[:, start:stop])
+        out = np.empty_like(rhs)
+        out[:, self.order] = x[:, :npts]
+        return out
 
 
 def _coefficients(problem: ModelProblem, dt: float):

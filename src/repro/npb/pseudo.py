@@ -114,26 +114,42 @@ def manufactured_solution(n: int) -> np.ndarray:
     return u
 
 
-def _ddx(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central first difference along a grid axis (axis 0 = x)."""
-    return (np.roll(u, -1, axis=axis + 1) - np.roll(u, 1, axis=axis + 1)) / (2 * h)
-
-
-def _d2dx2(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central second difference along a grid axis."""
-    return (
-        np.roll(u, -1, axis=axis + 1) - 2.0 * u + np.roll(u, 1, axis=axis + 1)
-    ) / (h * h)
+def _roll_into(dst: np.ndarray, u: np.ndarray, axis: int, step: int) -> None:
+    """``dst[...] = np.roll(u, step, axis)`` for ``step`` = +-1, no allocation."""
+    head = (slice(None),) * axis
+    if step == -1:  # dst[i] = u[i + 1], wrapping at the top
+        dst[head + (slice(None, -1),)] = u[head + (slice(1, None),)]
+        dst[head + (-1,)] = u[head + (0,)]
+    else:  # dst[i] = u[i - 1], wrapping at the bottom
+        dst[head + (slice(1, None),)] = u[head + (slice(None, -1),)]
+        dst[head + (0,)] = u[head + (-1,)]
 
 
 def apply_operator(u: np.ndarray, h: float, k_matrix: np.ndarray) -> np.ndarray:
-    """``L(u) = c . grad(u) + K u - nu laplace(u)`` (all components)."""
+    """``L(u) = c . grad(u) + K u - nu laplace(u)`` (all components).
+
+    Per axis, with ``up``/``down`` the periodic neighbours at ``+-1``:
+    ``out += c * ((up - down) / (2h))`` and
+    ``out -= nu * ((up - 2u + down) / h^2)`` -- central differences
+    evaluated in three buffers reused across the axes.
+    """
     if u.ndim != 4 or u.shape[0] != NCOMP:
         raise ValueError(f"expected ({NCOMP}, n, n, n) field, got {u.shape}")
     out = np.einsum("cd,dxyz->cxyz", k_matrix, u)
+    up, down, term = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     for axis, c in enumerate(VELOCITY):
-        out += c * _ddx(u, axis, h)
-        out -= VISCOSITY * _d2dx2(u, axis, h)
+        _roll_into(up, u, axis + 1, -1)
+        _roll_into(down, u, axis + 1, 1)
+        np.subtract(up, down, out=term)
+        np.divide(term, 2 * h, out=term)
+        np.multiply(c, term, out=term)
+        out += term
+        np.multiply(2.0, u, out=term)
+        np.subtract(up, term, out=term)
+        np.add(term, down, out=term)
+        np.divide(term, h * h, out=term)
+        np.multiply(VISCOSITY, term, out=term)
+        out -= term
     return out
 
 

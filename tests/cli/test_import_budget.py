@@ -132,6 +132,16 @@ class TestCommandBudgets:
         assert "repro.core.signature" in modules
         assert offenders(modules, ("repro.core.sweep", "repro.core.plan", "numpy")) == []
 
+    def test_functional_suite_loads_no_scipy(self, tmp_path):
+        modules = snippet_modules(tmp_path, "import repro.npb.suite")
+        assert "repro.npb.cg" in modules
+        assert offenders(modules, ("scipy",)) == []
+
+    def test_npb_command_loads_no_scipy(self, tmp_path):
+        modules = cli_modules(tmp_path, "npb", "ep", "--npb-class", "S")
+        assert "repro.npb.ep" in modules
+        assert offenders(modules, ("scipy",)) == []
+
     def test_whatif_request_does_not_load_the_functional_suite(self, tmp_path):
         snippet = (
             "from repro.service.requests import parse_request\n"

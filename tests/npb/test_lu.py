@@ -97,7 +97,7 @@ class TestLUConvergence:
         from repro.npb.lu import lu_step_factory
 
         b = lu_step_factory(Hyperplanes(6))(prob, u, r, 0.1)
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_class_s_verifies(self):
         assert run_lu("S").verified

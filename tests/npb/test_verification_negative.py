@@ -13,7 +13,7 @@ from repro.npb import ep as ep_mod
 from repro.npb.is_ import _full_verify, generate_keys, rank_keys
 from repro.npb.mg import A_WEIGHTS, build_rhs, mg_solve, resid
 from repro.npb.params import cg_params
-from repro.npb.cg import make_matrix, power_method
+from repro.npb.cg import CSRMatrix, make_matrix, power_method
 
 
 class TestISRejectsCorruption:
@@ -71,8 +71,9 @@ class TestCGRejectsCorruption:
         params = cg_params(NPBClass.S)
         a, _ = make_matrix(params)
         zeta_good, _ = power_method(a, params.shift, 5)
-        a_bad = a.copy()
-        a_bad[0, 0] *= 1.01
+        data = a.data.copy()
+        data[np.flatnonzero(a.indices[: a.indptr[1]] == 0)[0]] *= 1.01  # a[0, 0]
+        a_bad = CSRMatrix(a.indptr, a.indices, data, a.shape)
         zeta_bad, _ = power_method(a_bad, params.shift, 5)
         assert abs(zeta_good - zeta_bad) > 1e-10  # the check would trip
 
