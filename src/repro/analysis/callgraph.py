@@ -31,7 +31,7 @@ from pathlib import PurePath
 
 __all__ = ["ProjectIndex", "module_name_for", "fn_id", "split_fn_id"]
 
-#: Re-export chains (``from .journal import SweepJournal`` inside a
+#: Re-export chains (``from .store import ResultStore`` inside a
 #: package ``__init__``) are chased at most this deep.
 _MAX_REEXPORT_DEPTH = 8
 
@@ -125,8 +125,8 @@ class ProjectIndex:
 
         Handles ``repro.core.plan.plan_groups`` (module function),
         ``repro.core.sweep.SweepEngine`` (constructor), and package
-        re-exports (``repro.faults.SweepJournal`` chasing the alias in
-        ``repro/faults/__init__.py`` to ``repro.faults.journal``).
+        re-exports (``repro.store.ResultStore`` chasing the alias in
+        ``repro/store/__init__.py`` to ``repro.store.store``).
         """
         if _depth > _MAX_REEXPORT_DEPTH:
             return None

@@ -3,11 +3,11 @@
 The sweep engine's concurrency discipline is strict: locks guard state
 transitions, never waiting.  ``Event.wait()`` and ``Future.result()``
 are always called *outside* ``self._lock`` (single-flight followers wait
-on the event after releasing the lock), ``FaultPlan.inject`` sleeps
-after ``_scheduled`` returns, and the journal reads its reference under
-the lock but appends outside it.  A blocking call that creeps back under
-a lock serialises every other thread behind one sleeper -- or deadlocks
-outright when the blocked-on work needs the same lock.
+on the event after releasing the lock), and the job manager hands work
+to its queue without waiting under its lock.  A blocking call that
+creeps back under a lock serialises every other thread behind one
+sleeper -- or deadlocks outright when the blocked-on work needs the
+same lock.
 
 The rule walks the whole-program lock model: a finding is a direct
 blocking operation (``.wait()``, ``.result()``, ``time.sleep``,
@@ -16,8 +16,8 @@ made under a held lock whose transitive closure reaches one.  File I/O
 (``open()``, ``Path.read_text/write_text/...``) counts only when the
 lock holder lives in a *hot* module (``repro.core``, ``repro.obs``):
 the sweep/observability paths must never do I/O under a lock, while
-``repro.faults.journal`` writes its sidecar under the journal lock by
-design (crash-consistency beats concurrency there).
+``repro.store`` writes its recency log under the store lock by design
+(a consistent index beats concurrency there).
 """
 
 from __future__ import annotations

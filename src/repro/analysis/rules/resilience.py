@@ -40,13 +40,7 @@ _BROAD = {"Exception", "BaseException"}
 _SCOPED_SUBPACKAGES = {"core", "harness", "faults"}
 
 #: Names whose use inside a handler counts as classifying the failure.
-_TAXONOMY_NAMES = {
-    "classify",
-    "FaultError",
-    "TransientError",
-    "InjectedTransientError",
-    "InjectedIOError",
-}
+_TAXONOMY_NAMES = {"classify", "FaultError", "TransientError"}
 
 
 def _in_scope(module: SourceModule) -> bool:
@@ -86,6 +80,8 @@ def _handles_failure(handler: ast.ExceptHandler, imports: ImportTable) -> bool:
 @register
 class ResilienceRule(Rule):
     code = "R007"
+    # v2: the injected-fault classes left the taxonomy.
+    version = 2
     name = "resilience"
     description = (
         "broad exception handlers in sweep-critical code must re-raise or "

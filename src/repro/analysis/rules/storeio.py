@@ -1,22 +1,20 @@
 """R012: store I/O discipline -- store paths are touched only by ``repro.store``.
 
 The result store's guarantees (sha256-verified entries, atomic
-publication, LRU index consistency, cross-process single-flight leases)
-all flow from one invariant: every byte under a store root is written
-and renamed by :class:`repro.store.ResultStore` itself.  A stray
-``open()`` or ``os.replace()`` aimed at an ``objects/`` entry, a
-``.lease`` file or the index sidesteps the checksum, the index
-bookkeeping and the O_EXCL claim protocol -- producing entries the
-store will classify as corrupt (silent cache misses) or leases nobody
-releases (ten-second stalls for every other process).
+publication, LRU index consistency) all flow from one invariant: every
+byte under a store root is written and renamed by
+:class:`repro.store.ResultStore` itself.  A stray ``open()`` or
+``os.replace()`` aimed at an ``objects/`` entry or the index sidesteps
+the checksum and the index bookkeeping -- producing entries the store
+will classify as corrupt (silent cache misses) or an index that no
+longer matches the objects.
 
 The rule flags direct file I/O -- ``open``, ``os.open``, ``os.replace``,
 ``os.rename`` and ``Path.write_text`` / ``write_bytes`` -- whose target
-expression mentions a store or lease path: an identifier containing
-``store`` or ``lease``, or a literal containing ``objects/`` or
-``.lease``.  Modules inside ``repro/store`` (the sanctioned
-implementation) and ``repro/faults`` (the atomic-write primitive the
-store builds on) are exempt.
+expression mentions a store path: an identifier containing ``store``,
+or a literal containing ``objects/``.  Modules inside ``repro/store``
+(the sanctioned implementation) and ``repro/faults`` (the atomic-write
+primitive the store builds on) are exempt.
 """
 
 from __future__ import annotations
@@ -38,10 +36,10 @@ _OS_SINKS = {"os.open", "os.replace", "os.rename"}
 _PATH_WRITE_METHODS = {"write_text", "write_bytes"}
 
 #: Identifier fragments marking a store-owned path expression.
-_PATH_MARKERS = ("store", "lease")
+_PATH_MARKERS = ("store",)
 
 #: String-literal fragments marking a store-owned path expression.
-_LITERAL_MARKERS = ("objects/", ".lease")
+_LITERAL_MARKERS = ("objects/",)
 
 
 def _inside_exempt_package(module: SourceModule) -> bool:
@@ -56,7 +54,7 @@ def _inside_exempt_package(module: SourceModule) -> bool:
 
 
 def _mentions_store_path(nodes: list[ast.AST]) -> bool:
-    """Whether any expression in ``nodes`` names a store/lease path."""
+    """Whether any expression in ``nodes`` names a store path."""
     for root in nodes:
         for node in ast.walk(root):
             if isinstance(node, ast.Name):
@@ -78,11 +76,12 @@ def _mentions_store_path(nodes: list[ast.AST]) -> bool:
 @register
 class StoreIORule(Rule):
     code = "R012"
+    # v2: leases left the store, and with them the lease markers.
+    version = 2
     name = "storeio"
     description = (
         "direct file I/O on result-store paths outside repro.store bypasses "
-        "checksums, the LRU index and the lease protocol; go through "
-        "ResultStore instead"
+        "checksums and the LRU index; go through ResultStore instead"
     )
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
@@ -113,7 +112,7 @@ class StoreIORule(Rule):
                 continue
             yield module.finding(
                 self.code, node,
-                f"`{sink}` on a store/lease path bypasses the store's "
-                "checksum, index and lease bookkeeping; use "
-                "`repro.store.ResultStore` (get/put/try_lease) instead",
+                f"`{sink}` on a store path bypasses the store's "
+                "checksum and index bookkeeping; use "
+                "`repro.store.ResultStore` (get/put) instead",
             )

@@ -26,9 +26,9 @@ Commands
                  cancel, /health, /stats)
 ``campaign``     fan a YAML scenario file out into sweep jobs and collect
                  artifacts (``run``), or cost-estimate it (``plan``);
-                 interrupted runs resume from journal sidecars and the
-                 result store, and independent jobs (no ``needs`` edge)
-                 run concurrently, up to ``--jobs`` at a time
+                 interrupted runs resume from the result store (``--store``
+                 or ``<out>/store``), and independent jobs (no ``needs``
+                 edge) run concurrently, up to ``--jobs`` at a time
 ``bench``        run a named benchmark-suite subset, merge the schema-v2
                  artifact and append the run to ``benchmarks/history/``;
                  ``--check`` gates the run against the recorded
@@ -40,7 +40,8 @@ Commands
 Sweep-backed commands accept ``--store DIR`` (or ``REPRO_STORE``): a
 persistent content-addressed result store that makes every restart
 warm -- results and rendered artifacts land there once and are reused
-bit-identically by any later process.
+bit-identically by any later process, so an interrupted run resumes by
+rerunning with the same ``--store``.
 
 Every process pays its own start-up, so each command imports only what
 it runs: :func:`build_parser` needs nothing beyond :mod:`argparse`, and
@@ -69,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     telemetry_help = "write a schema-v1 telemetry JSON report to PATH"
-    journal_help = (
-        "crash-safe sweep journal at PATH: completed families are persisted "
-        "and an interrupted run resumed from them"
-    )
     store_help = (
         "persistent content-addressed result store at DIR: finished "
         "results and artifacts are published there and every later run "
@@ -85,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def _sweep_flags(p) -> None:
-        p.add_argument("--journal", metavar="PATH", default=None, help=journal_help)
         p.add_argument("--store", metavar="DIR", default=None, help=store_help)
         p.add_argument(
             "--store-max-mb", type=int, default=None, help=store_max_help
@@ -179,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="also write finished artifacts to DIR (atomic)",
-    )
-    p.add_argument(
-        "--journal-dir",
-        metavar="DIR",
-        default=None,
-        help="per-job crash-safe journal sidecars in DIR",
     )
     _sweep_flags(p)
 
@@ -309,64 +299,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _telemetry_start(path: str | None):
-    """Install a fresh recorder when ``--telemetry PATH`` was given."""
+@contextlib.contextmanager
+def _telemetry(path: str | None):
+    """``--telemetry PATH`` around one artifact-building command.
+
+    The recorder is torn down and the report written even when the
+    builder raises, so a failing command never leaves the process-wide
+    recorder installed.
+    """
     if path is None:
-        return None
-    from repro import obs
-
-    return obs.install()
-
-
-def _telemetry_finish(path: str | None, recorder) -> None:
-    if recorder is None:
+        yield
         return
     from repro import obs
     from repro.obs.export import write_report
 
-    obs.disable()
-    write_report(path, recorder)
-    print(f"telemetry written to {path}", file=sys.stderr)
-
-
-def _journal_attach(path: str | None):
-    """Attach a sweep journal to the shared engine for this command."""
-    if path is None:
-        return None
-    from repro.core.sweep import default_engine
-    from repro.faults import SweepJournal
-
-    engine = default_engine()
-    engine.attach_journal(SweepJournal(path))
-    return engine
-
-
-def _journal_detach(engine) -> None:
-    if engine is not None:
-        engine.detach_journal()
-
-
-@contextlib.contextmanager
-def _instrumented(args: argparse.Namespace):
-    """``--telemetry`` and ``--journal`` around one artifact-building command.
-
-    Both are torn down even when the builder raises, so a failing
-    command never leaves the process-wide recorder installed or the
-    journal attached to the shared engine.
-    """
-    recorder = _telemetry_start(args.telemetry)
-    engine = _journal_attach(args.journal)
+    recorder = obs.install()
     try:
         yield
     finally:
-        _journal_detach(engine)
-        _telemetry_finish(args.telemetry, recorder)
+        obs.disable()
+        write_report(path, recorder)
+        print(f"telemetry written to {path}", file=sys.stderr)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     from repro.harness import build_table
 
-    with _instrumented(args):
+    with _telemetry(args.telemetry):
         result = build_table(args.number)
     sys.stdout.write(result.to_csv() if args.csv else result.render())
     return 0
@@ -375,7 +334,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.harness import build_figure
 
-    with _instrumented(args):
+    with _telemetry(args.telemetry):
         result = build_figure(args.number)
     sys.stdout.write(result.to_csv() if args.csv else result.render())
     return 0
@@ -534,7 +493,7 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.harness.export import export_all
 
-    with _instrumented(args):
+    with _telemetry(args.telemetry):
         written = export_all(args.directory)
     for path in written:
         print(f"wrote {path}")
@@ -549,14 +508,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # The service is long-running and its /stats endpoint reads the live
     # recorder, so telemetry is on for the whole process lifetime.
     obs.install()
-    engine = _journal_attach(args.journal) or default_engine()
     try:
         manager = JobManager(
-            engine=engine,
+            engine=default_engine(),
             workers=args.workers,
             queue_size=args.queue_size,
             artifact_dir=args.artifact_dir,
-            journal_dir=args.journal_dir,
         )
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
@@ -603,8 +560,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"repro: error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    engine = _journal_attach(args.journal) or default_engine()
-    manifest = run_campaign(scenario, args.out, engine=engine, jobs=args.jobs)
+    manifest = run_campaign(scenario, args.out, engine=default_engine(), jobs=args.jobs)
     for job in manifest["jobs"]:
         print(f"wrote {args.out}/{job['artifact']} ({job['configs']} configs)")
     print(f"wrote {args.out}/MANIFEST.json")

@@ -84,7 +84,7 @@ class ExperimentConfig:
 
         Configs identical in everything but ``n_threads`` form one
         family: one batched model evaluation, one sweep-engine group
-        (and span), one shared DNR verdict, one journal unit.
+        (and span), one shared DNR verdict, one store publication.
         """
         return (
             self.machine,

@@ -31,9 +31,9 @@ the per-family path.  That falls out of three properties:
   ever changes.
 
 The planner is deliberately side-effect free: no :mod:`repro.obs`
-counters or spans, no journal writes, no engine-cache mutation.  The
+counters or spans, no store writes, no engine-cache mutation.  The
 caller (``SweepEngine._execute_groups_planned``) commits results and
-telemetry per family so counters, span trees and journals are
+telemetry per family so counters, span trees and store entries are
 indistinguishable from per-family execution.  When a batch uses any
 feature the flat pass cannot reproduce (subclassed runner or model,
 invalid thread counts that must raise from ``predict_batch``), the

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from collections.abc import Iterable, Sequence
 
-from repro import faults, obs
+from repro import obs
 
 from .experiment import DEFAULT_RUNS, ExperimentConfig, ExperimentRunner
 from .perfmodel import DNRError
@@ -115,7 +114,7 @@ def compute_cache_key(
 
     Module-level (not only an engine method) so code holding only the
     runner settings ``(seed, noise_cv, calibrate)`` derives byte-identical
-    journal and store keys without an engine instance.
+    store keys without an engine instance.
     """
     return (
         seed,
@@ -150,15 +149,12 @@ class SweepEngine:
         Optional :class:`repro.store.ResultStore` (or a path to one;
         ``None`` reads ``REPRO_STORE``).  The durable tier under the
         memo cache: pending keys are preloaded from the store *before*
-        planning, every committed family is published to it, and its
-        O_EXCL lease files extend single-flight across processes -- a
-        key another process is executing is waited on (bounded), then
-        taken over if the owner died.  Store-restored values are
-        bit-identical to computed ones (shared ``repr``-float codec).
-    journal:
-        Optional :class:`repro.faults.SweepJournal`; completed families
-        are persisted as they land and preloaded on attach, so an
-        interrupted run resumes from completed families.
+        planning, and every committed family is published to it as it
+        lands, so an interrupted run resumes from completed families by
+        rerunning against the same store.  Store-restored values are
+        bit-identical to computed ones (``repr``-float codec).  Two
+        processes sharing a store do not coordinate: a key both execute
+        is written twice with identical bytes.
 
     Results are memoised per exact (seed, noise, calibration, config)
     tuple; "Did Not Run" configurations cache their :class:`DNRError`
@@ -194,23 +190,17 @@ class SweepEngine:
         *,
         planner: bool | None = None,
         store=None,
-        journal=None,
     ) -> None:
         self.runner = runner or ExperimentRunner()
         self.planner = self._resolve_planner(planner)
         self.store = self._resolve_store(store)
-        self._sleep = time.sleep
         self._results: dict[tuple, ExperimentResult | DNRError] = {}
         self._inflight: dict[tuple, threading.Event] = {}
-        self._held_leases: set[tuple] = set()
         self._lock = threading.Lock()
-        self._journals: list[tuple[faults.SweepJournal, frozenset | None]] = []
         self._family_hooks: list = []
         self.hits = 0
         self.misses = 0
         self.dnr_configs = 0
-        if journal is not None:
-            self.attach_journal(journal)
 
     @staticmethod
     def _resolve_planner(planner: bool | None) -> bool:
@@ -253,7 +243,7 @@ class SweepEngine:
     def clear_cache(self) -> None:
         """Evict all memoised results (and reset the hit/miss/DNR counters).
 
-        The attached journal (if any) is deliberately left intact: it is
+        The attached store (if any) is deliberately left intact: it is
         the durable record an interrupted run resumes from.
         """
         with self._lock:
@@ -261,59 +251,6 @@ class SweepEngine:
             self.hits = 0
             self.misses = 0
             self.dnr_configs = 0
-
-    # ------------------------------------------------------------------
-    # Journal (checkpoint/resume)
-    # ------------------------------------------------------------------
-
-    def attach_journal(self, journal, keys=None) -> None:
-        """Attach a :class:`repro.faults.SweepJournal` and preload it.
-
-        Journaled results enter the memo cache exactly as if this engine
-        had executed them (they are bit-identical by construction).  The
-        journal's keys embed the runner seed, noise level and calibration
-        flag, so entries written under different settings never match a
-        key this engine asks for -- a stale journal is inert, not wrong.
-
-        Several journals may be attached at once (the service layer gives
-        every job its own); each completed family is recorded to all of
-        them.  ``keys`` (an iterable of cache keys) scopes an attachment:
-        only families whose keys intersect it are recorded there, so a
-        per-job journal captures exactly that job's sweep and stays
-        oblivious to whatever else shares the engine.  Preloading is
-        never filtered -- a journal entry is valid cached work wherever
-        it came from.
-        """
-        keyset = None if keys is None else frozenset(keys)
-        with self._lock:
-            self._journals.append((journal, keyset))
-            for key, value in journal.results().items():
-                self._results.setdefault(key, value)
-
-    def detach_journal(self, journal=None) -> None:
-        """Detach one journal (or, with no argument, every attached one).
-
-        Already-loaded results stay cached either way.
-        """
-        with self._lock:
-            if journal is None:
-                self._journals.clear()
-            else:
-                self._journals = [
-                    (j, keys) for j, keys in self._journals if j is not journal
-                ]
-
-    def _journal_record(self, store: dict) -> None:
-        with self._lock:
-            journals = list(self._journals)
-        for journal, keys in journals:
-            scoped = (
-                store
-                if keys is None
-                else {k: v for k, v in store.items() if k in keys}
-            )
-            if scoped:
-                journal.record(scoped)
 
     # ------------------------------------------------------------------
     # Job hooks (what the service layer's job manager builds on)
@@ -334,7 +271,7 @@ class SweepEngine:
         """Register ``hook(n_configs, dnr)``, called after each family lands.
 
         Hooks fire once per completed thread-sweep family -- planned or
-        per-family -- right after its results are stored and journaled,
+        per-family -- right after its results are memoised and published,
         and always *outside* the engine lock, so a hook may freely call
         back into the engine.  ``dnr`` is True when the family's shared
         outcome was a DNR verdict.  Hook exceptions propagate like any
@@ -517,7 +454,7 @@ class SweepEngine:
     def _execute_pending(
         self, pending: dict[tuple, ExperimentConfig], claim: threading.Event
     ) -> None:
-        """Execute claimed configs grouped into families, then release claims.
+        """Preload claimed keys from the store, execute the rest, release claims.
 
         ``claim`` is the batch's one single-flight event.  It is set
         exactly once, in the ``finally``, after every claimed key has left
@@ -527,30 +464,18 @@ class SweepEngine:
         do not set it: the batch's other keys are still executing, and an
         early signal would only make their waiters spin.
 
-        With a store attached, three things happen around execution, all
-        outside the engine lock (the lock guards tables, never I/O):
-        claimed keys are preloaded from the store before any planning,
-        the remainder is partitioned by lease ownership (keys another
-        process is executing are waited on in :meth:`_resolve_foreign`
-        instead of executed), and held leases are released in the
-        ``finally`` so a failure never wedges other processes.
+        The store preload runs before any planning and outside the engine
+        lock (the lock guards tables, never I/O).
         """
         claimed = pending
         try:
-            foreign: dict[tuple, ExperimentConfig] = {}
             if self.store is not None:
                 pending = self._store_preload(pending)
-                if pending:
-                    pending, foreign = self._store_partition(pending)
             if pending:
                 self._execute_families(pending)
-            if foreign:
-                self._resolve_foreign(foreign)
         finally:
-            # Leases first (publish already released the successful ones;
-            # this catches failures), then claims; successful paths have
-            # stored results by the time the event fires.
-            self._release_leases(claimed)
+            # Successful paths have stored results by the time the event
+            # fires; failed ones leave their keys unclaimed for a retry.
             with self._lock:
                 for key in claimed:
                     self._inflight.pop(key, None)
@@ -570,7 +495,7 @@ class SweepEngine:
         )
 
     # ------------------------------------------------------------------
-    # Persistent store (cross-run cache + cross-process single-flight)
+    # Persistent store (the durable tier under the memo cache)
     # ------------------------------------------------------------------
 
     def _store_preload(
@@ -593,137 +518,17 @@ class SweepEngine:
                 self._inflight.pop(key, None)
         return {k: c for k, c in pending.items() if k not in found}
 
-    def _store_partition(
-        self, pending: dict[tuple, ExperimentConfig]
-    ) -> tuple[dict[tuple, ExperimentConfig], dict[tuple, ExperimentConfig]]:
-        """Split cold keys into locally-leased vs foreign-leased sets.
-
-        The leased set is what :meth:`_recheck_leased` leaves of it: keys
-        another process published between the preload read and our lease
-        are absorbed, not executed again.
-        """
-        local: dict[tuple, ExperimentConfig] = {}
-        foreign: dict[tuple, ExperimentConfig] = {}
-        for key, config in pending.items():
-            if self.store.try_lease(key):
-                local[key] = config
-            else:
-                foreign[key] = config
-        return self._recheck_leased(local), foreign
-
-    def _recheck_leased(
-        self, leased: dict[tuple, ExperimentConfig]
-    ) -> dict[tuple, ExperimentConfig]:
-        """Record fresh leases, then re-read the store for their keys.
-
-        An owner publishes a family and only then releases its leases, so
-        a key read as missing before our ``try_lease`` may have been
-        published and released in between.  Any such hit is absorbed
-        into the memo and its lease released at once; only the remainder
-        is returned for execution.
-        """
-        if not leased:
-            return leased
-        with self._lock:
-            self._held_leases.update(leased)
-        found = self.store.get_many(list(leased))
-        if not found:
-            return leased
-        with self._lock:
-            self._results.update(found)
-        self._release_leases(found)
-        return {k: c for k, c in leased.items() if k not in found}
-
-    def _release_leases(self, keys) -> None:
-        """Release whichever of ``keys`` this engine still holds leases for."""
-        if self.store is None:
-            return
-        with self._lock:
-            held = [key for key in keys if key in self._held_leases]
-            self._held_leases.difference_update(held)
-        for key in held:
-            self.store.release_lease(key)
-
     def _publish_store(self, items: dict) -> None:
-        """Publish one committed family and release its execution leases.
+        """Publish one committed family to the store.
 
-        Called beside every ``_journal_record`` site, after results are
-        memoised, so the store is a strict subset of what this process
-        would serve from memory -- never ahead of it.
+        Called after its results are memoised, so the store is a strict
+        subset of what this process would serve from memory -- never
+        ahead of it.
         """
         if self.store is None or not items:
             return
         with obs.span("store.publish"):
             self.store.put_many(items)
-        self._release_leases(items)
-
-    def _absorb_published(self, remaining: dict[tuple, ExperimentConfig]) -> None:
-        """Pull any now-published entries for ``remaining`` into the memo."""
-        found = self.store.get_many(list(remaining))
-        if not found:
-            return
-        with self._lock:
-            self._results.update(found)
-        for key in found:
-            remaining.pop(key, None)
-
-    def _resolve_foreign(self, foreign: dict[tuple, ExperimentConfig]) -> None:
-        """Wait (bounded) for keys leased by another process, else take over.
-
-        The owner publishes each family then releases its leases, so the
-        normal outcome is absorbing its entries mid-poll.  A lease that
-        vanished without an entry means the owner failed: take it over
-        immediately.  A lease still present after the full timeout means
-        the owner is wedged: break it, re-claim, and execute -- liveness
-        over economy, and exactness either way (results are pure
-        functions of the key).  The wait is attempt-counted through the
-        engine's injectable ``_sleep``; no wall clock is read.
-        """
-        store = self.store
-        remaining = dict(foreign)
-        obs.incr("store.lease_waits", len(remaining))
-        attempts = max(1, int(store.lease_timeout_s / store.poll_interval_s))
-        for _ in range(attempts):
-            self._absorb_published(remaining)
-            if not remaining:
-                return
-            orphaned = {
-                key: config
-                for key, config in remaining.items()
-                if not store.lease_active(key)
-            }
-            if orphaned:
-                claimed = {
-                    key: config
-                    for key, config in orphaned.items()
-                    if store.try_lease(key)
-                }
-                if claimed:
-                    for key in claimed:
-                        remaining.pop(key)
-                    obs.incr("store.lease_takeovers", len(claimed))
-                    claimed = self._recheck_leased(claimed)
-                    if claimed:
-                        self._execute_families(claimed)
-                if not remaining:
-                    return
-            self._sleep(store.poll_interval_s)
-        self._absorb_published(remaining)
-        if not remaining:
-            return
-        obs.incr("store.lease_timeouts", len(remaining))
-        for key in remaining:
-            store.break_lease(key)
-        claimed = {
-            key: config for key, config in remaining.items() if store.try_lease(key)
-        }
-        if claimed:
-            obs.incr("store.lease_takeovers", len(claimed))
-            with self._lock:
-                self._held_leases.update(claimed)
-        # Execute everything left -- re-leased or not -- so this batch
-        # always completes even if another waiter re-claimed first.
-        self._execute_families(remaining)
 
     def _execute_groups(
         self, groups: list[list[ExperimentConfig]], group_keys: list[list[tuple]]
@@ -766,7 +571,7 @@ class SweepEngine:
         The planner computes outcomes side-effect free; each family is
         then committed under its pre-opened span with exactly the
         counters the per-family path would have emitted, so caches,
-        journal entries and telemetry are indistinguishable.  A refusal
+        store entries and telemetry are indistinguishable.  A refusal
         (:class:`PlanNotApplicable`) happens before any work or side
         effect, and the caller falls back to the per-family path.
         """
@@ -794,7 +599,7 @@ class SweepEngine:
             self._commit_outcome(keys, outcome)
 
     def _commit_outcome(self, keys: list[tuple], outcome) -> None:
-        """Memoise, journal and publish one family's outcome, then notify.
+        """Memoise and publish one family's outcome, then notify.
 
         ``outcome`` is the family's shared :class:`DNRError` (counted as
         ``sweep.dnr_raises``) or its result list.
@@ -809,7 +614,6 @@ class SweepEngine:
             store = dict(zip(keys, outcome))
         with self._lock:
             self._results.update(store)
-        self._journal_record(store)
         self._publish_store(store)
         self._notify_family(len(keys), dnr=dnr)
 

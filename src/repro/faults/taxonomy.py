@@ -4,11 +4,10 @@ Every failure sorts into exactly one of three buckets, and each bucket
 has one -- and only one -- recovery policy:
 
 ``transient``
-    :class:`TransientError` (and subclasses, including every injected
-    fault from :mod:`repro.faults.plan`): the work is expected to succeed
-    when re-run.  The sweep engine does not retry in place; the failure
-    propagates once, and the caller re-runs (a re-run campaign resumes
-    from its journals and the result store).
+    :class:`TransientError` (and subclasses): the work is expected to
+    succeed when re-run.  The sweep engine does not retry in place; the
+    failure propagates once, and the caller re-runs (a re-run campaign
+    resumes from the result store).
 ``dnr``
     :class:`repro.core.perfmodel.DNRError`: the configuration *cannot*
     run (the paper's "DNR" cells).  The verdict is a result, not a
@@ -28,30 +27,16 @@ from __future__ import annotations
 __all__ = [
     "FaultError",
     "TransientError",
-    "InjectedTransientError",
-    "InjectedIOError",
     "classify",
 ]
 
 
 class FaultError(Exception):
-    """Base class for resilience-layer failures (injected or detected)."""
+    """Base class for resilience-layer failures."""
 
 
 class TransientError(FaultError):
     """A failure expected to succeed when re-run (flaky worker, busy I/O)."""
-
-
-class InjectedTransientError(TransientError):
-    """A transient runner fault injected by a :class:`FaultPlan`."""
-
-
-class InjectedIOError(FaultError, OSError):
-    """A simulated I/O failure injected by a :class:`FaultPlan`.
-
-    Subclasses :class:`OSError` so code that guards real filesystem
-    errors exercises the identical handling path under injection.
-    """
 
 
 def classify(exc: BaseException) -> str:

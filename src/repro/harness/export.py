@@ -5,7 +5,7 @@
 to the paper's artefacts.
 
 Every file goes through :func:`repro.faults.write_text_atomic`: a crash
-(or injected I/O fault) mid-export leaves each artifact either absent,
+or a failed write mid-export leaves each artifact either absent,
 fully previous or fully new -- never a truncated CSV that would later
 parse as a short-but-valid table.
 """

@@ -389,8 +389,8 @@ def build_table(number: int, engine: SweepEngine | None = None) -> TableResult:
 
     ``engine`` routes every sweep the builder runs through a specific
     :class:`SweepEngine` instead of the process-wide default -- the
-    service's job manager passes its own engine here so per-job journals
-    and execution counters see the builder's work (and a prefetched grid
+    service's job manager passes its own engine here so its store and
+    execution counters see the builder's work (and a prefetched grid
     on that engine makes the builder's per-cell lookups pure cache hits).
     """
     try:

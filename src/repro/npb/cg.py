@@ -5,11 +5,17 @@ matrix with the inverse power method: each outer iteration solves
 ``A z = x`` with 25 unpreconditioned CG iterations and updates
 ``zeta = shift + 1 / (x . z)``.
 
-The matrix comes from the NPB ``makea`` generator, reproduced here call
-for call (the shared ``randlc`` stream, ``sprnvc``'s rejection sampling,
-``vecset``'s diagonal insertion, the geometric outer-product scaling and
-the ``rcond - shift`` diagonal): consequently the final ``zeta`` matches
-the *official NPB verification values* (e.g. 8.5971775078648 for class S).
+The matrix comes from the NPB ``makea`` generator.  Its random stream is
+reproduced call for call (the shared ``randlc`` stream, ``sprnvc``'s
+rejection sampling, ``vecset``'s diagonal insertion), and so is its
+sparsity pattern; its arithmetic is not.  :func:`_makea_triples` forms
+each outer product as ``(v v^T) * size`` and appends the ``rcond -
+shift`` diagonal as ``n`` separate triples after the last outer product,
+where the reference forms ``aelt(nzrow) * (size * aelt(nza))`` and adds
+the shift into the ``iouter == i`` term as it accumulates.  Diagonal
+values may therefore differ from the reference by up to 4 ulp.  The
+final ``zeta`` still matches the *official NPB verification values*
+(e.g. 8.5971775078648 for class S) to 1e-10 at classes S, W and A.
 
 CG is the paper's irregular-access probe: the sparse matrix-vector
 product gathers ``x[colidx[k]]`` through an index load -- the access

@@ -8,14 +8,15 @@ Three layers, each usable on its own:
   and artifact rendering.
 * :mod:`repro.service.jobs` -- the :class:`JobManager`: bounded queue,
   submission dedup, the QUEUED/RUNNING/DONE/FAILED/CANCELLED lifecycle
-  behind one lock, per-job crash-safe journals.
+  behind one lock, store-backed resume of half-done jobs.
 * :mod:`repro.service.api` -- the stdlib HTTP front-end
   (``repro serve``) with ``/health`` and ``/stats`` wired straight into
   :mod:`repro.obs`.
 
 :mod:`repro.service.campaign` fans a YAML scenario file out into jobs
-(``repro campaign run``), with journal-sidecar resume, store-backed
-artifact restore and a dependency-aware parallel scheduler (``needs``).
+(``repro campaign run``), always against a result store (the engine's,
+or ``<out>/store``), so a rerun resumes and restores artifacts, with a
+dependency-aware parallel scheduler (``needs``).
 
 When the engine carries a :class:`repro.store.ResultStore`, the job
 manager also publishes every finished artifact under

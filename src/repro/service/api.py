@@ -18,7 +18,8 @@ unknown job is 404, a full queue is 429, and any unexpected handler
 failure is a 500 that names the exception instead of a closed socket.
 The server itself holds no job state -- everything lives in the
 :class:`~repro.service.jobs.JobManager`, so a server restart in front
-of journal-backed jobs loses nothing but the in-memory lifecycle table.
+of a store-backed engine (``--store``) loses nothing but the in-memory
+lifecycle table.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ request kinds the HTTP API accepts)::
 
     name: sg2044-vs-field
     jobs:
-      - name: single-core        # file stem and journal identity
+      - name: single-core        # artifact file stem
         kind: sweep
         machines: [sg2042, sg2044]
         kernels: [is, ep, mg, cg]
@@ -30,21 +30,20 @@ by that worker count, with span handles opened in scenario order so
 the obs tree stays deterministic.  A dependency cycle, a self edge or
 an unknown name is a :class:`ScenarioError` at load time.
 
-Crash-safe resume is the point, at two tiers.  Every sweep-backed job
-attaches a journal sidecar ``<out>/<name>.journal`` scoped to its own
-cache keys, so completed thread-sweep families persist the moment they
-land.  When the engine carries a :class:`repro.store.ResultStore`, a
-finished job's whole rendered artifact is also published under
-``("artifact", job_id)`` -- a restarted campaign restores those jobs
-byte-for-byte without executing a single config (counted as
-``campaign.store_restores``), and the per-config store preload inside
-the engine warms whatever the artifact tier missed.  A campaign killed
-mid-run and restarted with the same scenario and output directory
-re-executes only the missing work and produces byte-identical
-artifacts to an uninterrupted run (the crash drill in
-``tests/service/test_campaign.py`` asserts exactly that, with the kill
-delivered by ``repro.faults`` injection at the ``campaign.job`` probe
-site).
+Crash-safe resume is the point.  A campaign always runs against a
+:class:`repro.store.ResultStore`: the engine's own when it has one,
+otherwise ``<out>/store``.  The engine publishes every thread-sweep
+family to the store the moment it lands, and a finished job's whole
+rendered artifact is published under ``("artifact", job_id)`` -- a
+restarted campaign restores those jobs byte-for-byte without executing
+a single config (counted as ``campaign.store_restores``), and the
+per-config store preload inside the engine warms whatever the artifact
+tier missed.  A campaign killed mid-run and rerun with the same
+scenario and output directory re-executes only the missing work and
+produces byte-identical artifacts to an uninterrupted run.  The resume
+drills in ``tests/service/test_campaign.py`` prove it against real
+failures: a writer killed with ``os._exit``, a truncated store object
+and ``ENOSPC`` on a store write.
 """
 
 from __future__ import annotations
@@ -55,9 +54,10 @@ from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import faults, obs
+from repro import obs
 from repro.core.sweep import SweepEngine
-from repro.faults import SweepJournal, write_text_atomic
+from repro.faults import write_text_atomic
+from repro.store import ResultStore
 
 from .requests import (
     JobRequest,
@@ -66,7 +66,6 @@ from .requests import (
     estimate,
     execute_request,
     parse_request,
-    request_configs,
     request_job_id,
 )
 
@@ -216,33 +215,14 @@ def _run_campaign_job(
     """Execute (or store-restore) one job; returns its manifest entry."""
     obs.incr("campaign.jobs")
     with obs.activate(span_handle):
-        faults.inject("campaign.job", job.name, kinds=("transient", "slow"))
-        configs = request_configs(job.request)
-        journal_path = out / f"{job.name}.journal"
         job_id = request_job_id(engine, job.request)
-        store = engine.store
-        cached = (
-            store.get(artifact_store_key(job_id)) if store is not None else None
-        )
+        cached = engine.store.get(artifact_store_key(job_id))
         if isinstance(cached, str):
             obs.incr("campaign.store_restores")
             artifact = cached
         else:
-            journal = None
-            if configs:
-                journal = SweepJournal(journal_path)
-                resumed = len(journal)
-                if resumed:
-                    obs.incr("campaign.resumed_entries", resumed)
-                keys = [engine.cache_key(config) for config in configs]
-                engine.attach_journal(journal, keys=keys)
-            try:
-                artifact = execute_request(engine, job.request)
-            finally:
-                if journal is not None:
-                    engine.detach_journal(journal)
-            if store is not None:
-                store.put(artifact_store_key(job_id), artifact)
+            artifact = execute_request(engine, job.request)
+            engine.store.put(artifact_store_key(job_id), artifact)
         artifact_path = out / f"{job.name}.csv"
         write_text_atomic(artifact_path, artifact)
         obs.incr("campaign.artifacts_written")
@@ -254,7 +234,6 @@ def _run_campaign_job(
             "kind": job.request.kind,
             "configs": cost["configs"],
             "families": cost["families"],
-            "journal": journal_path.name if configs else None,
         }
 
 
@@ -352,11 +331,15 @@ def run_campaign(
     ``jobs`` bounds how many scenario jobs run concurrently (default 1:
     strictly sequential, in scenario order deferred past ``needs``
     edges).  Concurrent jobs share the engine's single-flight table,
-    and the store plus per-job journals make every artifact identical
-    whichever way the schedule interleaved.  Artifacts and the manifest go through
-    atomic writes, so an interrupted campaign leaves only complete
-    files plus resumable journals; re-running it is both the resume
-    path and a cheap no-op when everything already landed.
+    so every artifact is identical whichever way the schedule
+    interleaved.
+
+    The campaign runs against ``engine.store``; an engine without one is
+    not modified but stood in for by an engine over the same runner and
+    ``ResultStore(<out>/store)``.  Artifacts, the manifest and store
+    objects go through atomic writes, so an interrupted campaign leaves
+    only complete files; rerunning it into the same directory is both
+    the resume path and a cheap no-op when everything already landed.
     """
     engine = engine if engine is not None else SweepEngine()
     workers = 1 if jobs is None else int(jobs)
@@ -364,6 +347,10 @@ def run_campaign(
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if engine.store is None:
+        engine = SweepEngine(
+            engine.runner, planner=engine.planner, store=ResultStore(out / "store")
+        )
     with obs.span("campaign"):
         # Span handles open in scenario order so the obs tree's shape is
         # fixed before any scheduling decision is made.

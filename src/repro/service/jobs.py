@@ -31,10 +31,10 @@ The service's unit of admission is a :class:`Job` wrapping one
 * **Bounded admission.**  At most ``queue_size`` jobs wait; beyond that
   submission raises :class:`QueueFull` (HTTP 429), never unbounded
   memory.
-* **Crash-safe execution.**  Each job may attach a per-job
-  :class:`~repro.faults.SweepJournal`, scoped to exactly its own cache
-  keys, so an interrupted service resumes a half-done job's completed
-  families on resubmission.
+* **Crash-safe execution.**  The engine publishes each thread-sweep
+  family to its store as the family lands, so a half-done job
+  resubmitted to a restarted service (same store) preloads its
+  completed families instead of re-executing them.
 
 Concurrency discipline (lint rules R009-R011): the single manager lock
 guards *state transitions only*.  Queue hand-off uses a stdlib
@@ -53,14 +53,13 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.sweep import SweepEngine, default_engine
-from repro.faults import SweepJournal, write_text_atomic
+from repro.faults import write_text_atomic
 
 from .requests import (
     JobRequest,
     artifact_store_key,
     estimate,
     execute_request,
-    request_configs,
     request_job_id,
 )
 
@@ -149,11 +148,6 @@ class JobManager:
     artifact_dir:
         When set, every DONE job's artifact is also written to
         ``<artifact_dir>/<job_id>.csv`` via atomic replace.
-    journal_dir:
-        When set, each sweep-backed job attaches
-        ``<journal_dir>/<job_id>.journal`` scoped to its own cache keys
-        for the duration of its run: completed families persist as they
-        land, and a resubmitted job preloads them.
     store:
         The :class:`repro.store.ResultStore` rendered artifacts are
         published to (and served DONE-from) -- the executing engine's
@@ -166,7 +160,6 @@ class JobManager:
         workers: int = 2,
         queue_size: int = 64,
         artifact_dir: str | Path | None = None,
-        journal_dir: str | Path | None = None,
         store=None,
     ) -> None:
         if workers < 0:
@@ -176,7 +169,6 @@ class JobManager:
         self.engine = engine if engine is not None else default_engine()
         self.store = store if store is not None else self.engine.store
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._seq = 0
@@ -335,7 +327,6 @@ class JobManager:
                 return None  # cancelled (or superseded) while waiting
             self._transition(job, JobState.RUNNING)
             obs.incr("service.started")
-        journal = self._attach_job_journal(job)
         try:
             obs.incr("service.executions")
             artifact = execute_request(self.engine, job.request)
@@ -346,9 +337,6 @@ class JobManager:
                 obs.incr("service.failed")
             job.done.set()
             return job
-        finally:
-            if journal is not None:
-                self.engine.detach_journal(journal)
         if self.store is not None:
             self.store.put(artifact_store_key(job.job_id), artifact)
             obs.incr("service.artifacts_published")
@@ -366,19 +354,6 @@ class JobManager:
             return
         self.artifact_dir.mkdir(parents=True, exist_ok=True)
         write_text_atomic(self.artifact_dir / f"{job.job_id}.csv", job.artifact)
-
-    def _attach_job_journal(self, job: Job):
-        """Attach this job's scoped journal (None when journaling is off)."""
-        if self.journal_dir is None:
-            return None
-        configs = request_configs(job.request)
-        if not configs:
-            return None
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
-        journal = SweepJournal(self.journal_dir / f"{job.job_id}.journal")
-        keys = [self.engine.cache_key(config) for config in configs]
-        self.engine.attach_journal(journal, keys=keys)
-        return journal
 
     # ------------------------------------------------------------------
     # Introspection

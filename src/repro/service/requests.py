@@ -32,7 +32,7 @@ Cost
 ----
 :func:`estimate` is grid-shape based: the number of configs (one model
 evaluation each when cold), the number of thread-sweep families (the
-engine's unit of scheduling, journaling and fault injection), and how
+engine's unit of scheduling and of store publication), and how
 many configs are already memoised.  The service's admission control and
 the campaign planner both read it.
 """
@@ -336,7 +336,7 @@ def execute_request(engine: SweepEngine, request: JobRequest) -> str:
 
     Table/figure grids are prefetched through ``engine`` first -- one
     batched ``run_many`` that the engine's planner, single-flight table
-    and any attached per-job journal all see -- and the builder itself
+    and store all see -- and the builder itself
     runs against the same ``engine``, so its per-cell lookups are pure
     cache hits and nothing ever leaks onto the process-wide default
     engine behind the job's back.

@@ -1,9 +1,8 @@
-"""Disk-backed content-addressed result store with leases and eviction.
+"""Disk-backed content-addressed result store with LRU eviction.
 
 Layout (everything under one root directory)::
 
     <root>/objects/<digest>.json   one entry per key (atomic writes)
-    <root>/leases/<digest>.lease   O_EXCL cross-process execution claims
     <root>/index.log               advisory recency log (append-only)
 
 ``<digest>`` is the sha256 of the canonical JSON encoding of the key
@@ -14,10 +13,10 @@ payload text; reads verify both, and anything that fails verification is
 unlinked and reported as a miss, never returned.
 
 Values are the exact types the engine memoises -- ``ExperimentResult``
-and ``DNRError`` via the journal's shared codec -- plus plain strings
-for rendered artifacts.  The codec renders floats with ``repr``
-(shortest round-trip), so restored values are bit-identical to freshly
-computed ones.
+and ``DNRError`` -- plus plain strings for rendered artifacts, through
+one codec (:func:`encode_value` / :func:`decode_value`).  The codec
+renders floats with ``repr`` (shortest round-trip), so restored values
+are bit-identical to freshly computed ones.
 
 The LRU index (entry sizes, recency order, a running byte total) lives
 in memory.  Sizes come from a listdir plus stat of ``objects/`` on first
@@ -39,15 +38,14 @@ stores is ignored.
 
 Concurrency: one instance is thread-safe (its lock guards the in-memory
 index and the log writes; entries land through atomic writes).  Across
-processes, writers race benignly -- both write byte-identical content
-for the same key, and every process appends to the same log -- and
-:meth:`ResultStore.try_lease` gives callers that need at-most-once
-*execution* an O_EXCL claim.
+processes there is no coordination and none is needed: results are
+pure functions of their key, so two writers of one key write identical
+bytes, each through its own temporary file, and the store ends with one
+entry per key.  Every process appends to the same log.
 
-No wall clock anywhere: recency is the order of touches and lease waits
-are attempt-counted by the caller, keeping every store-backed run
-deterministic enough for the repo's telemetry contracts (lint rules
-R001/R006).
+No wall clock anywhere: recency is the order of touches, keeping every
+store-backed run deterministic enough for the repo's telemetry
+contracts (lint rules R001/R006).
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from pathlib import Path
 
 from repro import obs
 from repro.faults.atomic import write_text_atomic
-from repro.faults.journal import decode_value, encode_value
 
 __all__ = ["ResultStore", "store_from_env", "STORE_VERSION"]
 
@@ -71,7 +68,6 @@ __all__ = ["ResultStore", "store_from_env", "STORE_VERSION"]
 STORE_VERSION = 1
 
 _OBJECTS_DIR = "objects"
-_LEASES_DIR = "leases"
 _LOG_NAME = "index.log"
 
 #: Lines the recency log may carry beyond two per live entry before the
@@ -89,23 +85,80 @@ def _digest_key(key: tuple) -> str:
     return hashlib.sha256(_canonical_key(key).encode()).hexdigest()
 
 
-def _encode(value) -> dict:
+def encode_value(value) -> dict:
+    """Serialise one stored value: an artifact, a result or a DNR verdict.
+
+    Floats pass through JSON via ``repr`` (shortest round-trip), so a
+    value restored from disk is bit-identical to the freshly computed one.
+    """
     if isinstance(value, str):
         return {"text": value}
-    return encode_value(value)
+    from repro.core.perfmodel import DNRError
+
+    if isinstance(value, DNRError):
+        return {"dnr": str(value)}
+    prediction = value.prediction
+    return {
+        "result": {
+            "machine": value.machine,
+            "kernel": value.kernel,
+            "npb_class": value.npb_class,
+            "n_threads": value.n_threads,
+            "compiler": value.compiler,
+            "vectorised": value.vectorised,
+            "samples": [[s.run_index, s.time_s, s.mops] for s in value.samples],
+            "notes": list(value.notes),
+            "prediction": {
+                "machine": prediction.machine,
+                "kernel": prediction.kernel,
+                "npb_class": prediction.npb_class,
+                "n_threads": prediction.n_threads,
+                "time_s": prediction.time_s,
+                "mops": prediction.mops,
+                "t_compute": prediction.t_compute,
+                "t_stream": prediction.t_stream,
+                "t_latency": prediction.t_latency,
+                "t_sync": prediction.t_sync,
+                "vectorised": prediction.vectorised,
+                "calibration_factor": prediction.calibration_factor,
+                "notes": list(prediction.notes),
+            },
+        }
+    }
 
 
-def _decode(payload: dict):
+def decode_value(payload: dict):
+    """Inverse of :func:`encode_value` (raises on malformed payloads)."""
     if "text" in payload:
         text = payload["text"]
         if not isinstance(text, str):
             raise ValueError("text payload must be a string")
         return text
-    return decode_value(payload)
+    from repro.core.perfmodel import DNRError, Prediction
+    from repro.core.results import ExperimentResult, RunSample
+
+    if "dnr" in payload:
+        return DNRError(payload["dnr"])
+    data = payload["result"]
+    pred = dict(data["prediction"])
+    pred["notes"] = tuple(pred["notes"])
+    return ExperimentResult(
+        machine=data["machine"],
+        kernel=data["kernel"],
+        npb_class=data["npb_class"],
+        n_threads=data["n_threads"],
+        compiler=data["compiler"],
+        vectorised=data["vectorised"],
+        samples=tuple(
+            RunSample(run_index=i, time_s=t, mops=m) for i, t, m in data["samples"]
+        ),
+        prediction=Prediction(**pred),
+        notes=tuple(data["notes"]),
+    )
 
 
 class ResultStore:
-    """One store directory: get/put by key, leases, LRU eviction.
+    """One store directory: get/put by key, LRU eviction.
 
     Publication costs one atomic object write per entry plus one append
     to the recency log per :meth:`put` / :meth:`put_many` call,
@@ -118,34 +171,16 @@ class ResultStore:
     max_bytes:
         Advisory size cap over entry payload bytes.  ``None`` (default)
         disables eviction.  When a put pushes the total over the cap,
-        least-recently-used entries are evicted until it fits -- except
-        entries under an active lease, which are never evicted (their
-        owner is about to read or republish them).  Recency survives
-        restarts through the append-only ``index.log``.
-    lease_timeout_s, poll_interval_s:
-        The wait budget callers use when another process holds a key's
-        lease: poll every ``poll_interval_s`` for up to
-        ``lease_timeout_s`` (attempt-counted -- the store itself never
-        reads a clock), then break the lease and take over.
+        least-recently-used entries are evicted until it fits.  Recency
+        survives restarts through the append-only ``index.log``.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        max_bytes: int | None = None,
-        lease_timeout_s: float = 10.0,
-        poll_interval_s: float = 0.01,
-    ) -> None:
+    def __init__(self, root: str | Path, max_bytes: int | None = None) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1 (or None to disable)")
-        if lease_timeout_s <= 0 or poll_interval_s <= 0:
-            raise ValueError("lease_timeout_s and poll_interval_s must be > 0")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.lease_timeout_s = lease_timeout_s
-        self.poll_interval_s = poll_interval_s
         self._objects = self.root / _OBJECTS_DIR
-        self._leases = self.root / _LEASES_DIR
         self._log_path = self.root / _LOG_NAME
         self._dirs_ready = False
         self._lock = threading.Lock()
@@ -209,7 +244,7 @@ class ResultStore:
                 raise ValueError("payload sha256 mismatch")
             if entry["key"] != json.loads(_canonical_key(key)):
                 raise ValueError("key mismatch")
-            return _decode(json.loads(payload_text))
+            return decode_value(json.loads(payload_text))
         except (KeyError, TypeError, ValueError):
             obs.incr("store.corrupt_entries")
             try:
@@ -249,7 +284,7 @@ class ResultStore:
 
     def _write_entry(self, key: tuple, value) -> tuple[str, int]:
         digest = _digest_key(key)
-        payload_text = json.dumps(_encode(value), sort_keys=True)
+        payload_text = json.dumps(encode_value(value), sort_keys=True)
         entry_text = (
             json.dumps(
                 {
@@ -270,7 +305,6 @@ class ResultStore:
     def _ensure_dirs(self) -> None:
         if not self._dirs_ready:
             self._objects.mkdir(parents=True, exist_ok=True)
-            self._leases.mkdir(parents=True, exist_ok=True)
             self._dirs_ready = True
 
     def _evict_locked(self) -> None:
@@ -281,8 +315,6 @@ class ResultStore:
         for digest, size in self._entries.items():  # oldest first
             if excess <= 0:
                 break
-            if (self._leases / f"{digest}.lease").exists():
-                continue  # never evict under an active lease
             victims.append(digest)
             excess -= size
         for digest in victims:
@@ -292,50 +324,6 @@ class ResultStore:
                 pass
             self._forget_locked(digest)
             obs.incr("store.evictions")
-
-    # ------------------------------------------------------------------
-    # Leases (cross-process single-flight)
-    # ------------------------------------------------------------------
-
-    def lease_path(self, key: tuple) -> Path:
-        return self._leases / f"{_digest_key(key)}.lease"
-
-    def try_lease(self, key: tuple) -> bool:
-        """Claim ``key`` for execution; False if another holder beat us.
-
-        O_CREAT|O_EXCL is atomic on every filesystem the repo targets,
-        so exactly one process (and one thread within it) wins.  The
-        winner must :meth:`release_lease` after publishing -- or crash,
-        in which case waiters take the lease over after their bounded
-        wait (:attr:`lease_timeout_s`).
-        """
-        self._ensure_dirs()
-        try:
-            fd = os.open(self.lease_path(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            obs.incr("store.lease_conflicts")
-            return False
-        try:
-            os.write(fd, f"{os.getpid()}\n".encode())
-        finally:
-            os.close(fd)
-        obs.incr("store.lease_acquired")
-        return True
-
-    def release_lease(self, key: tuple) -> None:
-        """Drop a held lease (idempotent; a vanished lease is fine)."""
-        try:
-            os.unlink(self.lease_path(key))
-        except OSError:
-            pass
-
-    def lease_active(self, key: tuple) -> bool:
-        return self.lease_path(key).exists()
-
-    def break_lease(self, key: tuple) -> None:
-        """Forcibly clear a (presumed dead) holder's lease."""
-        obs.incr("store.lease_broken")
-        self.release_lease(key)
 
     # ------------------------------------------------------------------
     # Advisory index (sizes + recency log)
@@ -429,34 +417,26 @@ class ResultStore:
             self._ensure_index_locked()
             total_bytes = self._bytes
             entries = len(self._entries)
-        try:
-            leases = sum(
-                1 for name in os.listdir(self._leases) if name.endswith(".lease")
-            )
-        except OSError:
-            leases = 0
         return {
             "root": str(self.root),
             "entries": entries,
             "bytes": total_bytes,
             "max_bytes": self.max_bytes,
-            "leases": leases,
         }
 
     def clear(self) -> None:
-        """Remove every entry, lease and the recency log (a fresh store)."""
+        """Remove every entry and the recency log (a fresh store)."""
         with self._lock:
-            for directory, suffix in ((self._objects, ".json"), (self._leases, ".lease")):
-                try:
-                    names = os.listdir(directory)
-                except OSError:
-                    names = []
-                for name in names:
-                    if name.endswith(suffix):
-                        try:
-                            os.unlink(directory / name)
-                        except OSError:
-                            pass
+            try:
+                names = os.listdir(self._objects)
+            except OSError:
+                names = []
+            for name in names:
+                if name.endswith(".json"):
+                    try:
+                        os.unlink(self._objects / name)
+                    except OSError:
+                        pass
             try:
                 os.unlink(self._log_path)
             except OSError:

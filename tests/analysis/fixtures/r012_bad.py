@@ -14,9 +14,5 @@ def sneaky_promote(tmp_path, store_path):
     os.replace(tmp_path, store_path)  # finding 2: rename into the store dodges the index
 
 
-def grab_lease(lease_path):
-    return os.open(lease_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)  # finding 3: raw O_EXCL claim outside the protocol
-
-
 def clobber_index(store_dir, entry):
-    (store_dir / "index.log").write_text(entry)  # finding 4: direct index write corrupts LRU bookkeeping
+    (store_dir / "index.log").write_text(entry)  # finding 3: direct index write corrupts LRU bookkeeping

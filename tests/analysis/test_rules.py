@@ -21,7 +21,7 @@ CASES = [
     ("R007", 4),
     ("R009", 4),
     ("R010", 4),
-    ("R012", 4),
+    ("R012", 3),
     ("R013", 4),
 ]
 
@@ -412,9 +412,9 @@ class TestBlockingSpecifics:
         assert ".read_text()" in report.findings[0].message
 
     def test_file_io_under_lock_cold_module_allowed(self, tmp_path):
-        pkg = tmp_path / "src" / "repro" / "faults"
+        pkg = tmp_path / "src" / "repro" / "store"
         pkg.mkdir(parents=True)
-        f = pkg / "journal.py"
+        f = pkg / "store.py"
         f.write_text(
             "import threading\n"
             "_l = threading.Lock()\n"

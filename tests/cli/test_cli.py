@@ -54,6 +54,28 @@ class TestRemovedEngineFlags:
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+class TestRemovedJournalFlags:
+    """The result store is the one durable tier: ``--store`` resumes."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["table", "6"], "journal"),
+            (["figure", "5"], "journal"),
+            (["export", "out"], "journal"),
+            (["serve"], "journal"),
+            (["serve"], "journal-dir"),
+            (["campaign", "run", "scenario.yaml"], "journal"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else v,
+    )
+    def test_rejected(self, argv, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--{name}", "x"])
+        assert exc.value.code == 2
+        assert f"--{name}" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_machines(self, capsys):
         assert main(["machines"]) == 0

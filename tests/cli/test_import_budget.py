@@ -23,7 +23,6 @@ import pytest
 
 import repro
 import repro.core
-import repro.faults
 import repro.harness
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -113,8 +112,8 @@ class TestCommandBudgets:
         modules = cli_modules(tmp_path, "export", str(tmp_path / "out"))
         assert (tmp_path / "out" / "INDEX.md").exists()
         assert offenders(modules, HEAVY_FOR_EXPORT) == []
-        # write_text_atomic comes without the sweep journal and its codec.
-        assert "repro.faults.journal" not in modules
+        # Without --store nothing persists: the store and its codec stay out.
+        assert "repro.store" not in modules
 
     def test_table6(self, tmp_path):
         modules = cli_modules(tmp_path, "table", "6")
@@ -151,7 +150,7 @@ class TestCommandBudgets:
         assert offenders(modules, ("repro.npb.suite", "repro.npb.cg", "scipy")) == []
 
 
-LAZY_PACKAGES = [repro, repro.core, repro.faults, repro.harness]
+LAZY_PACKAGES = [repro, repro.core, repro.harness]
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES, ids=lambda p: p.__name__)

@@ -1,14 +1,12 @@
-"""Every faults test starts and ends with injection and telemetry off."""
+"""Every faults test starts and ends with telemetry off."""
 
 import pytest
 
-from repro import faults, obs
+from repro import obs
 
 
 @pytest.fixture(autouse=True)
 def _clean_slots():
-    faults.disable()
     obs.disable()
     yield
-    faults.disable()
     obs.disable()

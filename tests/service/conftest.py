@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro import faults, obs
+from repro import obs
 from repro.core.sweep import SweepEngine
 from repro.service import JobManager, create_server
 
@@ -70,12 +70,10 @@ class LiveServer:
 
 @pytest.fixture(autouse=True)
 def _clean_slate():
-    """No telemetry or fault plan may leak across service tests."""
+    """No telemetry may leak across service tests."""
     obs.disable()
-    faults.disable()
     yield
     obs.disable()
-    faults.disable()
 
 
 @pytest.fixture
@@ -102,7 +100,6 @@ def live_server(tmp_path, service_engine):
         workers=2,
         queue_size=16,
         artifact_dir=tmp_path / "artifacts",
-        journal_dir=tmp_path / "journals",
     )
     server, thread = _start_server(manager)
     try:

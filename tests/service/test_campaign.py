@@ -1,28 +1,35 @@
 """Campaign runner: validation, manifests, idempotence and crash-resume.
 
-The centrepiece is the crash drill: a deterministic ``repro.faults``
-plan kills the campaign between jobs (the ``campaign.job`` probe for the
-second job raises), leaving the first job's artifact and journal on
-disk.  Restarting the same campaign against that directory with a fresh
-engine must resume from the journals -- ``campaign.resumed_entries``
-counts the preloaded families -- and finish with an artifact set
-byte-identical to a never-interrupted reference run.
+The centrepiece is the resume drills, each against a real failure: a
+writer killed with ``os._exit`` (nothing in ``finally`` or ``atexit``
+runs, just as under SIGKILL), a truncated store object, and ``ENOSPC``
+on a store write.  Rerunning the same campaign into the same directory
+with a fresh engine must resume from ``<out>/store`` and finish with an
+artifact set byte-identical to a never-interrupted reference run.
 """
 
+import errno
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro import faults, obs
+import repro
+from repro import obs
 from repro.core.sweep import SweepEngine
-from repro.faults import FaultPlan, InjectedTransientError
 from repro.service import (
     ScenarioError,
     load_scenario,
     plan_campaign,
     run_campaign,
 )
+from repro.service.requests import artifact_store_key, request_job_id
 from repro.store import ResultStore
+from repro.store.store import _digest_key
 
 SCENARIO_YAML = """\
 name: drill
@@ -141,10 +148,9 @@ def test_run_campaign_writes_artifacts_and_manifest(scenario, tmp_path):
     assert on_disk == manifest
     for job in manifest["jobs"]:
         assert (out / job["artifact"]).read_text().strip()
-    by_name = {job["name"]: job for job in manifest["jobs"]}
-    assert by_name["wide"]["journal"] == "wide.journal"
-    assert (out / "wide.journal").exists()
-    assert by_name["whatif-ep"]["journal"] is None  # no grid, no journal
+    # No store on the engine: the campaign keeps its own under <out>.
+    assert (out / "store" / "objects").is_dir()
+    assert not list(out.glob("*.journal"))
 
 
 def test_rerun_is_idempotent_with_fresh_engine(scenario, tmp_path):
@@ -154,7 +160,7 @@ def test_rerun_is_idempotent_with_fresh_engine(scenario, tmp_path):
     # function of the scenario alone.
     run_campaign(scenario, out_b, SweepEngine())
     assert _artifact_bytes(out_a) == _artifact_bytes(out_b)
-    # Same directory again: journals preload, nothing re-executes.
+    # Same directory again: <out>/store restores, nothing re-executes.
     recorder = obs.install()
     try:
         run_campaign(scenario, out_a, SweepEngine())
@@ -162,8 +168,14 @@ def test_rerun_is_idempotent_with_fresh_engine(scenario, tmp_path):
         obs.disable()
     counters = recorder.counters_snapshot()
     assert counters.get("sweep.configs_executed", 0) == 0
-    assert counters["campaign.resumed_entries"] > 0
+    assert counters["campaign.store_restores"] == len(scenario.jobs)
     assert _artifact_bytes(out_a) == _artifact_bytes(out_b)
+
+
+def test_caller_engine_is_not_modified(scenario, tmp_path):
+    engine = SweepEngine()
+    run_campaign(scenario, tmp_path / "out", engine)
+    assert engine.store is None
 
 
 # ----------------------------------------------------------------------
@@ -278,62 +290,122 @@ def test_campaign_restores_artifacts_from_store(scenario, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The crash drill
+# Resume drills: real failures, byte-identical resume
 # ----------------------------------------------------------------------
 
+_KILLED_WRITER = """\
+import os, sys
+from repro.service import campaign, load_scenario, run_campaign
 
-def _crash_seed(scenario, engine, rate=0.5) -> int:
-    """A seed whose schedule kills exactly the second job's probe.
+real = campaign._run_campaign_job
 
-    Scans the same deterministic schedule :class:`FaultPlan` uses: the
-    ``campaign.job`` probe must stay quiet for ``wide`` and fire for
-    ``deep`` (attempt 0 is the only attempt: the injected error is
-    terminal for the campaign).
-    """
-    for seed in range(500):
-        plan = FaultPlan(seed=seed, transient_rate=rate)
-        roll = plan._uniform
-        if roll("transient", "campaign.job", "wide", 0) < rate:
-            continue  # job 1 must survive its probe
-        if roll("transient", "campaign.job", "deep", 0) >= rate:
-            continue  # job 2 must crash at its probe
-        return seed
-    raise AssertionError("no crash seed found in 500 tries")
+def killed(engine, out, job, handle):
+    if job.name == "deep":
+        os._exit(1)  # no finally, no atexit: a SIGKILL stand-in
+    return real(engine, out, job, handle)
+
+campaign._run_campaign_job = killed
+run_campaign(load_scenario(sys.argv[1]), sys.argv[2])
+"""
 
 
-def test_crash_mid_campaign_then_resume_byte_identical(scenario, tmp_path):
-    reference = tmp_path / "reference"
-    crashed = tmp_path / "crashed"
+def _no_tmp(out) -> bool:
+    return not list(Path(out).rglob("*.tmp"))
 
-    # The uninterrupted reference run.
-    run_campaign(scenario, reference, SweepEngine())
 
-    # Run 1: the fault plan kills the campaign at the second job's
-    # probe.  Job 1's artifact and journal are already on disk; job 2
-    # and the manifest never land.
-    seed = _crash_seed(scenario, SweepEngine())
-    faults.install(FaultPlan(seed=seed, transient_rate=0.5))
+def _objects_intact(out) -> bool:
+    """Every store object parses and matches its recorded sha256."""
+    for path in (Path(out) / "store" / "objects").iterdir():
+        entry = json.loads(path.read_text())
+        digest = hashlib.sha256(entry["payload"].encode()).hexdigest()
+        if digest != entry["sha256"]:
+            return False
+    return True
+
+
+def _rerun(scenario, out) -> dict:
+    """Resume ``out`` with a fresh engine; returns the run's counters."""
+    recorder = obs.install()
     try:
-        with pytest.raises(InjectedTransientError):
-            run_campaign(scenario, crashed, SweepEngine())
+        run_campaign(scenario, out, SweepEngine())
     finally:
-        faults.disable()
+        obs.disable()
+    return recorder.counters_snapshot()
 
+
+@pytest.fixture
+def reference(scenario, tmp_path):
+    out = tmp_path / "reference"
+    run_campaign(scenario, out, SweepEngine())
+    return _artifact_bytes(out)
+
+
+def test_killed_writer_resumes_byte_identical(scenario, reference, tmp_path):
+    crashed = tmp_path / "crashed"
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_STORE"}
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_WRITER, str(tmp_path / "scenario.yaml"), str(crashed)],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert child.returncode == 1, child.stderr.decode()
     assert (crashed / "wide.csv").exists()
-    assert (crashed / "wide.journal").exists()
     assert not (crashed / "deep.csv").exists()
     assert not (crashed / "MANIFEST.json").exists()
 
-    # Run 2: same scenario, same directory, fresh engine, faults off.
-    # The journal preloads job 1's families; only the missing work runs.
-    recorder = obs.install()
-    try:
-        run_campaign(scenario, crashed, SweepEngine())
-    finally:
-        obs.disable()
-    counters = recorder.counters_snapshot()
-    assert counters["campaign.resumed_entries"] > 0
-    # Only job 2's grid executed on resume (job 1 came from the journal).
+    counters = _rerun(scenario, crashed)
+    # Job 1 came back from the store; only job 2's grid executed.
+    assert counters["campaign.store_restores"] == 1
     assert counters["sweep.configs_executed"] == 3
+    assert _artifact_bytes(crashed) == reference
+    assert _no_tmp(crashed)
 
-    assert _artifact_bytes(crashed) == _artifact_bytes(reference)
+
+def test_truncated_object_is_redone_alone(scenario, reference, tmp_path):
+    out = tmp_path / "out"
+    run_campaign(scenario, out, SweepEngine())
+    deep = next(job for job in scenario.jobs if job.name == "deep")
+    key = artifact_store_key(request_job_id(SweepEngine(), deep.request))
+    victim = out / "store" / "objects" / f"{_digest_key(key)}.json"
+    intact = victim.read_bytes()
+    victim.write_bytes(intact[: len(intact) // 2])
+
+    counters = _rerun(scenario, out)
+    assert counters["store.corrupt_entries"] == 1
+    # The other jobs restored whole; deep re-rendered from stored results.
+    assert counters["campaign.store_restores"] == len(scenario.jobs) - 1
+    assert counters.get("sweep.configs_executed", 0) == 0
+    assert counters["store.writes"] == 1  # only the truncated entry rewritten
+    assert victim.read_bytes() == intact
+    assert _artifact_bytes(out) == reference
+
+
+def test_enospc_on_store_write_then_resume(scenario, reference, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    real_replace = os.replace
+    object_writes = []
+
+    def full_disk(src, dst):
+        if Path(dst).parent.name == "objects":
+            object_writes.append(dst)
+            if len(object_writes) == 3:  # mid-way through the first job
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError) as info:
+            run_campaign(scenario, out, SweepEngine())
+    assert info.value.errno == errno.ENOSPC
+    assert _no_tmp(out)
+    assert _objects_intact(out)
+    assert not (out / "MANIFEST.json").exists()
+    assert not list(out.glob("*.csv"))
+
+    counters = _rerun(scenario, out)
+    assert counters["store.hits"] >= 2  # the objects that landed were reused
+    assert _artifact_bytes(out) == reference
+    assert _no_tmp(out)
+    assert _objects_intact(out)

@@ -1,4 +1,4 @@
-"""JobManager units: dedup, bounded admission, lifecycle, journals.
+"""JobManager units: dedup, bounded admission, lifecycle, store resume.
 
 Everything here runs with ``workers=0`` and drives execution through
 :meth:`JobManager.run_next`, so the tests are single-threaded and every
@@ -8,8 +8,8 @@ assertion about states and counters is exact.
 import pytest
 
 from repro import obs
+from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine
-from repro.faults import SweepJournal
 from repro.service import (
     IllegalTransition,
     JobManager,
@@ -37,7 +37,6 @@ def manager(tmp_path):
         workers=0,
         queue_size=4,
         artifact_dir=tmp_path / "artifacts",
-        journal_dir=tmp_path / "journals",
     )
 
 
@@ -215,36 +214,54 @@ def test_status_and_counts(manager):
     assert manager.status("sweep-unknown") is None
 
 
-def test_per_job_journal_scoped_to_its_keys(manager, tmp_path):
-    """The job's journal holds exactly the job's families, nothing else."""
+def test_job_families_published_to_store(tmp_path):
+    """Every family of a job lands in the engine's store, then its artifact."""
+    store = ResultStore(tmp_path / "store")
+    manager = JobManager(engine=SweepEngine(store=store), workers=0)
     wide, _ = manager.submit(
         parse_request({**SWEEP, "kernels": ["ep", "is"], "threads": [1]})
     )
     manager.run_next()
-    journal = SweepJournal(tmp_path / "journals" / f"{wide.job_id}.journal")
-    keys = set(journal.results())
-    expected = {manager.engine.cache_key(c) for c in request_configs(wide.request)}
-    assert keys == expected
+    keys = [manager.engine.cache_key(c) for c in request_configs(wide.request)]
+    assert all(key in store for key in keys)
+    assert store.stats()["entries"] == len(keys) + 1  # + the artifact
 
 
-def test_journal_resumes_on_resubmission(tmp_path):
-    """A fresh manager+engine preloads the journal instead of re-executing."""
-    request = parse_request(SWEEP)
+class _FailingRunner(ExperimentRunner):
+    """Raises on one kernel's family: a job killed half-way through."""
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def run_many(self, configs):
+        if configs[0].kernel == self.kernel:
+            raise RuntimeError("worker died")
+        return super().run_many(configs)
+
+
+def test_half_done_job_resumes_from_shared_store(tmp_path):
+    """A fresh manager+engine on the same store re-executes only what the
+    failed run never published, and the artifact is byte-identical."""
+    request = parse_request({**SWEEP, "kernels": ["ep", "is"]})
+    reference_manager = JobManager(engine=SweepEngine(), workers=0)
+    reference, _ = reference_manager.submit(request)
+    reference_manager.run_next()
+
+    store = ResultStore(tmp_path / "store")
     first = JobManager(
-        engine=SweepEngine(), workers=0, journal_dir=tmp_path / "j"
+        engine=SweepEngine(_FailingRunner("is"), store=store), workers=0
     )
     job, _ = first.submit(request)
     first.run_next()
-    assert job.state is JobState.DONE
+    assert job.state is JobState.FAILED  # the ep family landed, is did not
 
     recorder = obs.install()
-    second = JobManager(
-        engine=SweepEngine(), workers=0, journal_dir=tmp_path / "j"
-    )
+    second = JobManager(engine=SweepEngine(store=store), workers=0)
     resumed, _ = second.submit(request)
     second.run_next()
     obs.disable()
     assert resumed.state is JobState.DONE
-    assert resumed.artifact == job.artifact  # byte-identical from the journal
+    assert resumed.artifact == reference.artifact
     counters = recorder.counters_snapshot()
-    assert counters.get("sweep.configs_executed", 0) == 0  # nothing re-ran
+    assert counters["sweep.configs_executed"] == 2  # only the is family re-ran

@@ -1,9 +1,10 @@
-"""SweepEngine x ResultStore: warm restarts and cross-process single-flight.
+"""SweepEngine x ResultStore: warm restarts and shared stores.
 
 A store-backed engine must (a) never recompute what the store already
-holds, (b) let exactly one claimant execute each family under
-contention, and (c) recover leases abandoned by dead claimants without
-wall-clock sleeps leaking into results.
+holds, (b) execute each config at most once per process under thread
+contention, and (c) share one store with another process without
+coordination: both write identical bytes, and the store ends with one
+object per key.
 """
 
 import multiprocessing as mp
@@ -41,7 +42,6 @@ def test_warm_restart_executes_nothing(tmp_path):
     assert warm == cold
     assert counters.get("sweep.configs_executed", 0) == 0
     assert counters["store.hits"] >= len(GRID)
-    assert store.stats()["leases"] == 0  # nothing left behind
 
 
 def _contend(store_root, queue):
@@ -59,12 +59,20 @@ def _contend(store_root, queue):
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
-    queue.put(recorder.counters_snapshot().get("sweep.configs_executed", 0))
+    executed = recorder.counters_snapshot().get("sweep.configs_executed", 0)
+    queue.put((executed, results[0]))
 
 
 def test_two_processes_execute_each_config_once(tmp_path):
-    """8 concurrent sweeps (2 processes x 4 threads), one execution each."""
-    ctx = mp.get_context("fork")
+    """8 concurrent sweeps (2 processes x 4 threads) on one store.
+
+    The processes do not coordinate: each may execute a config the other
+    also executes, but in-process single-flight holds, so no process
+    executes a config twice.  Both write identical bytes, and the store
+    ends with one object per key and no temporary residue.
+    """
+    # spawn, not fork: the test process may already run threads.
+    ctx = mp.get_context("spawn")
     queue = ctx.Queue()
     procs = [
         ctx.Process(target=_contend, args=(tmp_path / "store", queue))
@@ -72,12 +80,18 @@ def test_two_processes_execute_each_config_once(tmp_path):
     ]
     for p in procs:
         p.start()
-    executed = [queue.get(timeout=60) for _ in procs]
+    outcomes = [queue.get(timeout=60) for _ in procs]
     for p in procs:
         p.join(timeout=60)
     assert all(p.exitcode == 0 for p in procs)
-    # Every config computed exactly once across all 8 sweeps combined.
-    assert sum(executed) == len(GRID)
+    expected = SweepEngine().run_many(GRID, on_dnr="none")
+    for executed, results in outcomes:
+        assert executed <= len(GRID)
+        assert results == expected
+    objects = sorted((tmp_path / "store" / "objects").iterdir())
+    assert len(objects) == len(GRID)
+    assert all(path.suffix == ".json" for path in objects)
+    assert not list((tmp_path / "store").rglob("*.tmp"))
 
     # And the store now warm-serves a ninth sweep with zero executions.
     recorder = obs.install()
@@ -89,120 +103,6 @@ def test_two_processes_execute_each_config_once(tmp_path):
         obs.disable()
     assert len(warm) == len(GRID)
     assert recorder.counters_snapshot().get("sweep.configs_executed", 0) == 0
-
-
-def test_takeover_after_lease_timeout(tmp_path):
-    """A lease whose holder died mid-run is broken and re-claimed."""
-    store = ResultStore(tmp_path / "store", lease_timeout_s=0.05, poll_interval_s=0.01)
-    # Simulate a crashed claimant: lease held, result never published.
-    dead_key = SweepEngine().cache_key(GRID[0])
-    assert store.try_lease(dead_key)
-
-    recorder = obs.install()
-    try:
-        engine = SweepEngine(store=store)
-        results = engine.run_many(GRID, on_dnr="none")
-    finally:
-        obs.disable()
-    counters = recorder.counters_snapshot()
-
-    assert len(results) == len(GRID)
-    assert counters["store.lease_timeouts"] >= 1
-    assert store.stats()["leases"] == 0
-
-
-def test_orphan_lease_taken_over_without_timeout(tmp_path):
-    """If the foreign lease vanishes with no entry, take over immediately."""
-    store = ResultStore(tmp_path / "store", lease_timeout_s=10.0, poll_interval_s=0.01)
-    engine = SweepEngine(store=store)
-    orphan_key = engine.cache_key(GRID[0])
-    assert store.try_lease(orphan_key)
-
-    # First wait iteration sleeps; release the lease there so the next
-    # iteration observes lease-gone + entry-missing and claims it.
-    engine._sleep = lambda _s: store.release_lease(orphan_key)
-
-    recorder = obs.install()
-    try:
-        results = engine.run_many(GRID, on_dnr="none")
-    finally:
-        obs.disable()
-    counters = recorder.counters_snapshot()
-
-    assert len(results) == len(GRID)
-    assert counters["store.lease_takeovers"] >= 1
-    assert counters.get("store.lease_timeouts", 0) == 0  # no 10 s wait burned
-    assert store.stats()["leases"] == 0
-
-
-class RacingStore(ResultStore):
-    """Another process publishes ``key`` and drops its lease in the window
-    between this engine's preload read and its own ``try_lease``."""
-
-    def __init__(self, root, key, value):
-        super().__init__(root)
-        self.race = (key, value)
-
-    def try_lease(self, key):
-        if self.race is not None and key == self.race[0]:
-            self.put_many(dict([self.race]))  # published; its lease is gone
-            self.race = None
-        return super().try_lease(key)
-
-
-class OrphanRacingStore(ResultStore):
-    """A foreign owner publishes and releases ``key`` between the waiter's
-    absorb read and its ``lease_active`` check (the orphan branch)."""
-
-    def __init__(self, root, key, value):
-        super().__init__(root, lease_timeout_s=10.0, poll_interval_s=0.01)
-        self.race = (key, value)
-
-    def lease_active(self, key):
-        if self.race is not None and key == self.race[0]:
-            self.put_many(dict([self.race]))
-            self.release_lease(key)
-            self.race = None
-        return super().lease_active(key)
-
-
-def _executed(engine, grid):
-    recorder = obs.install()
-    try:
-        results = engine.run_many(grid, on_dnr="none")
-    finally:
-        obs.disable()
-    return results, recorder.counters_snapshot()
-
-
-def test_key_published_before_our_lease_is_not_executed_again(tmp_path):
-    expected = SweepEngine().run_many(GRID, on_dnr="none")
-    raced = SweepEngine().cache_key(GRID[0])
-    store = RacingStore(tmp_path / "store", raced, expected[0])
-    engine = SweepEngine(store=store)
-
-    results, counters = _executed(engine, GRID)
-
-    assert store.race is None  # the race window was exercised
-    assert results == expected
-    assert counters["sweep.configs_executed"] == len(GRID) - 1
-    assert store.stats()["leases"] == 0
-
-
-def test_orphan_takeover_rechecks_the_store(tmp_path):
-    expected = SweepEngine().run_many(GRID, on_dnr="none")
-    raced = SweepEngine().cache_key(GRID[0])
-    store = OrphanRacingStore(tmp_path / "store", raced, expected[0])
-    assert store.try_lease(raced)  # held by the "other process"
-    engine = SweepEngine(store=store)
-
-    results, counters = _executed(engine, GRID)
-
-    assert store.race is None
-    assert results == expected
-    assert counters["store.lease_takeovers"] == 1
-    assert counters["sweep.configs_executed"] == len(GRID) - 1
-    assert store.stats()["leases"] == 0
 
 
 class GatedPreloadStore(ResultStore):
@@ -283,4 +183,30 @@ def test_waiter_on_store_absorbed_keys_does_not_spin(tmp_path):
     assert out["waiter"] == out["owner"][:6]
     assert recorder.counters_snapshot()["sweep.configs_executed"] == len(GRID) - 4
     assert engine._inflight == {}
-    assert store.stats()["leases"] == 0
+
+
+def test_interrupted_export_resumes_byte_identical(tmp_path):
+    """Interrupt + resume through ``--store`` == an uninterrupted export."""
+    from repro.cli import main
+    from repro.core.sweep import clear_caches, set_default_store
+
+    out_a = tmp_path / "uninterrupted"
+    out_b = tmp_path / "resumed"
+    store_dir = tmp_path / "store"
+    try:
+        clear_caches()
+        assert main(["export", str(out_a)]) == 0
+
+        # "Interrupt": land only part of the grid in the store, cold
+        # caches again, then resume the full export against the store.
+        clear_caches()
+        assert main(["table", "3", "--store", str(store_dir)]) == 0
+        assert ResultStore(store_dir).stats()["entries"] > 0
+        clear_caches()
+        assert main(["export", str(out_b), "--store", str(store_dir)]) == 0
+    finally:
+        set_default_store(None)
+        clear_caches()
+
+    for artifact in sorted(out_a.iterdir()):
+        assert (out_b / artifact.name).read_bytes() == artifact.read_bytes()

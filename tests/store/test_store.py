@@ -1,9 +1,8 @@
-"""ResultStore units: round-trips, integrity, leases, LRU eviction.
+"""ResultStore units: round-trips, integrity, LRU eviction, recency log.
 
 The store's one promise is that a hit is indistinguishable from a
-recompute: values round-trip bit-identically, anything that fails
-verification degrades to a miss (never a wrong answer), and leases make
-execution at-most-once without ever blocking a read.
+recompute: values round-trip bit-identically, and anything that fails
+verification degrades to a miss (never a wrong answer).
 """
 
 import json
@@ -17,6 +16,7 @@ from repro.core.perfmodel import DNRError
 from repro.core.sweep import SweepEngine, expand_grid
 from repro.faults.atomic import write_text_atomic
 from repro.store import STORE_VERSION, ResultStore, store_from_env
+from repro.store.store import _digest_key
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +33,7 @@ def store(tmp_path):
 
 def _entry_path(store, key):
     """The object file backing ``key`` (tests may corrupt it at will)."""
-    return store._objects / store.lease_path(key).name.replace(".lease", ".json")
+    return store._objects / f"{_digest_key(key)}.json"
 
 
 class TestRoundTrip:
@@ -137,27 +137,6 @@ class TestIntegrity:
         assert store.get(("k",)) is None
 
 
-class TestLeases:
-    def test_exclusive_claim(self, store):
-        assert store.try_lease(("k",)) is True
-        assert store.try_lease(("k",)) is False  # held
-        assert store.lease_active(("k",))
-        store.release_lease(("k",))
-        assert not store.lease_active(("k",))
-        store.release_lease(("k",))  # idempotent
-        assert store.try_lease(("k",)) is True
-
-    def test_break_lease(self, store):
-        store.try_lease(("k",))
-        store.break_lease(("k",))
-        assert store.try_lease(("k",)) is True
-
-    def test_lease_does_not_block_reads(self, store):
-        store.put(("k",), "v")
-        store.try_lease(("k",))
-        assert store.get(("k",)) == "v"
-
-
 class TestEviction:
     def _sized_store(self, tmp_path, n_keep):
         """A store whose cap fits ``n_keep`` same-sized entries."""
@@ -185,18 +164,6 @@ class TestEviction:
         assert store.get(("probe", 1)) == "a" * 64  # survived
         assert store.get(("probe", 2)) is None  # evicted instead
 
-    def test_leased_entry_never_evicted(self, tmp_path):
-        store = self._sized_store(tmp_path, 2)
-        store.put(("probe", 1), "a" * 64)
-        store.put(("probe", 2), "b" * 64)
-        store.try_lease(("probe", 1))  # oldest, but claimed
-        try:
-            store.put(("probe", 3), "c" * 64)
-            assert store.get(("probe", 1)) == "a" * 64  # protected
-            assert store.get(("probe", 2)) is None  # next-oldest went instead
-        finally:
-            store.release_lease(("probe", 1))
-
     def test_eviction_counter(self, tmp_path):
         store = self._sized_store(tmp_path, 1)
         recorder = obs.install()
@@ -210,8 +177,6 @@ class TestEviction:
     def test_max_bytes_validation(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             ResultStore(tmp_path / "s", max_bytes=0)
-        with pytest.raises(ValueError, match="lease_timeout_s"):
-            ResultStore(tmp_path / "s", lease_timeout_s=0)
 
 
 class TestIndex:
@@ -233,19 +198,13 @@ class TestIndex:
     def test_stats_shape(self, store):
         stats = store.stats()
         assert stats["entries"] == 0 and stats["bytes"] == 0
-        assert stats["max_bytes"] is None and stats["leases"] == 0
+        assert stats["max_bytes"] is None
         store.put(("k",), "v")
-        store.try_lease(("other",))
-        try:
-            stats = store.stats()
-            assert stats["entries"] == 1 and stats["bytes"] > 0
-            assert stats["leases"] == 1
-        finally:
-            store.release_lease(("other",))
+        stats = store.stats()
+        assert stats["entries"] == 1 and stats["bytes"] > 0
 
     def test_clear(self, store):
         store.put(("k",), "v")
-        store.try_lease(("k",))
         store.clear()
         assert store.get(("k",)) is None
         assert store.stats() == {
@@ -253,13 +212,12 @@ class TestIndex:
             "entries": 0,
             "bytes": 0,
             "max_bytes": None,
-            "leases": 0,
         }
 
 
 
 def _digest(store, key):
-    return store.lease_path(key).stem
+    return _digest_key(key)
 
 
 def _log_lines(store):
@@ -414,7 +372,6 @@ class TestRecencyLog:
             "entries": len(objects),
             "bytes": on_disk,
             "max_bytes": None,
-            "leases": 0,
         }
         assert {path.stem for path in objects} <= set(_log_lines(store))
 
