@@ -11,7 +11,7 @@ R001   determinism -- no global-state RNG or wall-clock on model paths
 R002   concurrency -- module-level mutable state only under a lock
 R003   units -- no arithmetic across ``_bytes``/``_ghz``/``_ns``/... suffixes
 R004   catalog -- Table 5 invariants on machine-catalog literals
-R005   parity -- scalar/``_grid`` twins and complete kernel registration
+R005   parity -- the trace-engine pair and complete kernel registration
 =====  ===============================================================
 
 Entry points: :func:`run_analysis` (programmatic), ``repro lint`` (CLI),

@@ -1,20 +1,8 @@
-"""R005: model parity -- scalar/grid twins and complete kernel registration.
+"""R005: model parity -- the trace-engine pair and complete kernel registration.
 
-The batched sweep path is only trustworthy because every vectorised
-``_foo_grid`` cost term in :class:`PerformanceModel` has a scalar ``_foo``
-reference implementation it is tested bit-identical against (and the
-scalar entry points route through the grid, so neither can drift alone).
-This rule enforces the pairing both ways inside classes named
-``PerformanceModel``:
-
-* every ``_foo_grid`` method needs a scalar ``_foo`` sibling;
-* every private scalar method taking a thread count (a parameter named
-  ``n`` or ``n_threads``) needs a ``_foo_grid`` sibling.
-
-The cache simulator keeps the same discipline between its two trace
-engines: the dict-based oracle and the reuse-distance fast path are only
-interchangeable because a ``TRACE_ENGINES`` registry holds both under
-fixed names.  Any module assigning ``TRACE_ENGINES`` must register both
+The cache simulator's two trace engines, the dict-based oracle and the
+reuse-distance fast path, are only interchangeable because a
+``TRACE_ENGINES`` registry holds both under fixed names.  Any module assigning ``TRACE_ENGINES`` must register both
 ``"exact"`` and ``"vectorized"`` and point each at a module-level
 function, and a ``run_trace_vectorized`` definition without any such
 registry in the project is flagged -- an unregistered engine could drift
@@ -40,12 +28,6 @@ from ..registry import register
 
 __all__ = ["ParityRule"]
 
-#: Classes whose private methods must keep scalar/grid parity.
-PARITY_CLASSES = {"PerformanceModel"}
-
-#: Parameter names that mark a method as thread-count-indexed (the grid axis).
-_THREAD_PARAMS = {"n", "n_threads"}
-
 #: Keywords every KernelSignature registration must supply.
 REQUIRED_SIGNATURE_FIELDS = (
     "name", "display", "npb_class", "total_mops", "work_per_op",
@@ -68,17 +50,13 @@ class ParityRule(ProjectRule):
     code = "R005"
     name = "model-parity"
     description = (
-        "missing scalar/_grid method twins in PerformanceModel, an "
-        "incomplete TRACE_ENGINES pair, or NPB kernels without a "
+        "an incomplete TRACE_ENGINES pair, or NPB kernels without a "
         "complete signature/trace registration"
     )
 
-    # -- per-file: scalar/grid twins -----------------------------------
+    # -- per-file: the trace-engine registry ---------------------------
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and node.name in PARITY_CLASSES:
-                yield from self._check_class(module, node)
         yield from self._check_engine_registry(module)
 
     def _check_engine_registry(self, module: SourceModule) -> Iterator[Finding]:
@@ -106,38 +84,6 @@ class ParityRule(ProjectRule):
                     f"{ENGINE_REGISTRY}[{engine!r}] must name a "
                     "module-level engine function",
                 )
-
-    def _check_class(self, module, cls: ast.ClassDef) -> Iterator[Finding]:
-        methods = {
-            stmt.name: stmt
-            for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for name, func in methods.items():
-            if name.startswith("__"):
-                continue
-            if name.endswith("_grid"):
-                base = name[: -len("_grid")]
-                if base not in methods:
-                    yield module.finding(
-                        self.code, func,
-                        f"`{cls.name}.{name}` has no scalar `{base}` twin; "
-                        "the grid path needs a scalar reference "
-                        "implementation to be tested against",
-                    )
-            elif name.startswith("_") and self._takes_thread_count(func) \
-                    and f"{name}_grid" not in methods:
-                yield module.finding(
-                    self.code, func,
-                    f"`{cls.name}.{name}` takes a thread count but has no "
-                    f"`{name}_grid` twin; batched sweeps cannot evaluate it",
-                )
-
-    @staticmethod
-    def _takes_thread_count(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-        names = {a.arg for a in (*func.args.posonlyargs, *func.args.args,
-                                 *func.args.kwonlyargs)}
-        return bool(names & _THREAD_PARAMS)
 
     # -- project: kernel registration completeness ---------------------
     #

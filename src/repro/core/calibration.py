@@ -30,15 +30,21 @@ which the paper runs unvectorised (Section 6 pathology).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.compilers.gcc import default_compiler_for, get_compiler
 from repro.machines.machine import Machine
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .perfmodel import PerformanceModel
+from .perfmodel import _eval_segment, _family_scalars, _row_block
+from .signature import KernelSignature
 
-__all__ = ["Anchor", "ANCHORS", "calibration_factors", "factors_from_raw", "anchor_for"]
+__all__ = [
+    "Anchor",
+    "ANCHORS",
+    "anchor_config",
+    "anchor_for",
+    "calibration_factors",
+    "factors_from_raw",
+]
 
 
 @dataclass(frozen=True)
@@ -174,9 +180,29 @@ def anchor_for(machine_name: str, kernel: str) -> Anchor | None:
     return ANCHORS.get((machine_name, kernel))
 
 
-def calibration_factors(
-    machine: Machine, kernel: str, model: "PerformanceModel"
-) -> tuple[float, float]:
+def anchor_config(
+    machine_name: str, kernel: str
+) -> tuple[Anchor, KernelSignature, str] | None:
+    """The anchor of a (machine, kernel) pair and the run it stands for.
+
+    Returns ``(anchor, signature, compiler name)``: the kernel's signature
+    at the anchor's class and the machine's paper-default compiler, run
+    with vectorisation ``anchor.vectorise``.  ``None`` for pairs without
+    an anchor.
+    """
+    anchor = anchor_for(machine_name, kernel)
+    if anchor is None:
+        return None
+    from repro.npb.signatures import signature_for
+
+    return (
+        anchor,
+        signature_for(kernel, anchor.npb_class),
+        default_compiler_for(machine_name),
+    )
+
+
+def calibration_factors(machine: Machine, kernel: str) -> tuple[float, float]:
     """Factors ``(alpha, kappa)`` that make the model hit the anchor.
 
     ``alpha`` scales the *compute* term: the anchor residual is almost
@@ -189,33 +215,42 @@ def calibration_factors(
     compute (never the case for the paper's anchors, but possible for
     user-supplied ones) does ``kappa`` time-scale the whole prediction
     instead.  Pairs without an anchor run uncalibrated (1, 1).
+
+    The anchor configuration is evaluated as a one-row block of the
+    model's row evaluator.
     """
-    anchor = anchor_for(machine.name, kernel)
-    if anchor is None:
+    config = anchor_config(machine.name, kernel)
+    if config is None:
         return 1.0, 1.0
+    anchor, sig, compiler_name = config
+    columns, _, _ = _family_scalars(
+        machine, sig, get_compiler(compiler_name), anchor.vectorise
+    )
+    terms = _eval_segment(machine, _row_block([columns], [1], [1]))
+    return factors_from_raw(sig, anchor, *(float(t[0]) for t in terms))
 
-    from repro.npb.signatures import signature_for
 
-    sig = signature_for(kernel, anchor.npb_class)
-    compiler = get_compiler(default_compiler_for(machine.name))
-    raw = model._raw_time(machine, sig, compiler, 1, anchor.vectorise)
-    return factors_from_raw(sig, anchor, raw)
+def factors_from_raw(
+    sig: KernelSignature,
+    anchor: Anchor,
+    t_compute: float,
+    t_stream: float,
+    t_latency: float,
+    t_sync: float,
+) -> tuple[float, float]:
+    """``(alpha, kappa)`` from the anchor configuration's raw cost terms.
 
-
-def factors_from_raw(sig, anchor: Anchor, raw: dict) -> tuple[float, float]:
-    """``(alpha, kappa)`` from an already-computed single-point raw split.
-
-    ``raw`` holds the anchor configuration's ``total``/``compute``/
-    ``stream``/``latency``/``sync`` times as plain floats, exactly as
-    ``PerformanceModel._raw_time`` returns them.  Split out so the grid
-    planner (``repro.core.plan``) can derive factors from rows of its
-    megagrid without a second scalar model evaluation.
+    The four terms are the uncalibrated single-thread times (plain
+    floats) of the anchor configuration, from one row of
+    :func:`repro.core.perfmodel._eval_segment` -- a one-row block here,
+    a row of its megagrid in the planner (``repro.core.plan``).
     """
     t_anchor = sig.total_mops / anchor.mops
     if sig.residual_attribution == "compute":
-        compute_budget = t_anchor - raw["latency"] - raw["sync"]
-        if compute_budget >= raw["stream"] and raw["compute"] > 0:
-            return compute_budget / raw["compute"], 1.0
+        compute_budget = t_anchor - t_latency - t_sync
+        if compute_budget >= t_stream and t_compute > 0:
+            return compute_budget / t_compute, 1.0
         # Anchor unreachable by compute scaling alone: fall back to
         # uniform time scaling.
-    return 1.0, t_anchor / raw["total"]
+    total = max(t_compute, t_stream) + t_latency + t_sync
+    return 1.0, t_anchor / total

@@ -20,6 +20,15 @@ Absolute single-core rates are anchored per (machine, kernel) by
 :mod:`repro.core.calibration`; everything about *scaling* -- plateaus,
 crossovers, the 1.52-4.91x SG2044/SG2042 spread of Table 4 -- emerges from
 the saturation physics above.
+
+The terms are implemented once, row-wise: :func:`_family_scalars`
+resolves a (machine, signature, compiler, vectorise) family into the
+per-family columns of a :data:`GRID_DTYPE` block (one row per thread
+count) and :func:`_eval_segment` evaluates every row of a block on one
+machine.  :meth:`PerformanceModel.predict_batch` evaluates one block per
+signature, calibration a one-row block per anchor, and the megagrid
+planner (:mod:`repro.core.plan`) one block per machine for a whole batch;
+:func:`_scaled_terms` applies the calibration factors for both callers.
 """
 
 from __future__ import annotations
@@ -127,14 +136,14 @@ class PerformanceModel:
         thread_counts: Sequence[int],
         vectorise: bool = True,
     ) -> list[Prediction]:
-        """Predict a grid of configurations in one vectorised evaluation.
+        """Predict a grid of configurations, one row block per signature.
 
-        All cost terms are computed with NumPy over the whole
-        ``thread_counts`` axis at once, and the per-signature setup
+        Each signature's thread counts are one :data:`GRID_DTYPE` block
+        evaluated by :func:`_eval_segment`, the same row-wise evaluator
+        the planner runs over whole batches; the per-signature setup
         (vectorisation legality, compiler quality factors, calibration
-        anchors) is resolved once per signature rather than once per
-        config.  ``predict`` routes through this path with a single-point
-        grid, so batch and scalar predictions are identical bit for bit.
+        anchors) is resolved once per signature.  ``predict`` reads row 0
+        of a one-row block.
 
         Returns predictions in signature-major order: all thread counts of
         the first signature, then the second, and so on.
@@ -148,349 +157,53 @@ class PerformanceModel:
             if isinstance(signatures, KernelSignature)
             else list(signatures)
         )
-        ns = np.asarray(tuple(thread_counts), dtype=np.int64)
-        if ns.size == 0 or not sigs:
+        counts = [int(n) for n in thread_counts]
+        if not counts or not sigs:
             return []
-        for n in dict.fromkeys(ns.tolist()):
+        for n in dict.fromkeys(counts):
             machine.validate_thread_count(n)
 
         out: list[Prediction] = []
         for sig in sigs:
-            if not machine.memory.fits(int(sig.working_set_bytes)):
-                raise DNRError(
-                    f"{sig.display} class {sig.npb_class} needs "
-                    f"{sig.working_set_bytes / 2**30:.2f} GiB but "
-                    f"{machine.label} has only "
-                    f"{machine.memory.capacity_bytes / 2**30:.0f} GiB DRAM"
-                )
-            raw = self._raw_time_grid(machine, sig, compiler, ns, vectorise)
+            dnr = _dnr_error(machine, sig)
+            if dnr is not None:
+                raise dnr
+            columns, vectorised, notes = _family_scalars(
+                machine, sig, compiler, vectorise
+            )
+            terms = _eval_segment(machine, _row_block([columns], [len(counts)], counts))
             if self.calibrate:
                 alpha, kappa = self._calibration_factors(machine, sig)
             else:
                 alpha, kappa = 1.0, 1.0
-            t_comp = raw["compute"] * alpha
-            time_s = (
-                np.maximum(t_comp, raw["stream"]) + raw["latency"] + raw["sync"]
-            ) * kappa
-            mops = sig.total_mops / time_s
-            t_comp_k = t_comp * kappa
-            t_stream_k = raw["stream"] * kappa
-            t_latency_k = raw["latency"] * kappa
-            t_sync_k = raw["sync"] * kappa
-            notes = tuple(raw["notes"])
-            for i, n in enumerate(ns.tolist()):
-                out.append(
-                    Prediction(
-                        machine=machine.name,
-                        kernel=sig.name,
-                        npb_class=sig.npb_class,
-                        n_threads=n,
-                        time_s=float(time_s[i]),
-                        mops=float(mops[i]),
-                        t_compute=float(t_comp_k[i]),
-                        t_stream=float(t_stream_k[i]),
-                        t_latency=float(t_latency_k[i]),
-                        t_sync=float(t_sync_k[i]),
-                        vectorised=raw["vectorised"],
-                        calibration_factor=alpha * kappa,
-                        notes=notes,
-                    )
+            time_s, mops, t_comp, t_stream, t_latency, t_sync = (
+                values.tolist()
+                for values in _scaled_terms(*terms, alpha, kappa, sig.total_mops)
+            )
+            factor = alpha * kappa
+            out.extend(
+                Prediction(
+                    machine=machine.name,
+                    kernel=sig.name,
+                    npb_class=sig.npb_class,
+                    n_threads=n,
+                    time_s=time_s[i],
+                    mops=mops[i],
+                    t_compute=t_comp[i],
+                    t_stream=t_stream[i],
+                    t_latency=t_latency[i],
+                    t_sync=t_sync[i],
+                    vectorised=vectorised,
+                    calibration_factor=factor,
+                    notes=notes,
                 )
+                for i, n in enumerate(counts)
+            )
         return out
 
     def clear_cache(self) -> None:
         """Drop memoised calibration factors (rarely needed)."""
         self._kappa_cache.clear()
-
-    # ------------------------------------------------------------------
-    # Cost terms
-    # ------------------------------------------------------------------
-
-    def _raw_time(
-        self,
-        machine: Machine,
-        sig: KernelSignature,
-        compiler: CompilerSpec,
-        n: int,
-        vectorise: bool,
-    ) -> dict:
-        """Scalar view of :meth:`_raw_time_grid` (calibration's entry point)."""
-        g = self._raw_time_grid(
-            machine, sig, compiler, np.asarray([n], dtype=np.int64), vectorise
-        )
-        return {
-            "total": float(g["total"][0]),
-            "compute": float(g["compute"][0]),
-            "stream": float(g["stream"][0]),
-            "latency": float(g["latency"][0]),
-            "sync": float(g["sync"][0]),
-            "vectorised": g["vectorised"],
-            "notes": g["notes"],
-        }
-
-    def _raw_time_grid(
-        self,
-        machine: Machine,
-        sig: KernelSignature,
-        compiler: CompilerSpec,
-        ns: np.ndarray,
-        vectorise: bool,
-    ) -> dict:
-        """Raw (uncalibrated) cost terms over a whole thread-count axis."""
-        notes: list[str] = []
-        nsf = ns.astype(np.float64)
-
-        # --- cache fit: how much of the nominal traffic reaches DRAM ----
-        cache_bytes = machine.effective_cache_bytes_per_thread_grid(ns) * nsf
-        spill = self._spill_fraction_grid(sig.working_set_bytes, cache_bytes)
-
-        # --- compute ----------------------------------------------------
-        outcome = vectorisation_outcome(
-            compiler,
-            machine.core.vector,
-            sig.name,
-            sig.vec_fraction,
-            vectorise,
-            gather_pathology=sig.gather_pathology,
-        )
-        if vectorise and not outcome.legal and machine.core.has_vector:
-            notes.append(
-                f"{compiler.display} cannot target "
-                f"{machine.core.vector.standard.value}; scalar code emitted"
-            )
-
-        rate_per_core = (
-            machine.scalar_rate_per_core()
-            * compiler.scalar_quality_for(sig.name)
-            * outcome.compute_multiplier
-        )
-        n_eff = self._effective_threads_grid(sig, machine, ns)
-        t_compute = sig.total_instructions / (n_eff * rate_per_core)
-
-        # --- streaming bandwidth -----------------------------------------
-        # The compiler's saturation quality scales the *ceilings*: poorly
-        # scheduled memory code extracts less of the saturated subsystem
-        # but is indistinguishable while a single core is the bottleneck.
-        satq = compiler.saturation_quality_for(sig.name)
-        comm_bytes = self._communication_bytes_grid(sig, machine, ns)
-        stream_bytes = sig.total_dram_bytes * spill + comm_bytes
-        bw_demand = nsf * machine.memory.per_core_stream_bw_gbs
-        bw = (
-            smoothmin_grid(
-                bw_demand,
-                machine.memory.sustained_bw_gbs * satq,
-                machine.memory.saturation_sharpness,
-            )
-            * 1e9
-        )
-        t_stream = stream_bytes / bw
-
-        # --- random-access latency ---------------------------------------
-        t_latency = self._latency_time_grid(machine, sig, ns, spill, cap_scale=satq)
-        t_latency = t_latency * outcome.latency_multiplier
-
-        # --- synchronisation ----------------------------------------------
-        n_barriers = sig.comm.barriers_per_mop * sig.total_mops
-        t_sync = n_barriers * machine.barrier_cost_s_grid(ns)
-
-        total = np.maximum(t_compute, t_stream) + t_latency + t_sync
-        return {
-            "total": total,
-            "compute": t_compute,
-            "stream": t_stream,
-            "latency": t_latency,
-            "sync": t_sync,
-            "vectorised": outcome.applied,
-            "notes": notes,
-        }
-
-    @staticmethod
-    def _spill_fraction(working_set: float, cache_bytes: float) -> float:
-        """Fraction of nominal DRAM traffic that actually reaches DRAM.
-
-        NPB's big kernels sweep their working set with full-set reuse
-        distance, so under (pseudo-)LRU the cache is nearly all-or-nothing:
-        a set slightly larger than cache thrashes completely.  We model a
-        sharp knee -- full spill below ~60% coverage, full residency (bar
-        a 2% compulsory/coherence trickle) once it fits.
-        """
-        if working_set <= 0:
-            raise ValueError("working_set must be positive")
-        ratio = cache_bytes / working_set
-        if ratio >= 1.0:
-            return 0.02
-        if ratio <= 0.6:
-            return 1.0
-        # Narrow transition band: partial tiling/blocking effects.
-        return 1.0 - (1.0 - 0.02) * (ratio - 0.6) / 0.4
-
-    @staticmethod
-    def _spill_fraction_grid(
-        working_set: float | np.ndarray, cache_bytes: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised :meth:`_spill_fraction` over an array of capacities.
-
-        ``working_set`` may itself be an array (one entry per grid row)
-        when called from the megagrid planner; the arithmetic is
-        elementwise either way.
-        """
-        if np.any(np.asarray(working_set) <= 0):
-            raise ValueError("working_set must be positive")
-        ratio = cache_bytes / working_set
-        trans = 1.0 - (1.0 - 0.02) * (ratio - 0.6) / 0.4
-        return np.where(ratio >= 1.0, 0.02, np.where(ratio <= 0.6, 1.0, trans))
-
-    @staticmethod
-    def _effective_threads(sig: KernelSignature, machine: Machine, n: int) -> float:
-        """Scalar view of :meth:`_effective_threads_grid` for one count."""
-        return float(
-            PerformanceModel._effective_threads_grid(
-                sig, machine, np.asarray([n], dtype=np.int64)
-            )[0]
-        )
-
-    @staticmethod
-    def _effective_threads_grid(
-        sig: KernelSignature, machine: Machine, ns: np.ndarray
-    ) -> np.ndarray:
-        """Amdahl + load-imbalance + machine-side derating of thread counts."""
-        nsf = ns.astype(np.float64)
-        amdahl = nsf / (1.0 + sig.serial_fraction * (nsf - 1.0))
-        imbalance = np.maximum(0.5, 1.0 - sig.imbalance_coeff * np.log2(nsf))
-        # NUMA remote-touch penalties only bite kernels that touch DRAM.
-        numa_sensitive = sig.dram_bytes_per_op > 0.3
-        res = (
-            amdahl
-            * imbalance
-            * machine.parallel_efficiency_grid(ns, numa_sensitive=numa_sensitive)
-        )
-        return np.where(ns == 1, 1.0, res)
-
-    @staticmethod
-    def _communication_bytes(sig: KernelSignature, machine: Machine, n: int) -> float:
-        """Scalar view of :meth:`_communication_bytes_grid` for one count."""
-        return float(
-            PerformanceModel._communication_bytes_grid(
-                sig, machine, np.asarray([n], dtype=np.int64)
-            )[0]
-        )
-
-    @staticmethod
-    def _communication_bytes_grid(
-        sig: KernelSignature, machine: Machine, ns: np.ndarray
-    ) -> np.ndarray:
-        """Inter-thread traffic, which on a shared-memory chip is memory
-        traffic.
-
-        Halo (neighbour) volume grows with the number of partition
-        surfaces, ~ n^(2/3) for 3D decompositions, normalised to the
-        full-chip run the signature was characterised at.  All-to-all
-        transpose volume is essentially constant in n (every element moves
-        once) but pays a NUMA factor when threads span regions.
-        """
-        nsf = ns.astype(np.float64)
-        ref = machine.n_cores
-        neighbour = sig.comm.neighbour_bytes * sig.total_ops * (nsf / ref) ** (2.0 / 3.0)
-        if machine.topology.numa_regions > 1:
-            numa_factor = np.where(ns > machine.topology.cores_per_numa, 1.25, 1.0)
-        else:
-            numa_factor = 1.0
-        alltoall = sig.comm.alltoall_bytes * sig.total_ops * numa_factor
-        return np.where(ns == 1, 0.0, neighbour + alltoall)
-
-    @staticmethod
-    def _latency_time(
-        machine: Machine,
-        sig: KernelSignature,
-        n: int,
-        spill: float,
-        cap_scale: float = 1.0,
-    ) -> float:
-        """Scalar view of :meth:`_latency_time_grid` for one thread count."""
-        return float(
-            PerformanceModel._latency_time_grid(
-                machine,
-                sig,
-                np.asarray([n], dtype=np.int64),
-                np.asarray([spill], dtype=np.float64),
-                cap_scale,
-            )[0]
-        )
-
-    @staticmethod
-    def _latency_time_grid(
-        machine: Machine,
-        sig: KernelSignature,
-        ns: np.ndarray,
-        spill: np.ndarray,
-        cap_scale: float = 1.0,
-    ) -> np.ndarray:
-        """Random-access (latency-bound) time, serviced hierarchically.
-
-        The randomly-accessed structure (``sig.random_target_bytes``) is
-        split by where it fits:
-
-        * the mid-level cache instance (private or cluster L2) -- serviced
-          at L2 latency, scaling with the number of occupied clusters
-          (CG's x-vector; the SG2044's doubled 2 MB L2 helps exactly here);
-        * the shared last-level cache -- serviced at LLC latency but
-          capped chip-wide by the fabric (the SG2042's crossbar is why IS
-          plateaus at 16 cores there);
-        * DRAM -- capped by the controllers' random-row throughput.
-
-        Contention appears *only* through the smooth-min ceilings;
-        loaded-latency inflation on top would double-count saturation.
-        """
-        total = sig.total_random_accesses * (1.0 - sig.latency_hidden_fraction)
-        if total <= 0.0:
-            return np.zeros(ns.shape, dtype=np.float64)
-
-        nsf = ns.astype(np.float64)
-        target_bytes = sig.effective_random_target_bytes
-        mlp = machine.memory.core_mlp * sig.gather_mlp_factor
-        sharp = machine.memory.saturation_sharpness
-        ghz = machine.clock_ghz
-
-        mid = machine.cache(2) if machine.cache(3) is not None else None
-        llc = machine.last_level_cache
-
-        # Fit fractions (hot-end shares: a structure 2x the cache still
-        # hits for the resident half).
-        fit_mid = 0.0
-        if mid is not None:
-            fit_mid = 0.98 * min(1.0, mid.size_bytes / target_bytes)
-        llc_agg = llc.size_bytes * (
-            machine.n_cores // machine.cores_sharing(llc)
-        )
-        fit_llc = max(fit_mid, 0.98 * min(1.0, llc_agg / target_bytes))
-        frac_dram = np.maximum(1.0 - fit_llc, 0.02 * spill + (1.0 - spill) * 0.0)
-        frac_llc = np.maximum(0.0, 1.0 - fit_mid - frac_dram)
-        frac_mid = np.maximum(0.0, 1.0 - frac_llc - frac_dram)
-
-        # Zero fractions contribute exactly 0.0 to the sum, matching the
-        # scalar model's if-gated accumulation term for term.
-        time = np.zeros(ns.shape, dtype=np.float64)
-        if mid is not None:
-            lat_s = mid.latency_cycles / ghz * 1e-9
-            demand = nsf * mlp / lat_s
-            # One line every ~3 cycles per L2 instance.
-            sharers = machine.cores_sharing(mid)
-            instances = -(-ns // sharers)
-            cap = instances * machine.clock_hz / 3.0
-            time = time + frac_mid * total / smoothmin_grid(demand, cap, sharp)
-        lat_s = llc.latency_cycles / ghz * 1e-9
-        demand = nsf * mlp / lat_s
-        cap = (
-            machine.memory.random_rate_cap()
-            * machine.memory.llc_random_boost
-            * cap_scale
-        )
-        time = time + frac_llc * total / smoothmin_grid(demand, cap, sharp)
-        lat_s = machine.memory.idle_latency_ns * 1e-9
-        demand = nsf * mlp / lat_s
-        cap = machine.memory.random_rate_cap() * cap_scale
-        time = time + frac_dram * total / smoothmin_grid(demand, cap, sharp)
-        return time
 
     # ------------------------------------------------------------------
     # Calibration
@@ -502,9 +215,306 @@ class PerformanceModel:
         key = (machine.name, sig.name)
         if key in self._kappa_cache:
             return self._kappa_cache[key]
-        # Imported here to avoid a cycle (calibration builds signatures).
+        # Imported here to avoid a cycle (calibration evaluates its anchors
+        # through this module's row evaluator).
         from . import calibration
 
-        factors = calibration.calibration_factors(machine, sig.name, self)
+        factors = calibration.calibration_factors(machine, sig.name)
         self._kappa_cache[key] = factors
         return factors
+
+
+# ----------------------------------------------------------------------
+# The row-wise evaluator: the model's one implementation of its cost terms
+# ----------------------------------------------------------------------
+
+#: One row per config: the thread count plus every per-family quantity
+#: the cost terms consume, repeated across the family's rows so a block
+#: of many families on one machine evaluates in one vectorised pass.
+GRID_DTYPE = np.dtype(
+    [
+        ("n", np.int64),  # thread count (the only per-row axis)
+        ("ws_bytes", np.float64),  # sig.working_set_bytes
+        ("total_instructions", np.float64),
+        ("total_dram_bytes", np.float64),
+        ("neighbour_op_bytes", np.float64),  # comm.neighbour_bytes * total_ops
+        ("alltoall_op_bytes", np.float64),  # comm.alltoall_bytes * total_ops
+        ("n_barriers", np.float64),  # barriers_per_mop * total_mops
+        ("rate_per_core", np.float64),  # scalar rate * quality * vec multiplier
+        ("serial_fraction", np.float64),
+        ("imbalance_coeff", np.float64),
+        ("numa_sensitive", np.bool_),
+        ("sus_bw_satq_gbs", np.float64),  # sustained_bw_gbs * satq
+        ("lat_total", np.float64),  # random accesses not latency-hidden
+        ("mlp", np.float64),  # core_mlp * gather_mlp_factor
+        ("fit_mid", np.float64),
+        ("fit_llc", np.float64),
+        ("cap_llc", np.float64),  # random_rate_cap * llc_boost * satq
+        ("cap_dram", np.float64),  # random_rate_cap * satq
+        ("latency_multiplier", np.float64),
+    ],
+    # Padded to 8-byte rows: ufuncs on unaligned field views take
+    # NumPy's buffered slow path.
+    align=True,
+)
+
+
+def _dnr_error(machine: Machine, sig: KernelSignature) -> DNRError | None:
+    """The "Did Not Run" verdict when ``sig`` cannot fit in DRAM, else None."""
+    if machine.memory.fits(int(sig.working_set_bytes)):
+        return None
+    return DNRError(
+        f"{sig.display} class {sig.npb_class} needs "
+        f"{sig.working_set_bytes / 2**30:.2f} GiB but "
+        f"{machine.label} has only "
+        f"{machine.memory.capacity_bytes / 2**30:.0f} GiB DRAM"
+    )
+
+
+def _family_scalars(
+    machine: Machine, sig: KernelSignature, compiler: CompilerSpec, vectorise: bool
+) -> tuple[tuple, bool, tuple[str, ...]]:
+    """One family's per-family quantities and its vectorisation verdict.
+
+    Returns ``(columns, vectorised, notes)``: ``columns`` ordered as the
+    non-``n`` :data:`GRID_DTYPE` fields, ``vectorised`` whether vector
+    code was emitted, ``notes`` why not when it was asked for.
+    """
+    outcome = vectorisation_outcome(
+        compiler,
+        machine.core.vector,
+        sig.name,
+        sig.vec_fraction,
+        vectorise,
+        gather_pathology=sig.gather_pathology,
+    )
+    notes: tuple[str, ...] = ()
+    if vectorise and not outcome.legal and machine.core.has_vector:
+        notes = (
+            f"{compiler.display} cannot target "
+            f"{machine.core.vector.standard.value}; scalar code emitted",
+        )
+
+    # The compiler's saturation quality scales the *ceilings*: poorly
+    # scheduled memory code extracts less of the saturated subsystem but
+    # is indistinguishable while a single core is the bottleneck.
+    satq = compiler.saturation_quality_for(sig.name)
+    # Random-target fit fractions (hot-end shares: a structure 2x the
+    # cache still hits for the resident half).
+    target_bytes = sig.effective_random_target_bytes
+    mid = machine.cache(2) if machine.cache(3) is not None else None
+    llc = machine.last_level_cache
+    fit_mid = 0.0
+    if mid is not None:
+        fit_mid = 0.98 * min(1.0, mid.size_bytes / target_bytes)
+    llc_agg = llc.size_bytes * (machine.n_cores // machine.cores_sharing(llc))
+    fit_llc = max(fit_mid, 0.98 * min(1.0, llc_agg / target_bytes))
+
+    columns = (
+        sig.working_set_bytes,
+        sig.total_instructions,
+        sig.total_dram_bytes,
+        sig.comm.neighbour_bytes * sig.total_ops,
+        sig.comm.alltoall_bytes * sig.total_ops,
+        sig.comm.barriers_per_mop * sig.total_mops,
+        machine.scalar_rate_per_core()
+        * compiler.scalar_quality_for(sig.name)
+        * outcome.compute_multiplier,
+        sig.serial_fraction,
+        sig.imbalance_coeff,
+        # NUMA remote-touch penalties only bite kernels that touch DRAM.
+        sig.dram_bytes_per_op > 0.3,
+        machine.memory.sustained_bw_gbs * satq,
+        sig.total_random_accesses * (1.0 - sig.latency_hidden_fraction),
+        machine.memory.core_mlp * sig.gather_mlp_factor,
+        fit_mid,
+        fit_llc,
+        machine.memory.random_rate_cap() * machine.memory.llc_random_boost * satq,
+        machine.memory.random_rate_cap() * satq,
+        outcome.latency_multiplier,
+    )
+    return columns, outcome.applied, notes
+
+
+def _row_block(
+    columns: Sequence[tuple], lengths: Sequence[int], thread_counts: Sequence[int]
+) -> np.ndarray:
+    """A :data:`GRID_DTYPE` block: family ``i``'s ``columns`` over its
+    ``lengths[i]`` consecutive rows, ``thread_counts`` as the ``n`` column."""
+    rows = np.array([(0, *family) for family in columns], dtype=GRID_DTYPE)
+    grid = rows.repeat(lengths)
+    grid["n"] = thread_counts
+    return grid
+
+
+def _spill_fraction(
+    working_set: float | np.ndarray, cache_bytes: np.ndarray
+) -> np.ndarray:
+    """Fraction of nominal DRAM traffic that actually reaches DRAM.
+
+    NPB's big kernels sweep their working set with full-set reuse
+    distance, so under (pseudo-)LRU the cache is nearly all-or-nothing:
+    a set slightly larger than cache thrashes completely.  We model a
+    sharp knee -- full spill below ~60% coverage, full residency (bar a
+    2% compulsory/coherence trickle) once it fits, and a narrow linear
+    band between (partial tiling/blocking effects).  Elementwise over
+    arrays of working sets and capacities.
+    """
+    if np.count_nonzero(np.asarray(working_set) <= 0):
+        raise ValueError("working_set must be positive")
+    ratio = cache_bytes / working_set
+    trans = 1.0 - (1.0 - 0.02) * (ratio - 0.6) / 0.4
+    return np.where(ratio >= 1.0, 0.02, np.where(ratio <= 0.6, 1.0, trans))
+
+
+def _effective_threads_rows(g: np.ndarray, machine: Machine, ns, nsf) -> np.ndarray:
+    """Amdahl + load-imbalance + machine-side derating of thread counts."""
+    amdahl = nsf / (1.0 + g["serial_fraction"] * (nsf - 1.0))
+    imbalance = np.maximum(0.5, 1.0 - g["imbalance_coeff"] * np.log2(nsf))
+    # A family's rows share one variant; mixed blocks select per row.
+    sensitive = g["numa_sensitive"]
+    if np.count_nonzero(sensitive) in (0, sensitive.size):
+        eff = machine.parallel_efficiency_grid(ns, numa_sensitive=bool(sensitive[0]))
+    else:
+        eff = np.where(
+            sensitive,
+            machine.parallel_efficiency_grid(ns, numa_sensitive=True),
+            machine.parallel_efficiency_grid(ns, numa_sensitive=False),
+        )
+    res = amdahl * imbalance * eff
+    return np.where(ns == 1, 1.0, res)
+
+
+def _communication_bytes_rows(g: np.ndarray, machine: Machine, ns, nsf) -> np.ndarray:
+    """Inter-thread traffic, which on a shared-memory chip is memory
+    traffic.
+
+    Halo (neighbour) volume grows with the number of partition surfaces,
+    ~ n^(2/3) for 3D decompositions, normalised to the full-chip run the
+    signature was characterised at.  All-to-all transpose volume is
+    essentially constant in n (every element moves once) but pays a NUMA
+    factor when threads span regions.
+    """
+    ref = machine.n_cores
+    neighbour = g["neighbour_op_bytes"] * (nsf / ref) ** (2.0 / 3.0)
+    if machine.topology.numa_regions > 1:
+        numa_factor = np.where(ns > machine.topology.cores_per_numa, 1.25, 1.0)
+    else:
+        numa_factor = 1.0
+    alltoall = g["alltoall_op_bytes"] * numa_factor
+    return np.where(ns == 1, 0.0, neighbour + alltoall)
+
+
+def _latency_time_rows(g: np.ndarray, machine: Machine, ns, nsf, spill) -> np.ndarray:
+    """Random-access (latency-bound) time, serviced hierarchically.
+
+    The randomly-accessed structure (``sig.random_target_bytes``) is
+    split by where it fits (``fit_mid``/``fit_llc``):
+
+    * the mid-level cache instance (private or cluster L2) -- serviced at
+      L2 latency, scaling with the number of occupied clusters (CG's
+      x-vector; the SG2044's doubled 2 MB L2 helps exactly here);
+    * the shared last-level cache -- serviced at LLC latency but capped
+      chip-wide by the fabric (the SG2042's crossbar is why IS plateaus
+      at 16 cores there);
+    * DRAM -- capped by the controllers' random-row throughput.
+
+    Contention appears *only* through the smooth-min ceilings;
+    loaded-latency inflation on top would double-count saturation.  Rows
+    whose family has no unhidden random accesses are exactly ``0.0``.
+    """
+    lat_total = g["lat_total"]
+    if not np.count_nonzero(lat_total):
+        return np.zeros(ns.shape, dtype=np.float64)
+    sharp = machine.memory.saturation_sharpness
+    ghz = machine.clock_ghz
+    mid = machine.cache(2) if machine.cache(3) is not None else None
+    llc = machine.last_level_cache
+
+    frac_dram = np.maximum(1.0 - g["fit_llc"], 0.02 * spill)
+    frac_llc = np.maximum(0.0, 1.0 - g["fit_mid"] - frac_dram)
+    frac_mid = np.maximum(0.0, 1.0 - frac_llc - frac_dram)
+
+    mlp = g["mlp"]
+    time_rows = np.zeros(ns.shape, dtype=np.float64)
+    if mid is not None:
+        lat_s = mid.latency_cycles / ghz * 1e-9
+        demand = nsf * mlp / lat_s
+        # One line every ~3 cycles per L2 instance.
+        sharers = machine.cores_sharing(mid)
+        instances = -(-ns // sharers)
+        cap = instances * machine.clock_hz / 3.0
+        time_rows = time_rows + frac_mid * lat_total / smoothmin_grid(
+            demand, cap, sharp
+        )
+    lat_s = llc.latency_cycles / ghz * 1e-9
+    demand = nsf * mlp / lat_s
+    time_rows = time_rows + frac_llc * lat_total / smoothmin_grid(
+        demand, g["cap_llc"], sharp
+    )
+    lat_s = machine.memory.idle_latency_ns * 1e-9
+    demand = nsf * mlp / lat_s
+    time_rows = time_rows + frac_dram * lat_total / smoothmin_grid(
+        demand, g["cap_dram"], sharp
+    )
+    return np.where(lat_total > 0.0, time_rows, 0.0)
+
+
+def _eval_segment(machine: Machine, g: np.ndarray):
+    """The raw (uncalibrated) cost terms of every row of ``g`` on ``machine``.
+
+    Returns ``(t_compute, t_stream, t_latency, t_sync)`` arrays.  Every
+    operation is elementwise, so a row's terms do not depend on which
+    block it is evaluated in.
+    """
+    ns = g["n"]
+    nsf = ns.astype(np.float64)
+
+    # --- cache fit: how much of the nominal traffic reaches DRAM --------
+    cache_bytes = machine.effective_cache_bytes_per_thread_grid(ns) * nsf
+    spill = _spill_fraction(g["ws_bytes"], cache_bytes)
+
+    # --- compute --------------------------------------------------------
+    n_eff = _effective_threads_rows(g, machine, ns, nsf)
+    t_compute = g["total_instructions"] / (n_eff * g["rate_per_core"])
+
+    # --- streaming bandwidth ---------------------------------------------
+    comm_bytes = _communication_bytes_rows(g, machine, ns, nsf)
+    stream_bytes = g["total_dram_bytes"] * spill + comm_bytes
+    bw_demand = nsf * machine.memory.per_core_stream_bw_gbs
+    bw = (
+        smoothmin_grid(
+            bw_demand,
+            g["sus_bw_satq_gbs"],
+            machine.memory.saturation_sharpness,
+        )
+        * 1e9
+    )
+    t_stream = stream_bytes / bw
+
+    # --- random-access latency -------------------------------------------
+    t_latency = _latency_time_rows(g, machine, ns, nsf, spill)
+    t_latency = t_latency * g["latency_multiplier"]
+
+    # --- synchronisation ---------------------------------------------------
+    t_sync = g["n_barriers"] * machine.barrier_cost_s_grid(ns)
+    return t_compute, t_stream, t_latency, t_sync
+
+
+def _scaled_terms(t_compute, t_stream, t_latency, t_sync, alpha, kappa, total_mops):
+    """Calibrated ``(time_s, mops, t_compute, t_stream, t_latency, t_sync)``.
+
+    ``alpha`` scales the compute term and ``kappa`` the whole time (see
+    :func:`repro.core.calibration.calibration_factors`); scalars or
+    per-row arrays alike.
+    """
+    t_comp = t_compute * alpha
+    time_s = (np.maximum(t_comp, t_stream) + t_latency + t_sync) * kappa
+    return (
+        time_s,
+        total_mops / time_s,
+        t_comp * kappa,
+        t_stream * kappa,
+        t_latency * kappa,
+        t_sync * kappa,
+    )

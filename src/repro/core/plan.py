@@ -16,11 +16,12 @@ families.
 Exactness contract: every number produced here is **bit-identical** to
 the per-family path.  That falls out of three properties:
 
-* every arithmetic step below mirrors ``_raw_time_grid`` (and the
-  ``predict_batch`` assembly) operation for operation, preserving
-  evaluation order and associativity -- IEEE-754 arithmetic is
-  deterministic per operation, so elementwise-equal inputs through the
-  same operation DAG give elementwise-equal outputs;
+* the cost terms come from the model's one row-wise evaluator
+  (:func:`repro.core.perfmodel._eval_segment` over
+  :func:`repro.core.perfmodel._family_scalars` columns) and are scaled by
+  the :func:`repro.core.perfmodel._scaled_terms` that ``predict_batch``
+  also uses; every operation is elementwise, so a row's value does not
+  depend on the block it is evaluated in;
 * calibration anchors are evaluated as extra single-thread rows of the
   same megagrid and converted through the shared
   :func:`repro.core.calibration.factors_from_raw`;
@@ -49,20 +50,26 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from repro.compilers.gcc import default_compiler_for, get_compiler
-from repro.compilers.model import vectorisation_outcome
+from repro.compilers.gcc import get_compiler
 from repro.machines.catalog import get_machine
-from repro.machines.memory import smoothmin_grid
 
-from .calibration import anchor_for, factors_from_raw
+from .calibration import anchor_config, factors_from_raw
 from .experiment import ExperimentConfig, ExperimentRunner, measurement_seed
-from .perfmodel import DNRError, PerformanceModel, Prediction
+from .perfmodel import (
+    DNRError,
+    PerformanceModel,
+    Prediction,
+    _dnr_error,
+    _eval_segment,
+    _family_scalars,
+    _row_block,
+    _scaled_terms,
+)
 from .results import ExperimentResult, RunSample
 
 __all__ = [
     "PlanNotApplicable",
     "plan_groups",
-    "GRID_DTYPE",
     "fastpath_available",
 ]
 
@@ -74,34 +81,6 @@ class PlanNotApplicable(Exception):
     per-family path, which then raises (or computes) exactly what the
     sequential engine always did.
     """
-
-
-#: One megagrid row per config: the thread count plus every per-family
-#: quantity ``_raw_time_grid`` consumes, broadcast across the family's
-#: row slice so machine segments evaluate in one vectorised pass.
-GRID_DTYPE = np.dtype(
-    [
-        ("n", np.int64),  # thread count (the only per-row axis)
-        ("ws_bytes", np.float64),  # sig.working_set_bytes
-        ("total_instructions", np.float64),
-        ("total_dram_bytes", np.float64),
-        ("neighbour_op_bytes", np.float64),  # comm.neighbour_bytes * total_ops
-        ("alltoall_op_bytes", np.float64),  # comm.alltoall_bytes * total_ops
-        ("n_barriers", np.float64),  # barriers_per_mop * total_mops
-        ("rate_per_core", np.float64),  # scalar rate * quality * vec multiplier
-        ("serial_fraction", np.float64),
-        ("imbalance_coeff", np.float64),
-        ("numa_sensitive", np.bool_),
-        ("sus_bw_satq_gbs", np.float64),  # sustained_bw_gbs * satq
-        ("lat_total", np.float64),  # random accesses not latency-hidden
-        ("mlp", np.float64),  # core_mlp * gather_mlp_factor
-        ("fit_mid", np.float64),
-        ("fit_llc", np.float64),
-        ("cap_llc", np.float64),  # random_rate_cap * llc_boost * satq
-        ("cap_dram", np.float64),  # random_rate_cap * satq
-        ("latency_multiplier", np.float64),
-    ]
-)
 
 
 @dataclass
@@ -120,111 +99,6 @@ class _FamilyPlan:
     notes: tuple = ()
     rows: slice | None = None
     calibration_factor: float = 1.0
-
-
-# ----------------------------------------------------------------------
-# Flat evaluation of _raw_time_grid over one machine's row segment
-# ----------------------------------------------------------------------
-
-
-def _effective_threads_rows(g: np.ndarray, machine, ns, nsf) -> np.ndarray:
-    """Row-wise :meth:`PerformanceModel._effective_threads_grid`."""
-    amdahl = nsf / (1.0 + g["serial_fraction"] * (nsf - 1.0))
-    imbalance = np.maximum(0.5, 1.0 - g["imbalance_coeff"] * np.log2(nsf))
-    # Both machine efficiency variants are pure; select per row.
-    eff = np.where(
-        g["numa_sensitive"],
-        machine.parallel_efficiency_grid(ns, numa_sensitive=True),
-        machine.parallel_efficiency_grid(ns, numa_sensitive=False),
-    )
-    res = amdahl * imbalance * eff
-    return np.where(ns == 1, 1.0, res)
-
-
-def _communication_bytes_rows(g: np.ndarray, machine, ns, nsf) -> np.ndarray:
-    """Row-wise :meth:`PerformanceModel._communication_bytes_grid`."""
-    ref = machine.n_cores
-    neighbour = g["neighbour_op_bytes"] * (nsf / ref) ** (2.0 / 3.0)
-    if machine.topology.numa_regions > 1:
-        numa_factor = np.where(ns > machine.topology.cores_per_numa, 1.25, 1.0)
-    else:
-        numa_factor = 1.0
-    alltoall = g["alltoall_op_bytes"] * numa_factor
-    return np.where(ns == 1, 0.0, neighbour + alltoall)
-
-
-def _latency_time_rows(g: np.ndarray, machine, ns, nsf, spill) -> np.ndarray:
-    """Row-wise :meth:`PerformanceModel._latency_time_grid`.
-
-    Rows whose family has no unhidden random accesses produce exact
-    ``+0.0`` through the arithmetic itself (``frac * 0.0 / positive``),
-    matching the scalar path's early return; the final ``where`` keeps
-    that explicit.
-    """
-    sharp = machine.memory.saturation_sharpness
-    ghz = machine.clock_ghz
-    mid = machine.cache(2) if machine.cache(3) is not None else None
-    llc = machine.last_level_cache
-
-    spill_floor = 0.02 * spill + (1.0 - spill) * 0.0
-    frac_dram = np.maximum(1.0 - g["fit_llc"], spill_floor)
-    frac_llc = np.maximum(0.0, 1.0 - g["fit_mid"] - frac_dram)
-    frac_mid = np.maximum(0.0, 1.0 - frac_llc - frac_dram)
-
-    lat_total = g["lat_total"]
-    mlp = g["mlp"]
-    time_rows = np.zeros(ns.shape, dtype=np.float64)
-    if mid is not None:
-        lat_s = mid.latency_cycles / ghz * 1e-9
-        demand = nsf * mlp / lat_s
-        sharers = machine.cores_sharing(mid)
-        instances = -(-ns // sharers)
-        cap = instances * machine.clock_hz / 3.0
-        time_rows = time_rows + frac_mid * lat_total / smoothmin_grid(
-            demand, cap, sharp
-        )
-    lat_s = llc.latency_cycles / ghz * 1e-9
-    demand = nsf * mlp / lat_s
-    time_rows = time_rows + frac_llc * lat_total / smoothmin_grid(
-        demand, g["cap_llc"], sharp
-    )
-    lat_s = machine.memory.idle_latency_ns * 1e-9
-    demand = nsf * mlp / lat_s
-    time_rows = time_rows + frac_dram * lat_total / smoothmin_grid(
-        demand, g["cap_dram"], sharp
-    )
-    return np.where(lat_total > 0.0, time_rows, 0.0)
-
-
-def _eval_segment(machine, g: np.ndarray):
-    """``_raw_time_grid``'s four cost terms over one machine's rows."""
-    ns = g["n"]
-    nsf = ns.astype(np.float64)
-
-    cache_bytes = machine.effective_cache_bytes_per_thread_grid(ns) * nsf
-    spill = PerformanceModel._spill_fraction_grid(g["ws_bytes"], cache_bytes)
-
-    n_eff = _effective_threads_rows(g, machine, ns, nsf)
-    t_compute = g["total_instructions"] / (n_eff * g["rate_per_core"])
-
-    comm_bytes = _communication_bytes_rows(g, machine, ns, nsf)
-    stream_bytes = g["total_dram_bytes"] * spill + comm_bytes
-    bw_demand = nsf * machine.memory.per_core_stream_bw_gbs
-    bw = (
-        smoothmin_grid(
-            bw_demand,
-            g["sus_bw_satq_gbs"],
-            machine.memory.saturation_sharpness,
-        )
-        * 1e9
-    )
-    t_stream = stream_bytes / bw
-
-    t_latency = _latency_time_rows(g, machine, ns, nsf, spill)
-    t_latency = t_latency * g["latency_multiplier"]
-
-    t_sync = g["n_barriers"] * machine.barrier_cost_s_grid(ns)
-    return t_compute, t_stream, t_latency, t_sync
 
 
 # ----------------------------------------------------------------------
@@ -405,22 +279,17 @@ def _family_plans(runner, groups) -> list[_FamilyPlan]:
                 machine.validate_thread_count(config.n_threads)
             except ValueError as exc:
                 raise PlanNotApplicable(str(exc)) from exc
-        fam = _FamilyPlan(
-            group=group,
-            machine=machine,
-            sig=sig,
-            compiler_name=compiler_name,
-            compiler=get_compiler(compiler_name),
-            vectorise=head.vectorise,
-        )
-        if not machine.memory.fits(int(sig.working_set_bytes)):
-            fam.dnr = DNRError(
-                f"{sig.display} class {sig.npb_class} needs "
-                f"{sig.working_set_bytes / 2**30:.2f} GiB but "
-                f"{machine.label} has only "
-                f"{machine.memory.capacity_bytes / 2**30:.0f} GiB DRAM"
+        fams.append(
+            _FamilyPlan(
+                group=group,
+                machine=machine,
+                sig=sig,
+                compiler_name=compiler_name,
+                compiler=get_compiler(compiler_name),
+                vectorise=head.vectorise,
+                dnr=_dnr_error(machine, sig),
             )
-        fams.append(fam)
+        )
     return fams
 
 
@@ -431,8 +300,6 @@ def _anchor_plans(model, fams) -> tuple[list[_FamilyPlan], dict]:
     map (``None`` marks anchor-less pairs, memoised as ``(1.0, 1.0)``
     exactly like ``calibration_factors``).
     """
-    from repro.npb.signatures import signature_for
-
     anchor_fams: list[_FamilyPlan] = []
     needed: dict[tuple[str, str], _FamilyPlan | None] = {}
     for fam in fams:
@@ -441,15 +308,15 @@ def _anchor_plans(model, fams) -> tuple[list[_FamilyPlan], dict]:
         key = (fam.machine.name, fam.sig.name)
         if key in model._kappa_cache or key in needed:
             continue
-        anchor = anchor_for(*key)
-        if anchor is None:
+        config = anchor_config(*key)
+        if config is None:
             needed[key] = None
             continue
-        compiler_name = default_compiler_for(fam.machine.name)
+        anchor, sig, compiler_name = config
         plan = _FamilyPlan(
             group=[],
             machine=fam.machine,
-            sig=signature_for(fam.sig.name, anchor.npb_class),
+            sig=sig,
             compiler_name=compiler_name,
             compiler=get_compiler(compiler_name),
             vectorise=anchor.vectorise,
@@ -458,63 +325,6 @@ def _anchor_plans(model, fams) -> tuple[list[_FamilyPlan], dict]:
         needed[key] = plan
         anchor_fams.append(plan)
     return anchor_fams, needed
-
-
-def _family_scalars(fam: _FamilyPlan) -> tuple:
-    """One family's per-family quantities, mirroring the scalar setup at
-    the top of ``_raw_time_grid``; ordered as the non-``n`` GRID_DTYPE
-    fields.  Also resolves the family's vectorisation verdict and notes."""
-    sig = fam.sig
-    machine = fam.machine
-    outcome = vectorisation_outcome(
-        fam.compiler,
-        machine.core.vector,
-        sig.name,
-        sig.vec_fraction,
-        fam.vectorise,
-        gather_pathology=sig.gather_pathology,
-    )
-    notes = []
-    if fam.vectorise and not outcome.legal and machine.core.has_vector:
-        notes.append(
-            f"{fam.compiler.display} cannot target "
-            f"{machine.core.vector.standard.value}; scalar code emitted"
-        )
-    fam.notes = tuple(notes)
-    fam.vectorised = outcome.applied
-
-    satq = fam.compiler.saturation_quality_for(sig.name)
-    target_bytes = sig.effective_random_target_bytes
-    mid = machine.cache(2) if machine.cache(3) is not None else None
-    llc = machine.last_level_cache
-    fit_mid = 0.0
-    if mid is not None:
-        fit_mid = 0.98 * min(1.0, mid.size_bytes / target_bytes)
-    llc_agg = llc.size_bytes * (machine.n_cores // machine.cores_sharing(llc))
-    fit_llc = max(fit_mid, 0.98 * min(1.0, llc_agg / target_bytes))
-
-    return (
-        sig.working_set_bytes,
-        sig.total_instructions,
-        sig.total_dram_bytes,
-        sig.comm.neighbour_bytes * sig.total_ops,
-        sig.comm.alltoall_bytes * sig.total_ops,
-        sig.comm.barriers_per_mop * sig.total_mops,
-        machine.scalar_rate_per_core()
-        * fam.compiler.scalar_quality_for(sig.name)
-        * outcome.compute_multiplier,
-        sig.serial_fraction,
-        sig.imbalance_coeff,
-        sig.dram_bytes_per_op > 0.3,
-        machine.memory.sustained_bw_gbs * satq,
-        sig.total_random_accesses * (1.0 - sig.latency_hidden_fraction),
-        machine.memory.core_mlp * sig.gather_mlp_factor,
-        fit_mid,
-        fit_llc,
-        machine.memory.random_rate_cap() * machine.memory.llc_random_boost * satq,
-        machine.memory.random_rate_cap() * satq,
-        outcome.latency_multiplier,
-    )
 
 
 def _build(cls, rows: list[dict], fast_new: bool) -> list:
@@ -579,17 +389,16 @@ def _measure_batch(runner, fams, t_compute, t_stream, t_latency, t_sync) -> list
     total_mops = np.repeat(
         np.asarray([fam.sig.total_mops for fam in live], dtype=np.float64), lengths
     )
-    t_comp = t_compute[rows] * alpha
-    t_str = t_stream[rows]
-    t_lat = t_latency[rows]
-    t_syn = t_sync[rows]
-    time_s = (np.maximum(t_comp, t_str) + t_lat + t_syn) * kappa
+    time_s, mops, t_comp, t_str, t_lat, t_syn = _scaled_terms(
+        t_compute[rows], t_stream[rows], t_latency[rows], t_sync[rows],
+        alpha, kappa, total_mops,
+    )
     time_list = time_s.tolist()
-    mops_list = (total_mops / time_s).tolist()
-    t_comp_k = (t_comp * kappa).tolist()
-    t_stream_k = (t_str * kappa).tolist()
-    t_latency_k = (t_lat * kappa).tolist()
-    t_sync_k = (t_syn * kappa).tolist()
+    mops_list = mops.tolist()
+    t_comp_k = t_comp.tolist()
+    t_stream_k = t_str.tolist()
+    t_latency_k = t_lat.tolist()
+    t_sync_k = t_syn.tolist()
 
     # Noise: cv once per distinct thread count (np.log2 on int64, as the
     # per-family path computed it), then one lognormal draw per config
@@ -720,9 +529,8 @@ def plan_groups(
             order.append(fam.machine.name)
         by_machine.setdefault(fam.machine.name, []).append(fam)
 
-    # Column-wise megagrid assembly: per-family scalars are repeated over
-    # each family's row count in one vectorised pass per field.
-    scalar_rows: list[tuple] = []
+    # Megagrid assembly: each family's columns repeated over its rows.
+    columns: list[tuple] = []
     lengths: list[int] = []
     flat_n: list[int] = []
     segments: list[tuple[object, slice]] = []
@@ -733,20 +541,17 @@ def plan_groups(
             thread_counts = [c.n_threads for c in fam.group] or [1]
             stop = pos + len(thread_counts)
             fam.rows = slice(pos, stop)
-            scalar_rows.append(_family_scalars(fam))
+            family, fam.vectorised, fam.notes = _family_scalars(
+                fam.machine, fam.sig, fam.compiler, fam.vectorise
+            )
+            columns.append(family)
             lengths.append(len(thread_counts))
             flat_n.extend(thread_counts)
             pos = stop
         segments.append((get_machine(name), slice(seg_start, pos)))
 
+    grid = _row_block(columns, lengths, flat_n)
     n_rows = pos
-    grid = np.empty(n_rows, dtype=GRID_DTYPE)
-    grid["n"] = np.asarray(flat_n, dtype=np.int64)
-    lengths_arr = np.asarray(lengths, dtype=np.int64)
-    columns = list(zip(*scalar_rows))
-    for field_name, column in zip(list(GRID_DTYPE.names)[1:], columns):
-        grid[field_name] = np.repeat(np.asarray(column), lengths_arr)
-
     t_compute = np.zeros(n_rows, dtype=np.float64)
     t_stream = np.zeros(n_rows, dtype=np.float64)
     t_latency = np.zeros(n_rows, dtype=np.float64)
@@ -765,16 +570,14 @@ def plan_groups(
             factors = (1.0, 1.0)
         else:
             i = anchor_fam.rows.start
-            raw = {
-                "total": float(
-                    np.maximum(t_compute[i], t_stream[i]) + t_latency[i] + t_sync[i]
-                ),
-                "compute": float(t_compute[i]),
-                "stream": float(t_stream[i]),
-                "latency": float(t_latency[i]),
-                "sync": float(t_sync[i]),
-            }
-            factors = factors_from_raw(anchor_fam.sig, anchor_fam.anchor, raw)
+            factors = factors_from_raw(
+                anchor_fam.sig,
+                anchor_fam.anchor,
+                float(t_compute[i]),
+                float(t_stream[i]),
+                float(t_latency[i]),
+                float(t_sync[i]),
+            )
         model._kappa_cache[key] = factors
 
     return _measure_batch(runner, fams, t_compute, t_stream, t_latency, t_sync)

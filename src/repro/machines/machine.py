@@ -7,7 +7,6 @@ parallel-runtime overhead) that the multi-core scaling model needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,45 +125,30 @@ class Machine:
         return min(full, max(1, active_threads))
 
     def effective_cache_bytes_per_thread(self, n_threads: int) -> float:
-        """Total cache capacity one of ``n_threads`` effectively owns.
-
-        Sums each level's instance capacity divided by the number of active
-        threads sharing it under a compact placement.  This is the quantity
-        the working-set model compares against (the paper invokes it when
-        attributing CG gains to the SG2044's doubled 2 MB cluster L2).
-        """
-        if not 1 <= n_threads <= self.n_cores:
-            raise ValueError(f"n_threads {n_threads} out of range")
-        total = 0.0
-        for cache in self.caches:
-            sharers = self.cores_sharing(cache, active_threads=n_threads)
-            if cache.sharing is CacheSharing.CLUSTER:
-                # Compact placement: threads fill clusters in order.
-                sharers = min(self.topology.cores_per_cluster, n_threads)
-            elif cache.sharing is CacheSharing.CHIP:
-                sharers = n_threads
-            else:
-                sharers = 1
-            total += cache.size_bytes / sharers
-        return total
+        """Scalar view of :meth:`effective_cache_bytes_per_thread_grid`."""
+        ns = np.asarray([n_threads])
+        return float(self.effective_cache_bytes_per_thread_grid(ns)[0])
 
     def effective_cache_bytes_per_thread_grid(self, ns: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`effective_cache_bytes_per_thread` over ``ns``.
+        """Total cache capacity one of ``ns`` threads effectively owns.
 
-        Elementwise identical to the scalar method; this is the form the
-        batched performance model evaluates whole thread sweeps with.
+        Sums each level's instance capacity divided by the number of active
+        threads sharing it under a compact placement (threads fill
+        clusters in order).  This is the quantity the working-set model
+        compares against (the paper invokes it when attributing CG gains
+        to the SG2044's doubled 2 MB cluster L2).  Elementwise over an
+        array of thread counts.
         """
         if ns.size and not (1 <= int(ns.min()) and int(ns.max()) <= self.n_cores):
             raise ValueError(f"thread counts {ns} out of range for {self.name}")
         total = np.zeros(ns.shape, dtype=np.float64)
         for cache in self.caches:
             if cache.sharing is CacheSharing.CLUSTER:
-                sharers = np.minimum(self.topology.cores_per_cluster, ns)
+                total += cache.size_bytes / np.minimum(self.topology.cores_per_cluster, ns)
             elif cache.sharing is CacheSharing.CHIP:
-                sharers = ns
-            else:
-                sharers = np.ones_like(ns)
-            total += cache.size_bytes / sharers
+                total += cache.size_bytes / ns
+            else:  # private: each thread owns a whole instance
+                total += cache.size_bytes
         return total
 
     # ------------------------------------------------------------------
@@ -176,16 +160,11 @@ class Machine:
         return self.core.sustained_ipc * self.clock_hz
 
     def barrier_cost_s(self, n_threads: int) -> float:
-        """Cost of one OpenMP barrier across ``n_threads`` (seconds)."""
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        if n_threads == 1:
-            return 0.0
-        ns = self.barrier_base_ns + self.barrier_log_coeff_ns * math.log2(n_threads)
-        return ns * 1e-9
+        """Scalar view of :meth:`barrier_cost_s_grid`."""
+        return float(self.barrier_cost_s_grid(np.asarray([n_threads]))[0])
 
     def barrier_cost_s_grid(self, ns: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`barrier_cost_s` over an array of thread counts."""
+        """Cost of one OpenMP barrier across each of ``ns`` threads (seconds)."""
         if ns.size and int(ns.min()) < 1:
             raise ValueError("n_threads must be >= 1")
         nsf = ns.astype(np.float64)
@@ -193,7 +172,15 @@ class Machine:
         return np.where(ns == 1, 0.0, cost)
 
     def parallel_efficiency(self, n_threads: int, numa_sensitive: bool = True) -> float:
-        """Machine-side thread-scaling derating.
+        """Scalar view of :meth:`parallel_efficiency_grid`."""
+        return float(
+            self.parallel_efficiency_grid(np.asarray([n_threads]), numa_sensitive)[0]
+        )
+
+    def parallel_efficiency_grid(
+        self, ns: np.ndarray, numa_sensitive: bool = True
+    ) -> np.ndarray:
+        """Machine-side thread-scaling derating over an array of counts.
 
         ``os_noise_coeff`` models scheduler noise and runtime overhead
         growing with thread count (the SG2042 loses ~17% of EP's ideal
@@ -205,23 +192,6 @@ class Machine:
         has no remote pages to touch, which is why the EPYC keeps its EP
         lead all the way to 64 cores in the paper's Figure 4.
         """
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        if n_threads == 1:
-            return 1.0
-        eff = max(0.4, 1.0 - self.os_noise_coeff * math.log2(n_threads))
-        if (
-            numa_sensitive
-            and self.topology.numa_regions > 1
-            and n_threads > self.topology.cores_per_numa
-        ):
-            eff *= self.numa_penalty
-        return eff
-
-    def parallel_efficiency_grid(
-        self, ns: np.ndarray, numa_sensitive: bool = True
-    ) -> np.ndarray:
-        """Vectorised :meth:`parallel_efficiency` over an array of counts."""
         if ns.size and int(ns.min()) < 1:
             raise ValueError("n_threads must be >= 1")
         nsf = ns.astype(np.float64)

@@ -1,17 +1,6 @@
-"""R005 known-bad: grid/scalar cost terms missing their twins, plus a
-trace-engine registry missing its vectorized half and pointing the exact
-slot at a name that is not a module-level function."""
-
-
-class PerformanceModel:
-    @staticmethod
-    def _orphan_grid(sig, machine, ns):
-        return ns
-
-    @staticmethod
-    def _scalar_only(sig, machine, n):
-        return float(n)
-
+"""R005 known-bad: a trace-engine registry missing its vectorized half
+and pointing the exact slot at a name that is not a module-level
+function."""
 
 TRACE_ENGINES = {
     "exact": _missing_engine,  # noqa: F821 -- deliberately unresolvable

@@ -1,17 +1,5 @@
-"""R005 known-good: every grid cost term has a scalar twin, and the
-trace-engine registry holds the complete exact/vectorized pair."""
-
-import numpy as np
-
-
-class PerformanceModel:
-    @staticmethod
-    def _cost(sig, machine, n):
-        return float(PerformanceModel._cost_grid(sig, machine, np.asarray([n]))[0])
-
-    @staticmethod
-    def _cost_grid(sig, machine, ns):
-        return ns * 2.0
+"""R005 known-good: the trace-engine registry holds the complete
+exact/vectorized pair."""
 
 
 def run_trace_vectorized(hierarchy, addresses, streaming_mask=None):

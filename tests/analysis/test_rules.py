@@ -16,7 +16,7 @@ CASES = [
     ("R002", 4),
     ("R003", 4),
     ("R004", 4),
-    ("R005", 4),
+    ("R005", 2),
     ("R006", 4),
     ("R007", 4),
     ("R009", 4),

@@ -11,7 +11,12 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite the golden telemetry snapshots under tests/obs/golden/",
+        help=(
+            "rewrite the golden snapshots instead of comparing: telemetry "
+            "under tests/obs/golden/, service documents under "
+            "tests/service/golden/, and the model-prediction and export "
+            "digests in tests/core/golden/model_pin.json"
+        ),
     )
 
 

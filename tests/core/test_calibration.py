@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.calibration import ANCHORS, Anchor, anchor_for, calibration_factors
-from repro.core.perfmodel import PerformanceModel
 from repro.machines.catalog import get_machine, machine_names
 from repro.npb.params import ALL_BENCHMARKS
 
@@ -44,21 +43,16 @@ class TestAnchorTable:
 
 class TestFactors:
     def test_unanchored_pair_is_identity(self):
-        model = PerformanceModel()
-        alpha, kappa = calibration_factors(
-            get_machine("allwinner-d1"), "bt", model
-        )
+        alpha, kappa = calibration_factors(get_machine("allwinner-d1"), "bt")
         assert (alpha, kappa) == (1.0, 1.0)
 
     def test_compute_attribution_for_ep(self):
-        model = PerformanceModel()
-        alpha, kappa = calibration_factors(get_machine("sg2044"), "ep", model)
+        alpha, kappa = calibration_factors(get_machine("sg2044"), "ep")
         assert kappa == 1.0
         assert alpha > 0
 
     def test_time_attribution_for_is(self):
-        model = PerformanceModel()
-        alpha, kappa = calibration_factors(get_machine("sg2044"), "is", model)
+        alpha, kappa = calibration_factors(get_machine("sg2044"), "is")
         assert alpha == 1.0
         assert kappa > 0
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.compilers.gcc import get_compiler
-from repro.core.perfmodel import DNRError, PerformanceModel
+from repro.core.perfmodel import (
+    DNRError,
+    PerformanceModel,
+    _communication_bytes_rows,
+    _effective_threads_rows,
+    _family_scalars,
+    _row_block,
+    _spill_fraction,
+)
 from repro.machines.catalog import get_machine
 from repro.npb.signatures import signature_for
 
@@ -65,24 +73,25 @@ class TestDNR:
 
 class TestSpillFraction:
     def test_fits_means_trickle(self):
-        assert PerformanceModel._spill_fraction(1e6, 2e6) == pytest.approx(0.02)
+        assert _spill_fraction(1e6, np.asarray(2e6)) == pytest.approx(0.02)
 
     def test_overflow_means_full_spill(self):
-        assert PerformanceModel._spill_fraction(1e9, 1e6) == 1.0
+        assert _spill_fraction(1e9, np.asarray(1e6)) == 1.0
 
     def test_sharp_lru_knee(self):
         # 70% coverage of a sweeping working set barely helps.
-        at_half = PerformanceModel._spill_fraction(1e6, 0.5e6)
-        at_99 = PerformanceModel._spill_fraction(1e6, 0.99e6)
+        at_half, at_99 = _spill_fraction(1e6, np.asarray([0.5e6, 0.99e6]))
         assert at_half == 1.0
         assert at_99 < 0.1
 
     def test_monotone_in_cache_size(self):
-        spills = [
-            PerformanceModel._spill_fraction(1e6, c)
-            for c in (1e5, 5e5, 7e5, 9e5, 1e6, 2e6)
-        ]
+        spills = _spill_fraction(1e6, np.asarray([1e5, 5e5, 7e5, 9e5, 1e6, 2e6]))
         assert all(s2 <= s1 for s1, s2 in zip(spills, spills[1:]))
+
+    @pytest.mark.parametrize("working_set", [0.0, -1.0, np.asarray([1e6, 0.0])])
+    def test_non_positive_working_set_rejected(self, working_set):
+        with pytest.raises(ValueError, match="working_set"):
+            _spill_fraction(working_set, np.asarray([1e6, 1e6]))
 
 
 class TestVectorisationInModel:
@@ -129,44 +138,13 @@ class TestCalibration:
         assert ("sg2044", "ep") in pm._kappa_cache
 
 
-class TestScalarGridTwins:
-    """Every scalar cost-term view matches its `_grid` twin bit for bit."""
-
-    NS = (1, 2, 4, 8, 16, 32, 64)
-
-    def test_effective_threads_parity(self):
-        sig = signature_for("mg", "C")
-        m = get_machine("sg2044")
-        grid = PerformanceModel._effective_threads_grid(
-            sig, m, np.asarray(self.NS, dtype=np.int64)
-        )
-        for i, n in enumerate(self.NS):
-            assert PerformanceModel._effective_threads(sig, m, n) == grid[i]
-
-    def test_communication_bytes_parity(self):
-        sig = signature_for("ft", "C")
-        m = get_machine("sg2042")
-        grid = PerformanceModel._communication_bytes_grid(
-            sig, m, np.asarray(self.NS, dtype=np.int64)
-        )
-        for i, n in enumerate(self.NS):
-            assert PerformanceModel._communication_bytes(sig, m, n) == grid[i]
-
-    def test_latency_time_parity(self):
-        sig = signature_for("cg", "C")
-        m = get_machine("sg2044")
-        spill = 0.5
-        grid = PerformanceModel._latency_time_grid(
-            m,
-            sig,
-            np.asarray(self.NS, dtype=np.int64),
-            np.full(len(self.NS), spill),
-        )
-        for i, n in enumerate(self.NS):
-            assert PerformanceModel._latency_time(m, sig, n, spill) == grid[i]
-
+class TestRowEvaluator:
     def test_single_thread_baselines(self):
         sig = signature_for("mg", "C")
         m = get_machine("sg2044")
-        assert PerformanceModel._effective_threads(sig, m, 1) == 1.0
-        assert PerformanceModel._communication_bytes(sig, m, 1) == 0.0
+        columns, _, _ = _family_scalars(m, sig, GCC15, True)
+        g = _row_block([columns], [1], [1])
+        ns = g["n"]
+        nsf = ns.astype(np.float64)
+        assert _effective_threads_rows(g, m, ns, nsf)[0] == 1.0
+        assert _communication_bytes_rows(g, m, ns, nsf)[0] == 0.0
