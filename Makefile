@@ -44,7 +44,8 @@ stats:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
 
-# Full timed regeneration of every table and figure.
+# Every bench timed once by pytest-benchmark (the paper's tables and
+# figures are timed by perfbench paper_cli, not here).
 bench-full:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-only
 
@@ -59,15 +60,17 @@ bench-grid:
 bench-store:
 	$(PYTHON) -m pytest benchmarks/bench_store.py benchmarks/bench_service.py -q --benchmark-disable
 
-# Record a full trajectory point: run every suite + the fidelity
-# scorecard, merge into benchmarks/bench_artifact.json, and append the
-# run to benchmarks/history/.
+# Re-record the committed baseline: run every suite + the fidelity
+# scorecard and rewrite benchmarks/bench_artifact.json (commit it; its
+# git history is the perf trajectory).
 bench-record:
 	$(PYTHON) -m repro bench
 
 # The post-`make bench` gate: re-run the suites, compare each gated
-# field against the history with noise-aware margins, escalate-until
-# re-measurement, and exit non-zero on any surviving regression.
+# field against benchmarks/bench_artifact.json (speed fields only when
+# it was recorded on this machine, fidelity always), escalate-until
+# re-measurement, and exit non-zero on any surviving regression.  The
+# baseline is read, never written.
 bench-check:
 	$(PYTHON) -m repro bench --check
 

@@ -1,10 +1,9 @@
 """Benchmark harness configuration and shared measurement helpers.
 
-Every paper table and figure has one pytest-benchmark target here; running
-``pytest benchmarks/ --benchmark-only`` regenerates the whole evaluation
-and prints each regenerator's runtime.  Shape assertions inside the
-benchmarks keep them honest -- a regression that breaks the reproduced
-result fails the bench, not just slows it.
+Each ``bench_*.py`` file is a named suite of the ``repro bench`` gate
+(``bench_store.py`` -> suite ``store``).  Shape assertions and speedup
+floors inside the benchmarks keep them honest -- a regression that
+breaks a measured property fails the bench, not just slows it.
 
 The measurement discipline lives in :mod:`repro.bench.fixtures` (one
 implementation, shared with the gate's toy suites):
@@ -17,33 +16,17 @@ implementation, shared with the gate's toy suites):
     The shared-CI noise counter: re-measure until a headline ratio
     clears its margin or the round budget runs out.
 ``bench_artifact``
-    A session-scoped recorder that merges this session's entries *by
-    label* into the schema-v2 artifact at teardown -- a subset run
-    (``pytest benchmarks/bench_store.py``) updates its own suite's rows
-    and preserves every other suite's.  Override the output path with
-    ``REPRO_BENCH_ARTIFACT``.  Lint rule R013 requires every bench test
-    to record through it; ``repro bench`` accumulates the recorded runs
-    into ``benchmarks/history/`` and ``repro bench --check`` gates new
-    runs against that trajectory.
+    A session-scoped recorder that writes this session's entries to
+    ``REPRO_BENCH_ARTIFACT`` at teardown, and nothing when it is unset:
+    a plain ``pytest benchmarks/`` never touches the committed baseline
+    ``benchmarks/bench_artifact.json``.  Lint rule R013 requires every
+    bench test to record through it; ``repro bench`` rewrites the
+    baseline from the recorded entries and ``repro bench --check``
+    gates a fresh run against it.
 """
 
-from pathlib import Path
-
-import pytest
-
 from repro.bench.fixtures import (  # noqa: F401  (fixtures re-exported to pytest)
+    bench_artifact,
     escalate_until,
-    make_bench_artifact_fixture,
     time_best_of,
 )
-
-bench_artifact = make_bench_artifact_fixture(
-    Path(__file__).parent / "bench_artifact.json"
-)
-
-
-@pytest.fixture(scope="session")
-def runner():
-    from repro.core.experiment import ExperimentRunner
-
-    return ExperimentRunner()

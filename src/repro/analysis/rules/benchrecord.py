@@ -3,7 +3,7 @@
 The perf-trajectory gate (``repro bench --check``) can only gate what
 the benchmarks record: a bench test that measures a paper table but
 never calls ``bench_artifact(...)`` produces a number that evaporates
-when the pytest session ends -- it has no baseline, no history and no
+when the pytest session ends -- it has no baseline and no
 regression margin, so a 10x slowdown in it ships silently.  Worse, the
 subset-run merge keys on *which suites recorded*: an unrecorded test
 makes its suite's artifact rows stale without marking them as such.

@@ -1,32 +1,30 @@
-"""repro.bench -- the always-on performance trajectory.
+"""repro.bench -- the committed perf baseline and its regression gate.
 
-Nine PRs of measured speedups (batched sweeps, the vectorized cache
-simulator, warm lint, store-warm campaigns) are claims about *time*, and
-time regresses silently unless something keeps score.  This package is
-that something: one schema for the benchmark artifact, one append-only
-history of every recorded run, and one noise-aware gate comparing the
-newest run against the trajectory -- the same discipline the SG2042 /
+Measured speedups (batched sweeps, the vectorized cache simulator, warm
+lint, store-warm campaigns) are claims about *time*, and time regresses
+silently unless something keeps score.  This package is that something:
+one committed baseline, ``benchmarks/bench_artifact.json``, and one gate
+comparing a fresh run against it -- the same discipline the SG2042 /
 SG2044 papers apply to their NPB/STREAM/HPL suites across hardware
-generations (same benchmarks, accumulated results, explicit deltas).
+generations (same benchmarks, kept results, explicit deltas).  The
+trajectory is the file's git history (``git log -p``).
 
 Layers
 ------
 :mod:`~repro.bench.schema`
-    The schema-v2 benchmark artifact: merged-by-label entries tagged
-    with their suite, plus per-run metadata (git sha, timestamp,
+    The schema-v2 benchmark artifact: suite-tagged entries plus the
+    metadata of the run that last rewrote it (git sha, timestamp,
     machine fingerprint, suites run, escalation rounds).
-:mod:`~repro.bench.history`
-    Append-only run records under ``benchmarks/history/``, written with
-    the result store's atomic-write / sha256-verified codec discipline.
-:mod:`~repro.bench.thresholds` / :mod:`~repro.bench.compare`
-    Per-entry regression margins derived from the historical spread,
-    and the delta classification (`ok` / `regression` / `improved` /
-    `seeded`) the gate's exit code folds down from.
+:mod:`~repro.bench.compare`
+    Field directions, the fixed regression margin, and the delta
+    classification (`ok` / `regression` / `improved` / `seeded`) the
+    gate's exit code folds down from.
 :mod:`~repro.bench.runner`
     ``repro bench`` / ``repro bench --check``: run a named suite
     subset through pytest, fold the paper-fidelity scorecard into the
-    same artifact, escalate-until re-measurement before declaring a
-    regression, record the run into the history.
+    same entries, then rewrite the baseline's rows for those suites,
+    or compare against it with escalate-until re-measurement before
+    declaring a regression.
 :mod:`~repro.bench.fixtures`
     The shared pytest fixtures every ``benchmarks/bench_*.py`` file
     records through (``bench_artifact``, ``time_best_of``,
@@ -36,7 +34,6 @@ Layers
 from __future__ import annotations
 
 from .compare import Delta, compare_entries, regressions, render_deltas
-from .history import BenchHistory, HistoryError, decode_record, encode_record
 from .runner import BenchError, check_run, discover_suites, record_run
 from .schema import (
     SCHEMA_VERSION,
@@ -52,10 +49,6 @@ __all__ = [
     "merge_artifact",
     "run_metadata",
     "write_artifact",
-    "BenchHistory",
-    "HistoryError",
-    "encode_record",
-    "decode_record",
     "Delta",
     "compare_entries",
     "regressions",

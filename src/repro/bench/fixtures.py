@@ -3,8 +3,8 @@
 ``benchmarks/conftest.py`` (and any satellite bench directory, e.g. the
 toy suites the gate's tests spin up) imports its fixtures from here, so
 the measurement discipline -- gc-paused best-of-N, the minimum-elapsed
-floor, escalation under CI load, and the merge-by-label artifact write
--- has exactly one implementation.
+floor, escalation under CI load, and the artifact write -- has exactly
+one implementation.
 
 ``time_best_of``
     Best-of-N wall clock through ``obs.host_timer`` (the one sanctioned
@@ -17,15 +17,14 @@ floor, escalation under CI load, and the merge-by-label artifact write
     Re-measure until a headline ratio clears its margin or the round
     budget runs out (applied symmetrically to both sides of a ratio).
 ``bench_artifact``
-    A session-scoped recorder whose teardown *merges by label* into the
-    existing schema-v2 artifact: a subset run replaces only the entries
-    of the suites it executed and preserves everything else.  A session
-    that records nothing still rewrites the run metadata with
-    ``"empty": true`` -- a stale artifact must never misreport its last
-    run.  Each entry is tagged with its suite (the ``bench_<suite>.py``
-    stem, read from ``PYTEST_CURRENT_TEST``), which is what the
-    ``repro bench`` runner's subset manifest and escalation re-runs
-    key on.
+    A session-scoped recorder whose teardown writes the session's
+    entries to ``REPRO_BENCH_ARTIFACT`` -- the channel the ``repro
+    bench`` runner reads its pytest subprocess back through -- and
+    writes nothing when that variable is unset, so a plain ``pytest
+    benchmarks/`` never touches the committed baseline.  Each entry is
+    tagged with its suite (the ``bench_<suite>.py`` stem, read from
+    ``PYTEST_CURRENT_TEST``), which is what the runner's subset merge
+    and escalation re-runs key on.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ __all__ = [
     "ArtifactRecorder",
     "time_best_of",
     "escalate_until",
-    "make_bench_artifact_fixture",
+    "bench_artifact",
 ]
 
 #: Floor on any best-of-N elapsed time.  Below this the reading is
@@ -146,14 +145,13 @@ def current_suite(environ=None) -> str | None:
 
 
 class ArtifactRecorder:
-    """Collects ``(label, **fields)`` entries; flushes one merged artifact.
+    """Collects ``(label, **fields)`` entries; flushes one artifact.
 
     Entries recorded with the same label within one session keep the
     last recording (a re-measured entry supersedes its earlier self).
     """
 
-    def __init__(self, default_path: str | Path | None = None) -> None:
-        self.default_path = default_path
+    def __init__(self) -> None:
         self._entries: dict[str, dict] = {}
 
     def record(self, label: str, **fields) -> None:
@@ -163,36 +161,19 @@ class ArtifactRecorder:
     def entries(self) -> list[dict]:
         return sorted(self._entries.values(), key=lambda e: e["label"])
 
-    def resolve_path(self) -> Path:
-        env = os.environ.get("REPRO_BENCH_ARTIFACT")
-        if env:
-            return Path(env)
-        if self.default_path is not None:
-            return Path(self.default_path)
-        return Path("benchmarks") / "bench_artifact.json"
+    def flush(self) -> Path | None:
+        """Write this session's entries to ``REPRO_BENCH_ARTIFACT``.
 
-    def flush(self) -> Path:
-        """Merge this session's entries into the artifact on disk.
-
-        With no entries recorded, the artifact still gets a fresh run
-        block (``empty: true``) over its preserved entries: the file
-        then truthfully says "the last session measured nothing" instead
-        of silently impersonating an older run.
+        Returns the path written, or ``None`` when the variable is unset
+        (nothing is written).
         """
-        entries = self.entries()
-        path = self.resolve_path()
-        run_meta = schema.run_metadata(
-            suites=[e["suite"] for e in entries if e.get("suite")],
-            labels=[e["label"] for e in entries],
-            escalation_rounds=sum(
-                e.get("extra_rounds", 0)
-                for e in entries
-                if isinstance(e.get("extra_rounds"), int)
-            ),
-            empty=not entries,
+        target = os.environ.get("REPRO_BENCH_ARTIFACT")
+        if not target:
+            return None
+        path = Path(target)
+        schema.write_artifact(
+            path, {"schema_version": schema.SCHEMA_VERSION, "entries": self.entries()}
         )
-        merged = schema.merge_artifact(schema.load_artifact(path), entries, run_meta)
-        schema.write_artifact(path, merged)
         return path
 
 
@@ -206,18 +187,8 @@ def escalate_until():
     return escalate_until_impl
 
 
-def make_bench_artifact_fixture(default_path: str | Path | None = None):
-    """Build the session-scoped ``bench_artifact`` fixture for a conftest.
-
-    ``default_path`` anchors the artifact next to the conftest that owns
-    it (``REPRO_BENCH_ARTIFACT`` still overrides), so the fixture works
-    from any working directory.
-    """
-
-    @pytest.fixture(scope="session")
-    def bench_artifact():
-        recorder = ArtifactRecorder(default_path=default_path)
-        yield recorder.record
-        recorder.flush()
-
-    return bench_artifact
+@pytest.fixture(scope="session")
+def bench_artifact():
+    recorder = ArtifactRecorder()
+    yield recorder.record
+    recorder.flush()

@@ -1,33 +1,29 @@
-"""``repro bench``: run suites, record the trajectory, gate regressions.
+"""``repro bench``: run suites, rewrite the baseline, gate regressions.
 
 The runner turns the ``benchmarks/`` directory into a *named suite
 manifest* (``bench_store.py`` -> suite ``store``), runs the requested
 subset through pytest in a subprocess (``--benchmark-disable``: timing
 comes from the shared ``time_best_of`` fixture, not pytest-benchmark),
-reads back the schema-v2 artifact the session wrote into a scratch
-path, folds the paper-fidelity scorecard into the same entry stream,
-and then either *records* (merge into the main artifact + append to
-the history) or *checks* (compare against the history with noise-aware
-margins, escalate-until re-measurement before declaring a regression,
-loud non-zero exit when one survives).
+reads back the entries the session wrote into a scratch path, and folds
+the paper-fidelity scorecard into the same entry stream.  Then it
+either *records* (merge into the committed baseline,
+``benchmarks/bench_artifact.json``) or *checks* (compare against that
+baseline and write nothing).
 
-Check semantics, in acceptance-criteria terms:
+Check semantics:
 
-* an **empty history passes and seeds** -- the run becomes baseline #1;
-* a **clean run** passes and is appended, so two consecutive full runs
-  accumulate two history records;
+* **speed fields** are compared only when the baseline was recorded on
+  this machine (equal :func:`~repro.bench.schema.machine_fingerprint`);
+  on any other machine they report ``seeded``;
+* the deterministic **fidelity** fields are always compared, so the
+  model drifting away from the paper fails ``repro bench --check``
+  exactly like a slowdown does;
 * an apparent regression is **re-measured**: the suites owning the
-  regressed labels re-run (up to ``--rounds`` times) and per-field
-  bests are folded before the verdict stands -- a host-load epoch must
-  not fail the gate;
-* a surviving regression exits 1 and is **not** appended to the
-  history (a bad run must not become the next baseline); ``--bless``
-  overrides after an intentional perf change.
-
-Fidelity rides the same gate: scorecard error statistics become
-``fidelity.*`` entries whose ``*_err`` fields are gated lower-better,
-so the model drifting away from the paper fails ``repro bench --check``
-exactly like a slowdown does.
+  regressed labels re-run (up to :data:`ESCALATION_ROUNDS` times) and
+  per-field bests are folded before the verdict stands -- a host-load
+  epoch must not fail the gate;
+* a surviving regression exits 1.  After an intentional perf change,
+  ``repro bench`` re-records the baseline.
 """
 
 from __future__ import annotations
@@ -43,8 +39,7 @@ from pathlib import Path
 from repro import obs
 
 from . import schema
-from .compare import Delta, compare_entries, regressions
-from .history import BenchHistory
+from .compare import Delta, compare_entries, field_direction, regressions
 
 __all__ = [
     "BenchError",
@@ -54,6 +49,9 @@ __all__ = [
     "record_run",
     "check_run",
 ]
+
+#: Escalation re-measurement rounds ``check_run`` may spend.
+ESCALATION_ROUNDS = 2
 
 #: Synthetic suite name the scorecard entries are recorded under (it is
 #: recomputed in-process, not run through pytest).
@@ -93,17 +91,16 @@ def _resolve_files(bench_dir: Path, suites: list[str] | None) -> list[Path]:
     return [known[s] for s in suites]
 
 
-def make_pytest_runner(bench_dir: str | Path, pytest_args: tuple[str, ...] = ()):
+def make_pytest_runner(bench_dir: str | Path):
     """The default run function: one pytest subprocess per invocation.
 
-    Returns ``runner(suites) -> (entries, run_meta)``.  The subprocess
-    writes its artifact into a scratch path (``REPRO_BENCH_ARTIFACT``),
-    so a gate run never touches the main artifact until the runner
-    decides to merge.
+    Returns ``runner(suites) -> entries``.  The subprocess writes its
+    entries into a scratch path (``REPRO_BENCH_ARTIFACT``); only
+    :func:`record_run` ever writes the baseline.
     """
     bench_dir = Path(bench_dir)
 
-    def run(suites: list[str] | None) -> tuple[list[dict], dict]:
+    def run(suites: list[str] | None) -> list[dict]:
         files = _resolve_files(bench_dir, suites)
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
             scratch_artifact = Path(scratch) / "bench_artifact.json"
@@ -118,7 +115,6 @@ def make_pytest_runner(bench_dir: str | Path, pytest_args: tuple[str, ...] = ())
                 "--benchmark-disable",
                 "-o",
                 "python_files=bench_*.py",
-                *pytest_args,
             ]
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
@@ -135,7 +131,7 @@ def make_pytest_runner(bench_dir: str | Path, pytest_args: tuple[str, ...] = ())
                     f"(expected {scratch_artifact}); do the suites use the "
                     "bench_artifact fixture?"
                 )
-            return artifact.get("entries", []), artifact.get("run", {})
+            return artifact["entries"]
 
     return run
 
@@ -168,51 +164,78 @@ def fidelity_entries() -> list[dict]:
     return entries
 
 
-def _run_once(run_fn, suites, fidelity: bool) -> tuple[list[dict], dict]:
-    entries, run_meta = run_fn(suites)
-    entries = list(entries)
+def _run_once(run_fn, suites, fidelity: bool) -> list[dict]:
+    """One run's entries, the scorecard folded in when ``fidelity``."""
+    entries = list(run_fn(suites))
     if fidelity:
-        fid = fidelity_entries()
-        entries.extend(fid)
-        run_meta = dict(run_meta)
-        run_meta["suites"] = sorted(
-            set(run_meta.get("suites", ())) | {FIDELITY_SUITE}
-        )
-        run_meta["labels_recorded"] = sorted(
-            set(run_meta.get("labels_recorded", ())) | {e["label"] for e in fid}
-        )
-    return entries, run_meta
+        entries.extend(fidelity_entries())
+    return entries
 
 
-def _commit(
-    artifact_path: Path, history: BenchHistory, entries: list[dict], run_meta: dict
-) -> None:
-    """Merge into the main artifact and append the run to the history."""
-    merged = schema.merge_artifact(
-        schema.load_artifact(artifact_path), entries, run_meta
-    )
-    schema.write_artifact(artifact_path, merged)
-    history.append({"run": run_meta, "entries": entries})
+def _default_artifact(bench_dir: Path, artifact_path) -> Path:
+    return Path(artifact_path or bench_dir / "bench_artifact.json")
 
 
 def record_run(
     bench_dir: str | Path,
     artifact_path: str | Path | None = None,
-    history: BenchHistory | None = None,
     suites: list[str] | None = None,
     fidelity: bool = True,
     run_fn=None,
 ) -> tuple[list[dict], dict]:
-    """``repro bench``: run, merge into the artifact, append to history."""
+    """``repro bench``: run, then rewrite the baseline with the rows.
+
+    A subset run replaces exactly the rows of the suites it ran.  A run
+    of every suite rebuilds the file, so the rows of a deleted suite
+    drop out (the fidelity rows stay when ``fidelity`` is off: they do
+    not depend on the machine).  On a machine other than the
+    baseline's, only a run of every suite may rewrite it: a subset
+    would leave the other suites' timings from the old machine under
+    the new machine's fingerprint.
+    """
     bench_dir = Path(bench_dir)
-    artifact_path = Path(artifact_path or bench_dir / "bench_artifact.json")
-    if history is None:  # `or` would drop an *empty* history (len 0 is falsy)
-        history = BenchHistory(bench_dir / "history")
-    run_fn = run_fn or make_pytest_runner(bench_dir)
-    entries, run_meta = _run_once(run_fn, suites, fidelity)
-    _commit(artifact_path, history, entries, run_meta)
+    artifact_path = _default_artifact(bench_dir, artifact_path)
+    existing = schema.load_artifact(artifact_path)
+    if existing is not None and suites is None:
+        existing["entries"] = [
+            e for e in existing["entries"] if e.get("suite") == FIDELITY_SUITE
+        ]
+    elif (
+        existing is not None
+        and existing.get("run", {}).get("machine") != schema.machine_fingerprint()
+    ):
+        raise BenchError(
+            f"{artifact_path} was recorded on another machine; run every "
+            "suite (`repro bench` with no suite names) to re-record it here"
+        )
+    entries = _run_once(run_fn or make_pytest_runner(bench_dir), suites, fidelity)
+    run_meta = schema.run_metadata(
+        suites=[e["suite"] for e in entries if e.get("suite")],
+        escalation_rounds=sum(
+            e["extra_rounds"]
+            for e in entries
+            if isinstance(e.get("extra_rounds"), int)
+        ),
+    )
+    schema.write_artifact(
+        artifact_path, schema.merge_artifact(existing, entries, run_meta)
+    )
     obs.incr("bench.runs_recorded")
     return entries, run_meta
+
+
+def _baseline(artifact: dict | None) -> dict[str, dict]:
+    """Label -> baseline entry, speed rows only when recorded here."""
+    if artifact is None:
+        return {}
+    same_machine = (
+        artifact.get("run", {}).get("machine") == schema.machine_fingerprint()
+    )
+    return {
+        e["label"]: e
+        for e in artifact["entries"]
+        if same_machine or e.get("suite") == FIDELITY_SUITE
+    }
 
 
 def _fold_best(entries: list[dict], fresh: list[dict]) -> list[dict]:
@@ -223,8 +246,6 @@ def _fold_best(entries: list[dict], fresh: list[dict]) -> list[dict]:
     discipline ``escalate_until`` applies inside a single bench);
     everything else takes the fresh value.
     """
-    from .thresholds import field_direction
-
     by_label = {e["label"]: dict(e) for e in entries}
     for new in fresh:
         old = by_label.get(new["label"])
@@ -251,31 +272,27 @@ def _fold_best(entries: list[dict], fresh: list[dict]) -> list[dict]:
 def check_run(
     bench_dir: str | Path,
     artifact_path: str | Path | None = None,
-    history: BenchHistory | None = None,
     suites: list[str] | None = None,
     fidelity: bool = True,
-    rounds: int = 2,
-    bless: bool = False,
     run_fn=None,
 ) -> tuple[list[Delta], int, int]:
-    """``repro bench --check``: gate a fresh run against the history.
+    """``repro bench --check``: gate a fresh run against the baseline.
 
-    Returns ``(deltas, escalation_rounds_used, exit_code)``.  Exit code
-    0 means the run passed (and was appended to the history); 1 means a
-    regression survived re-measurement (and the run was *not* appended,
-    unless ``bless`` forced it through as the new baseline).
+    Returns ``(deltas, escalation_rounds_used, exit_code)``: 0 when the
+    run passed, 1 when a regression survived re-measurement.  Writes
+    nothing.
     """
     bench_dir = Path(bench_dir)
-    artifact_path = Path(artifact_path or bench_dir / "bench_artifact.json")
-    if history is None:  # `or` would drop an *empty* history (len 0 is falsy)
-        history = BenchHistory(bench_dir / "history")
+    baseline = _baseline(
+        schema.load_artifact(_default_artifact(bench_dir, artifact_path))
+    )
     run_fn = run_fn or make_pytest_runner(bench_dir)
 
-    entries, run_meta = _run_once(run_fn, suites, fidelity)
-    deltas = compare_entries(entries, history)
+    entries = _run_once(run_fn, suites, fidelity)
+    deltas = compare_entries(entries, baseline)
 
     escalations = 0
-    while regressions(deltas) and escalations < rounds:
+    while regressions(deltas) and escalations < ESCALATION_ROUNDS:
         # Escalate: re-measure only the suites owning regressed labels.
         # Fidelity is deterministic -- re-running it cannot change the
         # verdict -- and entries without a runnable suite have nothing
@@ -295,20 +312,11 @@ def check_run(
             break
         escalations += 1
         obs.incr("bench.check_escalations")
-        fresh, _ = run_fn(rerun)
-        entries = _fold_best(entries, list(fresh))
-        deltas = compare_entries(entries, history)
+        entries = _fold_best(entries, list(run_fn(rerun)))
+        deltas = compare_entries(entries, baseline)
 
-    failed = bool(regressions(deltas))
-    run_meta = dict(run_meta)
-    run_meta["escalation_rounds"] = (
-        run_meta.get("escalation_rounds", 0) + escalations
-    )
-    if not failed or bless:
-        _commit(artifact_path, history, entries, run_meta)
-        obs.incr("bench.runs_recorded")
-    if failed:
+    if regressions(deltas):
         obs.incr("bench.check_failed")
-        return deltas, escalations, 0 if bless else 1
+        return deltas, escalations, 1
     obs.incr("bench.check_passed")
     return deltas, escalations, 0

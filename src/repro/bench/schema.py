@@ -1,24 +1,13 @@
-"""Schema v2 of the benchmark artifact: merged entries + run metadata.
+"""Schema v2 of the benchmark artifact: suite-tagged entries + run metadata.
 
-The v1 artifact was a bare ``{"schema_version": 1, "entries": [...]}``
-snapshot that each benchmark session *replaced wholesale* -- a subset run
-(``pytest benchmarks/bench_store.py``) clobbered every other suite's
-entries, and nothing recorded which run produced which number.  Schema
-v2 fixes both:
-
-* **entries are merged by label**: a run replaces the entries of the
-  suites it executed (stale labels from those suites drop out) and
-  preserves everything recorded by suites it did not touch;
-* **every artifact carries its latest run's metadata**: git sha,
-  wall-clock timestamp, machine fingerprint, the suite subset that ran,
-  the labels it recorded and the escalation rounds the measurements
-  spent -- enough to interpret any number in the file, and the exact
-  fields the history store accumulates per run.
-
-An *empty* run (a session that recorded nothing, e.g. a ``-k`` filter
-matching no recording test) still rewrites the run metadata with
-``"empty": true`` instead of silently leaving a stale artifact that
-misreports the last run.
+``benchmarks/bench_artifact.json`` is committed, and it is the gate's
+only baseline; ``git log -p`` of it is the perf trajectory.  Each entry
+is tagged with the suite that recorded it (the ``bench_<suite>.py``
+stem), so a subset run replaces exactly the rows of the suites it ran
+and leaves every other suite's rows alone.  The ``run`` block describes
+the run that last rewrote the file: git sha, wall-clock timestamp, the
+machine fingerprint the gate compares speed fields under, the suites
+that ran and the escalation rounds the measurements spent.
 """
 
 from __future__ import annotations
@@ -40,17 +29,16 @@ __all__ = [
     "write_artifact",
 ]
 
-#: Version of the benchmark artifact layout.  v1 (entries only) is
-#: upgraded transparently on load; anything else is treated as absent.
+#: Version of the benchmark artifact layout; any other version loads
+#: as absent.
 SCHEMA_VERSION = 2
 
 
-def git_sha(cwd: str | Path | None = None) -> str | None:
+def git_sha() -> str | None:
     """The repository HEAD sha, or ``None`` outside a usable git checkout."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=None if cwd is None else str(cwd),
             capture_output=True,
             text=True,
             timeout=10,
@@ -85,53 +73,29 @@ def _timestamp() -> str:
 
 def run_metadata(
     suites: list[str] | tuple[str, ...] = (),
-    labels: list[str] | tuple[str, ...] = (),
     escalation_rounds: int = 0,
-    empty: bool = False,
-    cwd: str | Path | None = None,
 ) -> dict:
     """The per-run metadata block schema v2 attaches to every artifact."""
     return {
-        "git_sha": git_sha(cwd),
+        "git_sha": git_sha(),
         "timestamp": _timestamp(),
         "machine": machine_fingerprint(),
         "suites": sorted(set(suites)),
-        "labels_recorded": sorted(set(labels)),
         "escalation_rounds": escalation_rounds,
-        "empty": empty,
     }
 
 
 def load_artifact(path: str | Path) -> dict | None:
-    """Load an artifact, upgrading v1 in place; ``None`` when unusable.
-
-    A v1 artifact has no run metadata and no suite tags; its entries are
-    kept (``suite: None`` -- a later run of any suite merges over them
-    by label) under a synthetic "upgraded" run block so downstream code
-    sees one shape.
-    """
+    """Load a schema-v2 artifact; ``None`` when missing or unusable."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (FileNotFoundError, OSError, ValueError):
         return None
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
         return None
-    entries = data.get("entries")
-    if not isinstance(entries, list):
+    if not isinstance(data.get("entries"), list):
         return None
-    version = data.get("schema_version")
-    if version == SCHEMA_VERSION:
-        return data
-    if version == 1:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "run": {"upgraded_from": 1, "suites": [], "labels_recorded": [],
-                    "empty": False},
-            "entries": [
-                {**e, "suite": e.get("suite")} for e in entries if "label" in e
-            ],
-        }
-    return None
+    return data
 
 
 def merge_artifact(
@@ -139,14 +103,12 @@ def merge_artifact(
     new_entries: list[dict],
     run_meta: dict,
 ) -> dict:
-    """Fold one run's entries into an artifact, merged by label.
+    """Fold one run's entries into an artifact.
 
-    The merge keeps an existing entry unless this run superseded it:
-    either the run re-recorded its label, or the run executed its suite
-    (so a label the suite no longer records is stale and drops out).
-    Suites the run did not execute pass through untouched -- the subset
-    run that used to clobber the whole artifact now only touches its
-    own rows.
+    An existing entry is kept unless this run superseded it: either the
+    run re-recorded its label, or the run executed its suite (so a
+    label the suite no longer records drops out).  Suites the run did
+    not execute pass through untouched.
     """
     new_labels = {e["label"] for e in new_entries}
     ran_suites = set(run_meta.get("suites", ()))

@@ -29,13 +29,12 @@ Commands
                  interrupted runs resume from the result store (``--store``
                  or ``<out>/store``), and independent jobs (no ``needs``
                  edge) run concurrently, up to ``--jobs`` at a time
-``bench``        run a named benchmark-suite subset, merge the schema-v2
-                 artifact and append the run to ``benchmarks/history/``;
-                 ``--check`` gates the run against the recorded
-                 trajectory with noise-aware per-entry margins
-                 (escalate-until re-measurement before any regression
-                 verdict; exit 1 when one survives, ``--bless`` to
-                 record a new baseline after an intentional change)
+``bench``        run a named benchmark-suite subset and rewrite its rows
+                 in the committed baseline ``benchmarks/bench_artifact.json``;
+                 ``--check`` gates a fresh run against that baseline
+                 and writes nothing (escalate-until re-measurement
+                 before any regression verdict; exit 1 when one
+                 survives)
 
 Sweep-backed commands accept ``--store DIR`` (or ``REPRO_STORE``): a
 persistent content-addressed result store that makes every restart
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run benchmark suites, record the perf trajectory, gate regressions",
+        help="run benchmark suites, record the perf baseline, gate regressions",
     )
     p.add_argument(
         "suites",
@@ -210,12 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="gate the run against the recorded history (exit 1 on regression)",
-    )
-    p.add_argument(
-        "--bless",
-        action="store_true",
-        help="record the run as the new baseline even if the gate fails",
+        help="gate the run against the baseline (exit 1 on regression)",
     )
     p.add_argument(
         "--list", dest="list_suites", action="store_true",
@@ -231,19 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifact",
         metavar="PATH",
         default=None,
-        help="merged artifact path (default: <bench-dir>/bench_artifact.json)",
-    )
-    p.add_argument(
-        "--history",
-        metavar="DIR",
-        default=None,
-        help="history directory (default: <bench-dir>/history)",
-    )
-    p.add_argument(
-        "--rounds",
-        type=int,
-        default=2,
-        help="escalation re-measurement rounds for --check (default 2)",
+        help="baseline path (default: <bench-dir>/bench_artifact.json)",
     )
     p.add_argument(
         "--no-fidelity",
@@ -611,7 +593,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import BenchError, check_run, discover_suites, record_run
     from repro.bench.compare import render_deltas
-    from repro.bench.history import BenchHistory
 
     bench_dir = Path(args.bench_dir)
     if args.list_suites:
@@ -623,34 +604,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"{name:<28} {path}")
         return 0
     suites = list(args.suites) if args.suites else None
-    artifact = args.artifact
-    history = BenchHistory(args.history) if args.history else None
     try:
         if args.check:
             deltas, escalations, code = check_run(
                 bench_dir,
-                artifact_path=artifact,
-                history=history,
+                artifact_path=args.artifact,
                 suites=suites,
                 fidelity=not args.no_fidelity,
-                rounds=args.rounds,
-                bless=args.bless,
             )
             sys.stdout.write(render_deltas(deltas, verbose=args.verbose))
             if escalations:
                 print(f"escalation rounds used: {escalations}")
             if code != 0:
                 print(
-                    "verdict: REGRESSION (run not recorded; re-run with "
-                    "--bless after an intentional perf change)",
+                    "verdict: REGRESSION (re-record the baseline with "
+                    "`repro bench` after an intentional perf change)",
                 )
             else:
-                print("verdict: pass (run recorded into the history)")
+                print("verdict: pass")
             return code
         entries, run_meta = record_run(
             bench_dir,
-            artifact_path=artifact,
-            history=history,
+            artifact_path=args.artifact,
             suites=suites,
             fidelity=not args.no_fidelity,
         )

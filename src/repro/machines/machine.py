@@ -107,22 +107,13 @@ class Machine:
     def last_level_cache(self) -> CacheLevel:
         return self.caches[-1]
 
-    def cores_sharing(self, cache: CacheLevel, active_threads: int = 0) -> int:
-        """How many cores share one instance of ``cache``.
-
-        With ``active_threads`` given, returns the sharing degree under a
-        compact placement of that many threads (used to decide whether a
-        kernel's per-thread working set still fits).
-        """
+    def cores_sharing(self, cache: CacheLevel) -> int:
+        """How many cores share one instance of ``cache``."""
         if cache.sharing is CacheSharing.PRIVATE:
             return 1
         if cache.sharing is CacheSharing.CLUSTER:
-            full = self.topology.cores_per_cluster
-        else:
-            full = self.n_cores
-        if active_threads <= 0:
-            return full
-        return min(full, max(1, active_threads))
+            return self.topology.cores_per_cluster
+        return self.n_cores
 
     def effective_cache_bytes_per_thread(self, n_threads: int) -> float:
         """Scalar view of :meth:`effective_cache_bytes_per_thread_grid`."""

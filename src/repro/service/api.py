@@ -3,9 +3,8 @@
 Endpoints (all JSON unless noted)::
 
     GET  /health                     liveness + job-state conservation counts
-                                     + the latest bench-trajectory summary
     GET  /stats                      repro.obs counters and span tree (schema v1)
-                                     + store stats and the bench trajectory
+                                     + store stats
     POST /api/v1/jobs                submit a request -> 202 {job_id, ...}
     GET  /api/v1/jobs                list known jobs (admission order)
     GET  /api/v1/jobs/<id>           job status; ?wait=SECONDS blocks until
@@ -37,25 +36,6 @@ from .requests import RequestError, parse_request
 __all__ = ["ServiceServer", "create_server", "serve"]
 
 API_PREFIX = "/api/v1/jobs"
-
-
-def _bench_trajectory() -> dict | None:
-    """The latest recorded perf-trajectory summary, or ``None``.
-
-    Reads the append-only bench history (``REPRO_BENCH_HISTORY`` or
-    ``benchmarks/history`` relative to the service's working
-    directory).  Missing or unreadable history degrades to ``None`` --
-    an ops endpoint must never fail because no benches ran yet.
-    """
-    import os
-
-    from repro.bench.history import trajectory_summary
-
-    root = os.environ.get("REPRO_BENCH_HISTORY", "benchmarks/history")
-    try:
-        return trajectory_summary(root)
-    except Exception:
-        return None
 
 #: Submissions larger than this are rejected up front (HTTP 413): cost
 #: estimation is exactly what lets the service refuse a grid it should
@@ -192,7 +172,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "jobs_total": sum(counts.values()),
                 "queue_size": self.manager.queue_size,
                 "store": store.stats() if store is not None else None,
-                "bench": _bench_trajectory(),
             },
         )
 
@@ -208,7 +187,6 @@ class _Handler(BaseHTTPRequestHandler):
         store = self.manager.store
         if store is not None:
             report["store"] = store.stats()
-        report["bench"] = _bench_trajectory()
         self._send_json(200, report)
 
     def _get_jobs(self) -> None:

@@ -2,10 +2,11 @@
 
 A two-suite toy bench directory (built in ``tmp_path``) stands in for
 ``benchmarks/``: same conftest wiring (fixtures imported from
-``repro.bench.fixtures``), real subprocess runs, real artifact merges
-and history appends.  A ``TOY_SLOW`` environment knob injects a
-deliberate >=2x slowdown into one suite so the acceptance criteria are
-exercised for real: slowdown -> exit 1, clean re-run -> exit 0.
+``repro.bench.fixtures``), real subprocess runs, real baseline writes.
+A ``TOY_SLOW`` environment knob injects a deliberate >=2x slowdown into
+one suite so the gate is exercised for real: slowdown -> exit 1, clean
+re-run -> exit 0, and the baseline file never changes under
+``--check``.
 """
 
 import os
@@ -14,18 +15,15 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bench.history import BenchHistory
 from repro.bench.schema import load_artifact
 from repro.cli import main
 
 _CONFTEST = """\
 from repro.bench.fixtures import (  # noqa: F401
+    bench_artifact,
     escalate_until,
-    make_bench_artifact_fixture,
     time_best_of,
 )
-
-bench_artifact = make_bench_artifact_fixture()
 """
 
 _BENCH_ALPHA = """\
@@ -71,13 +69,11 @@ def toy(tmp_path, monkeypatch):
         "bench",
         "--bench-dir", str(bench_dir),
         "--artifact", str(tmp_path / "bench_artifact.json"),
-        "--history", str(tmp_path / "history"),
         "--no-fidelity",
     ]
     return {
         "args": args,
         "artifact": tmp_path / "bench_artifact.json",
-        "history": BenchHistory(tmp_path / "history"),
         "bench_dir": bench_dir,
     }
 
@@ -93,26 +89,29 @@ class TestList:
         assert code == 2
         assert "no bench suites" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["--history", "h"], ["--rounds", "2"], ["--check", "--bless"]]
+    )
+    def test_removed_flags_rejected(self, argv, capsys):
+        # One committed baseline: no history dir, a fixed escalation
+        # budget, and re-recording is plain `repro bench`.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestRecord:
-    def test_two_full_runs_accumulate_two_history_records(self, toy, capsys):
-        """Acceptance: consecutive full runs accumulate, byte for byte."""
+    def test_full_run_records_every_suite(self, toy, capsys):
         assert main(toy["args"]) == 0
-        assert main(toy["args"]) == 0
-        assert len(toy["history"]) == 2
-        records = toy["history"].records()
-        labels = {e["label"] for e in records[0]["entries"]}
-        assert labels == {"alpha.work", "beta.work"}
+        artifact = load_artifact(toy["artifact"])
+        assert {e["label"] for e in artifact["entries"]} == {
+            "alpha.work", "beta.work",
+        }
+        assert artifact["run"]["suites"] == ["alpha", "beta"]
         assert "recorded 2 entries from 2 suite(s)" in capsys.readouterr().out
-        # Each record round-trips bit-identically through the codec.
-        from repro.bench.history import decode_record, encode_record
-
-        for path in sorted((toy["history"].root).iterdir()):
-            text = path.read_text()
-            assert encode_record(decode_record(text)) == text
 
     def test_subset_run_preserves_other_suites_entries(self, toy):
-        """Acceptance: the artifact-clobbering bug stays dead end to end."""
         assert main(toy["args"]) == 0
         before = load_artifact(toy["artifact"])
         beta_before = next(
@@ -124,34 +123,41 @@ class TestRecord:
         assert set(by_label) == {"alpha.work", "beta.work"}
         assert by_label["beta.work"] == beta_before  # untouched
         assert after["run"]["suites"] == ["alpha"]
-        assert len(toy["history"]) == 2
 
     def test_unknown_suite_exits_2(self, toy, capsys):
         assert main([*toy["args"], "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+        assert main([*toy["args"], "--check", "nope"]) == 2
+        assert not toy["artifact"].exists()
 
 
 class TestCheck:
-    def test_empty_history_seeds_then_slowdown_fails_then_clean_passes(
+    def test_seeds_then_slowdown_fails_then_clean_passes(
         self, toy, capsys, monkeypatch
     ):
-        # 1. Empty history: pass and seed.
+        # 1. No baseline: pass with every field seeded, nothing written.
         assert main([*toy["args"], "--check"]) == 0
         out = capsys.readouterr().out
-        assert "seeded" in out and "verdict: pass" in out
-        assert len(toy["history"]) == 1
+        assert "3 seeded" in out and "verdict: pass" in out
+        assert not toy["artifact"].exists()
 
-        # 2. Injected >=2x slowdown (60x here): loud non-zero exit, the
-        #    bad run is NOT recorded as a baseline.
+        # 2. Record the baseline.
+        assert main(toy["args"]) == 0
+        baseline = toy["artifact"].read_bytes()
+        capsys.readouterr()
+
+        # 3. Injected >=2x slowdown (60x here): loud non-zero exit, and
+        #    the baseline is byte-identical afterwards.
         monkeypatch.setenv("TOY_SLOW", "1")
-        assert main([*toy["args"], "--check", "--rounds", "1"]) == 1
+        assert main([*toy["args"], "--check"]) == 1
         out = capsys.readouterr().out
         assert "regression" in out
         assert "verdict: REGRESSION" in out
-        assert len(toy["history"]) == 1
+        assert "escalation rounds used: 2" in out
+        assert toy["artifact"].read_bytes() == baseline
 
-        # 3. Clean re-run: exit 0, appended.
+        # 4. Clean re-run: exit 0, baseline still untouched.
         monkeypatch.delenv("TOY_SLOW")
         assert main([*toy["args"], "--check"]) == 0
         assert "verdict: pass" in capsys.readouterr().out
-        assert len(toy["history"]) == 2
+        assert toy["artifact"].read_bytes() == baseline

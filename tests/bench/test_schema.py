@@ -1,11 +1,4 @@
-"""Schema v2: run metadata, v1 upgrade, and the merge-by-label fix.
-
-The clobbering bug this locks down: the old teardown wrote *only* the
-current session's entries, so ``pytest benchmarks/bench_store.py``
-replaced the whole artifact with the store suite's three rows and every
-other table's trajectory evaporated.  Merge-by-label + suite-scoped
-eviction is the fix; these tests are the regression proof.
-"""
+"""Schema v2: run metadata and artifact load/write."""
 
 import json
 
@@ -18,34 +11,24 @@ from repro.bench.schema import (
 )
 
 
-def _entry(label, suite, **fields):
-    return {"label": label, "suite": suite, **fields}
-
-
 class TestRunMetadata:
     def test_core_fields_present(self):
         assert SCHEMA_VERSION == 2
-        meta = run_metadata(suites=["store"], labels=["store.get"])
+        meta = run_metadata(suites=["store"])
+        assert set(meta) == {
+            "git_sha", "timestamp", "machine", "suites", "escalation_rounds",
+        }
         assert meta["suites"] == ["store"]
-        assert meta["labels_recorded"] == ["store.get"]
         assert meta["escalation_rounds"] == 0
-        assert meta["empty"] is False
-        assert "timestamp" in meta and "machine" in meta
         assert meta["machine"]["python"]
 
     def test_git_sha_of_this_repo(self):
-        meta = run_metadata(suites=[], labels=[])
+        meta = run_metadata(suites=[])
         # The repo is git-initialised, so the sha must resolve here.
         assert meta["git_sha"] is None or len(meta["git_sha"]) == 40
 
     def test_suites_deduplicated_and_sorted(self):
-        meta = run_metadata(suites=["b", "a", "b"], labels=["y", "x", "y"])
-        assert meta["suites"] == ["a", "b"]
-        assert meta["labels_recorded"] == ["x", "y"]
-
-    def test_empty_run_flagged(self):
-        meta = run_metadata(suites=[], labels=[], empty=True)
-        assert meta["empty"] is True
+        assert run_metadata(suites=["b", "a", "b"])["suites"] == ["a", "b"]
 
 
 class TestLoadArtifact:
@@ -57,91 +40,19 @@ class TestLoadArtifact:
         p.write_text("not json {")
         assert load_artifact(p) is None
 
-    def test_v1_artifact_upgraded(self, tmp_path):
+    def test_other_schema_version_is_none(self, tmp_path):
         p = tmp_path / "bench_artifact.json"
         p.write_text(json.dumps({
             "schema_version": 1,
             "entries": [{"label": "store.get", "get_s": 0.5}],
         }))
-        art = load_artifact(p)
-        assert art["schema_version"] == 2
-        assert art["run"]["upgraded_from"] == 1
-        assert art["entries"] == [
-            {"label": "store.get", "suite": None, "get_s": 0.5}
-        ]
+        assert load_artifact(p) is None
 
     def test_v2_roundtrip(self, tmp_path):
         p = tmp_path / "bench_artifact.json"
-        meta = run_metadata(suites=["s"], labels=["s.x"])
-        merged = merge_artifact(None, [_entry("s.x", "s", x_s=1.0)], meta)
+        meta = run_metadata(suites=["s"])
+        merged = merge_artifact(
+            None, [{"label": "s.x", "suite": "s", "x_s": 1.0}], meta
+        )
         write_artifact(p, merged)
         assert load_artifact(p) == merged
-
-
-class TestMergeByLabel:
-    def test_subset_run_preserves_other_suites(self):
-        """The headline regression test for the clobbering bug."""
-        full = merge_artifact(
-            None,
-            [
-                _entry("store.get", "store", get_s=0.5),
-                _entry("grid.cold", "planner", cold_s=2.0),
-                _entry("model.batch", "model", speedup=4.0),
-            ],
-            run_metadata(
-                suites=["store", "planner", "model"],
-                labels=["store.get", "grid.cold", "model.batch"],
-            ),
-        )
-        # A subset session: only the store suite ran, with a new number.
-        subset = merge_artifact(
-            full,
-            [_entry("store.get", "store", get_s=0.4)],
-            run_metadata(suites=["store"], labels=["store.get"]),
-        )
-        by_label = {e["label"]: e for e in subset["entries"]}
-        assert by_label["store.get"]["get_s"] == 0.4          # updated
-        assert by_label["grid.cold"]["cold_s"] == 2.0         # preserved
-        assert by_label["model.batch"]["speedup"] == 4.0      # preserved
-        assert len(subset["entries"]) == 3
-
-    def test_stale_label_of_rerun_suite_evicted(self):
-        # A label the suite used to record but no longer does must not
-        # survive forever -- re-running its suite retires it.
-        full = merge_artifact(
-            None,
-            [
-                _entry("store.get", "store", get_s=0.5),
-                _entry("store.old_metric", "store", old_s=9.9),
-            ],
-            run_metadata(
-                suites=["store"], labels=["store.get", "store.old_metric"]
-            ),
-        )
-        merged = merge_artifact(
-            full,
-            [_entry("store.get", "store", get_s=0.4)],
-            run_metadata(suites=["store"], labels=["store.get"]),
-        )
-        labels = [e["label"] for e in merged["entries"]]
-        assert labels == ["store.get"]
-
-    def test_empty_session_keeps_entries_but_marks_run(self):
-        full = merge_artifact(
-            None,
-            [_entry("store.get", "store", get_s=0.5)],
-            run_metadata(suites=["store"], labels=["store.get"]),
-        )
-        empty = merge_artifact(
-            full, [], run_metadata(suites=[], labels=[], empty=True)
-        )
-        assert empty["run"]["empty"] is True
-        assert empty["entries"] == full["entries"]
-
-    def test_entries_sorted_by_label(self):
-        merged = merge_artifact(
-            None,
-            [_entry("z.z", "z", v_s=1.0), _entry("a.a", "a", v_s=1.0)],
-            run_metadata(suites=["a", "z"], labels=["a.a", "z.z"]),
-        )
-        assert [e["label"] for e in merged["entries"]] == ["a.a", "z.z"]

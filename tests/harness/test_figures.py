@@ -44,3 +44,32 @@ class TestShapes:
         tx = dict(fig.series["Marvell ThunderX2"])
         assert tx[16] > sg[16]
         assert sg[64] > tx[32]
+
+
+class TestPaperShapes:
+    """The paper's findings, read off the built figures' series."""
+
+    @staticmethod
+    def _series(number, label):
+        return dict(build_figure(number).series[label])
+
+    @pytest.mark.parametrize("number", [2, 3, 4, 5, 6])
+    def test_sg2044_beats_sg2042_at_64_cores(self, number):
+        sg44 = self._series(number, "Sophon SG2044")
+        sg42 = self._series(number, "Sophon SG2042")
+        assert sg44[64] > sg42[64]
+
+    def test_fig1_sg2042_plateaus_from_8_cores(self):
+        sg42 = self._series(1, "Sophon SG2042")
+        assert sg42[64] < 1.35 * sg42[8]
+
+    def test_fig2_is_sg2042_plateaus_sg2044_keeps_scaling(self):
+        sg42 = self._series(2, "Sophon SG2042")
+        sg44 = self._series(2, "Sophon SG2044")
+        assert sg42[64] < 1.25 * sg42[16]
+        assert sg44[64] > 2.5 * sg44[16]
+
+    def test_fig4_ep_sg2044_within_20pct_of_skylake_at_16(self):
+        sg44 = self._series(4, "Sophon SG2044")
+        sky = self._series(4, "Intel Skylake")
+        assert abs(sg44[16] - sky[16]) / sky[16] < 0.2

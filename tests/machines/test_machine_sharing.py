@@ -21,10 +21,6 @@ class TestCoresSharing:
         m = get_machine("sg2044")
         assert m.cores_sharing(m.cache(3)) == 64
 
-    def test_partial_occupancy_reduces_sharing(self):
-        m = get_machine("sg2044")
-        assert m.cores_sharing(m.cache(3), active_threads=8) == 8
-
     def test_missing_level_returns_none(self):
         assert get_machine("visionfive2").cache(3) is None
 

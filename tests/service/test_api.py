@@ -158,33 +158,15 @@ class TestEndpoints:
         assert report["counters"]["service.completed"] == 1
         assert report["service"]["jobs"]["done"] == 1
 
-    def test_health_and_stats_surface_bench_trajectory(
-        self, live_server, tmp_path, monkeypatch
-    ):
-        from repro.bench.history import BenchHistory
-
-        # No history recorded: the endpoints degrade to None, never 500.
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "none"))
+    def test_health_and_stats_carry_no_bench_block(self, live_server):
+        # The perf baseline is a committed file, not service state: the
+        # ops endpoints neither read it nor import repro.bench.
         status, body = http_get_json(live_server.url("/health"))
         assert status == 200
-        assert body["bench"] is None
-
-        BenchHistory(tmp_path / "history").append({
-            "run": {"git_sha": "a" * 40, "timestamp": "2026-08-09T00:00:00Z",
-                    "suites": ["store"], "empty": False},
-            "entries": [{"label": "store.get", "suite": "store", "get_s": 0.5}],
-        })
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "history"))
-        status, body = http_get_json(live_server.url("/health"))
-        assert status == 200
-        assert body["bench"]["runs"] == 1
-        assert body["bench"]["labels"] == 1
-        assert body["bench"]["latest"]["suites"] == ["store"]
-        assert body["bench"]["latest"]["git_sha"].startswith("a")
-
+        assert "bench" not in body
         status, report = http_get_json(live_server.url("/stats"))
         assert status == 200
-        assert report["bench"]["runs"] == 1
+        assert "bench" not in report
 
 
 class TestQueuedJobsOverHTTP:
