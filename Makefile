@@ -50,7 +50,7 @@ bench-full:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-only
 
 # Planner benches only: asserts the cold megagrid path holds its >= 3x
-# speedup floor over the per-family path (bit-identical results).
+# speedup floor over a loop of one-row runs (bit-identical results).
 bench-grid:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable -k "planner"
 

@@ -49,13 +49,34 @@ def git_sha() -> str | None:
     return sha if proc.returncode == 0 and sha else None
 
 
+def _cpu_model() -> str:
+    """The CPU model name from ``/proc/cpuinfo`` (``platform.processor()``
+    where that file is absent or names no model)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as f:
+            for line in f:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
 def machine_fingerprint() -> dict:
-    """What hardware/interpreter produced a run (coarse, stable fields)."""
+    """What sets a run's speed: hardware, interpreter and NumPy.
+
+    Deliberately not the kernel release: a sandbox whose kernel build
+    changes under the same CPU still compares its speed fields.
+    """
+    import numpy as np
+
     return {
-        "platform": platform.platform(),
         "machine": platform.machine(),
-        "python": platform.python_version(),
+        "cpu_model": _cpu_model(),
         "cpu_count": os.cpu_count(),
+        "python": ".".join(platform.python_version_tuple()[:2]),
+        "numpy": np.__version__,
     }
 
 

@@ -13,14 +13,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
-import numpy as np
+from repro.compilers.gcc import default_compiler_for
 
-from repro import obs
-from repro.compilers.gcc import default_compiler_for, get_compiler
-from repro.machines.catalog import get_machine
-
-from .perfmodel import Prediction, PerformanceModel
-from .results import ExperimentResult, RunSample
+from .perfmodel import DNRError, PerformanceModel
+from .results import ExperimentResult
 
 __all__ = [
     "ExperimentConfig",
@@ -38,9 +34,10 @@ def measurement_seed(
     """The per-config noise-stream seed: sha256 over the full config key.
 
     A process-stable hash (unlike builtin ``hash()`` on strings) keeps
-    "measurements" reproducible across interpreter invocations.  Shared
-    with the grid planner (:mod:`repro.core.plan`), which derives the
-    identical PCG64 streams for a whole megagrid in bulk.
+    "measurements" reproducible across interpreter invocations.  The
+    grid planner (:mod:`repro.core.plan`) seeds each config's
+    ``np.random.default_rng`` PCG64 stream from it, for a whole batch in
+    bulk.
     """
     key = (
         f"{base_seed}|{config.machine}|{config.kernel}|{config.npb_class}"
@@ -138,95 +135,40 @@ class ExperimentRunner:
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         """Execute one configuration (``config.runs`` modelled repetitions).
 
-        Raises :class:`repro.core.perfmodel.DNRError` when the working set
-        does not fit the machine (the paper's "DNR" entries).
+        A one-row :meth:`run_many` batch.  Raises
+        :class:`repro.core.perfmodel.DNRError` when the working set does
+        not fit the machine (the paper's "DNR" entries).
         """
-        from repro.npb.signatures import signature_for
-
-        machine = get_machine(config.machine)
-        signature = signature_for(config.kernel, config.npb_class)
-        compiler_name = config.resolved_compiler()
-        compiler = get_compiler(compiler_name)
-
-        obs.incr("model.scalar_calls")
-        prediction = self.model.predict(
-            machine, signature, compiler, config.n_threads, config.vectorise
-        )
-        return self._measure(config, signature, prediction, compiler_name)
+        return self.run_many([config])[0]
 
     def run_many(self, configs: list[ExperimentConfig]) -> list[ExperimentResult]:
-        """Execute a batch of configurations through the vectorised model.
+        """Execute a batch of configurations as one planner pass.
 
-        Configs sharing everything but the thread count are grouped into a
-        single :meth:`PerformanceModel.predict_batch` evaluation, so a
-        whole thread sweep costs one model pass instead of one per point.
-        Results come back in input order and are identical to calling
-        :meth:`run` per config (the noise stream is keyed per config, not
-        by execution order).
+        Configs sharing everything but the thread count form one
+        thread-sweep family, and every family is evaluated in one
+        :func:`repro.core.plan.plan_groups` pass.  Results come back in
+        input order and are identical to running each config alone (the
+        noise stream is keyed per config, not by execution order).  A DNR
+        config raises its family's :class:`DNRError`, the first in input
+        order; an invalid thread count raises ``ValueError`` before any
+        evaluation.
         """
-        from repro.npb.signatures import signature_for
+        from .plan import plan_groups
 
-        predictions: dict[int, Prediction] = {}
-        groups: dict[tuple, list[int]] = {}
+        configs = list(configs)
+        families: dict[tuple, list[int]] = {}
         for idx, config in enumerate(configs):
-            groups.setdefault(config.family_key(), []).append(idx)
-
-        for fam, indices in groups.items():
-            machine_name, kernel, npb_class, compiler_name, vectorise, _runs = fam
-            machine = get_machine(machine_name)
-            signature = signature_for(kernel, npb_class)
-            compiler = get_compiler(compiler_name)
-            thread_counts = [configs[i].n_threads for i in indices]
-            obs.incr("model.batch_calls")
-            obs.incr("model.batch_points", len(indices))
-            preds = self.model.predict_batch(
-                machine, signature, compiler, thread_counts, vectorise
-            )
-            for i, pred in zip(indices, preds):
-                predictions[i] = pred
-
-        results = []
-        for idx, config in enumerate(configs):
-            signature = signature_for(config.kernel, config.npb_class)
-            results.append(
-                self._measure(
-                    config, signature, predictions[idx], config.resolved_compiler()
-                )
-            )
+            families.setdefault(config.family_key(), []).append(idx)
+        outcomes = plan_groups(
+            self, [[configs[i] for i in indices] for indices in families.values()]
+        )
+        results: list = [None] * len(configs)
+        for indices, outcome in zip(families.values(), outcomes):
+            if isinstance(outcome, DNRError):
+                raise outcome
+            for i, result in zip(indices, outcome):
+                results[i] = result
         return results
-
-    def _measure(
-        self,
-        config: ExperimentConfig,
-        signature,
-        prediction: Prediction,
-        compiler_name: str,
-    ) -> ExperimentResult:
-        """Draw the seeded noise samples around one prediction."""
-        rng = np.random.default_rng(
-            measurement_seed(self.seed, config, compiler_name)
-        )
-        cv = self.noise_cv * (1.0 + 0.3 * np.log2(config.n_threads + 1))
-        # One batched draw; default_rng yields the same samples as
-        # config.runs sequential scalar draws from the same stream.
-        factors = rng.lognormal(mean=0.0, sigma=cv, size=config.runs)
-        times = prediction.time_s * factors
-        samples = tuple(
-            RunSample(run_index=i, time_s=float(t), mops=signature.total_mops / float(t))
-            for i, t in enumerate(times)
-        )
-
-        return ExperimentResult(
-            machine=config.machine,
-            kernel=config.kernel,
-            npb_class=config.npb_class,
-            n_threads=config.n_threads,
-            compiler=compiler_name,
-            vectorised=prediction.vectorised,
-            samples=samples,
-            prediction=prediction,
-            notes=prediction.notes,
-        )
 
     def sweep_threads(
         self, config: ExperimentConfig, thread_counts: list[int]

@@ -1,20 +1,21 @@
-"""One-shot megakernel grid planner: whole-artifact flattened evaluation.
+"""The grid planner: every cold batch as one flattened evaluation.
 
-The sweep engine's per-family path evaluates one thread-sweep family per
-:meth:`PerformanceModel.predict_batch` call -- a whole table regeneration
-is dozens of small vectorised passes plus per-config ``default_rng``
-construction.  This module flattens *all* cold families of a batch into
-one structured-array **megagrid** (one row per config, per-family columns
-broadcast across each family's row slice), evaluates the model's four
-cost terms in a single pass per machine segment, and derives every
-config's measurement-noise PCG64 stream in bulk.  Everything after the
-cost terms -- calibration scaling, noise magnitudes, the per-run times
-and Mop/s, and the result records -- is one batch-wide tail
-(:func:`_measure_batch`) over all live request rows, not a loop over
-families.
+This is the only route from configurations to results: the sweep
+engine's cold batches and :meth:`ExperimentRunner.run_many` (hence
+``run``) all execute through :func:`plan_groups`.  It flattens every
+thread-sweep family of a batch into one structured-array **megagrid**
+(one row per config, per-family columns broadcast across each family's
+row slice), evaluates the model's four cost terms in one pass per
+machine segment, and derives every config's measurement-noise PCG64
+stream in bulk.  Everything after the cost terms -- calibration scaling,
+noise magnitudes, the per-run times and Mop/s, and the result records --
+is one batch-wide tail (:func:`_measure_batch`) over all live request
+rows, not a loop over families.
 
-Exactness contract: every number produced here is **bit-identical** to
-the per-family path.  That falls out of three properties:
+Exactness contract: every prediction is **bit-identical** to
+:meth:`PerformanceModel.predict`, and every run sample to a per-config
+``np.random.default_rng(measurement_seed(...)).lognormal`` draw around
+it.  That falls out of three properties:
 
 * the cost terms come from the model's one row-wise evaluator
   (:func:`repro.core.perfmodel._eval_segment` over
@@ -33,13 +34,10 @@ the per-family path.  That falls out of three properties:
 
 The planner is deliberately side-effect free: no :mod:`repro.obs`
 counters or spans, no store writes, no engine-cache mutation.  The
-caller (``SweepEngine._execute_groups_planned``) commits results and
-telemetry per family so counters, span trees and store entries are
-indistinguishable from per-family execution.  When a batch uses any
-feature the flat pass cannot reproduce (subclassed runner or model,
-invalid thread counts that must raise from ``predict_batch``), the
-planner refuses with :class:`PlanNotApplicable` and the engine falls
-back to the per-family path.
+caller (``SweepEngine._execute_groups``) commits results and telemetry
+per family.  Every thread count is validated before any row is
+evaluated, so an invalid one raises ``ValueError`` with nothing
+computed or committed.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .calibration import anchor_config, factors_from_raw
 from .experiment import ExperimentConfig, ExperimentRunner, measurement_seed
 from .perfmodel import (
     DNRError,
-    PerformanceModel,
     Prediction,
     _dnr_error,
     _eval_segment,
@@ -68,19 +65,9 @@ from .perfmodel import (
 from .results import ExperimentResult, RunSample
 
 __all__ = [
-    "PlanNotApplicable",
     "plan_groups",
     "fastpath_available",
 ]
-
-
-class PlanNotApplicable(Exception):
-    """The flat megagrid pass cannot reproduce this batch bit-identically.
-
-    Raised before any work happens; the engine falls back to the
-    per-family path, which then raises (or computes) exactly what the
-    sequential engine always did.
-    """
 
 
 @dataclass
@@ -263,9 +250,8 @@ def fastpath_available() -> bool:
 
 
 def _family_plans(runner, groups) -> list[_FamilyPlan]:
-    """Resolve per-family objects and verdicts; refuse what the flat
-    pass cannot reproduce (invalid thread counts must raise from
-    ``predict_batch`` on the per-family path, with its counter order)."""
+    """Resolve per-family objects and verdicts, validating every thread
+    count first (``Machine.validate_thread_count``'s ``ValueError``)."""
     from repro.npb.signatures import signature_for
 
     fams = []
@@ -275,10 +261,7 @@ def _family_plans(runner, groups) -> list[_FamilyPlan]:
         sig = signature_for(head.kernel, head.npb_class)
         compiler_name = head.resolved_compiler()
         for config in group:
-            try:
-                machine.validate_thread_count(config.n_threads)
-            except ValueError as exc:
-                raise PlanNotApplicable(str(exc)) from exc
+            machine.validate_thread_count(config.n_threads)
         fams.append(
             _FamilyPlan(
                 group=group,
@@ -345,16 +328,16 @@ def _build(cls, rows: list[dict], fast_new: bool) -> list:
 
 
 def _measure_batch(runner, fams, t_compute, t_stream, t_latency, t_sync) -> list:
-    """Predictions and ``ExperimentRunner._measure`` for every live family.
+    """Predictions and seeded measurements for every live family.
 
     One pass over the whole batch instead of one per family: the live
     request rows are gathered in family order, every prediction term and
     every run's time and Mop/s is one vectorised operation over the
     batch, and each record type is built in one flat pass.  Each operation
-    is elementwise the per-family path's (per-row ``alpha``/``kappa``/
-    ``total_mops`` columns stand in for its per-family scalars), and
-    each config still draws its ``lognormal`` factors from its own
-    seeded stream, so every number is bit-identical.
+    is elementwise ``predict_batch``'s (per-row ``alpha``/``kappa``/
+    ``total_mops`` columns stand in for its per-signature scalars), and
+    each config draws its ``lognormal`` factors from its own seeded
+    stream, so every number is bit-identical to a config run alone.
     """
     model = runner.model
     live = [fam for fam in fams if fam.dnr is None]
@@ -400,9 +383,8 @@ def _measure_batch(runner, fams, t_compute, t_stream, t_latency, t_sync) -> list
     t_latency_k = t_lat.tolist()
     t_sync_k = t_syn.tolist()
 
-    # Noise: cv once per distinct thread count (np.log2 on int64, as the
-    # per-family path computed it), then one lognormal draw per config
-    # from its own stream, in batch order.
+    # Noise: cv once per distinct thread count (np.log2 on int64), then
+    # one lognormal draw per config from its own stream, in batch order.
     thread_counts = [config.n_threads for config in configs]
     distinct = sorted(set(thread_counts))
     distinct_ns = np.asarray(distinct, dtype=np.int64)
@@ -495,23 +477,17 @@ def plan_groups(
     """Evaluate many thread-sweep families as one flat megagrid pass.
 
     Returns one outcome per input group, in order: the family's shared
-    :class:`DNRError` verdict, or its :class:`ExperimentResult` list
-    (bit-identical to ``runner.run_many(group)``).  Raises
-    :class:`PlanNotApplicable` -- before doing any work -- when the batch
-    cannot be reproduced exactly by the flat pass.
+    :class:`DNRError` verdict, or its :class:`ExperimentResult` list in
+    config order.  Raises ``ValueError`` -- before evaluating anything --
+    when a thread count is out of range for its machine.
 
     Side-effect free apart from memoising calibration factors in the
-    model's ``_kappa_cache`` (the same values, under the same keys, the
-    per-family path memoises).
+    model's ``_kappa_cache`` (the values, under the keys, that
+    ``PerformanceModel._calibration_factors`` memoises).
     """
-    if type(runner) is not ExperimentRunner:
-        raise PlanNotApplicable(f"runner subclass {type(runner).__name__}")
-    model = runner.model
-    if type(model) is not PerformanceModel:
-        raise PlanNotApplicable(f"model subclass {type(model).__name__}")
     if not groups:
         return []
-
+    model = runner.model
     fams = _family_plans(runner, groups)
     if model.calibrate:
         anchor_fams, needed = _anchor_plans(model, fams)

@@ -7,15 +7,15 @@ turns those walks into batch jobs:
 
 * :func:`expand_grid` expands axis tuples into a deduplicated, ordered
   list of :class:`ExperimentConfig`.
-* :class:`SweepEngine` executes config batches through
-  :meth:`ExperimentRunner.run_many` (one vectorised model evaluation per
-  thread-sweep family, or one megagrid planner pass per batch) and
-  memoises every :class:`ExperimentResult` keyed by the exact
-  seed/config tuple so repeated regenerators hit cache.
+* :class:`SweepEngine` executes each cold batch as one megagrid planner
+  pass (:func:`repro.core.plan.plan_groups`, the only evaluation route),
+  commits it one thread-sweep family at a time, and memoises every
+  :class:`ExperimentResult` keyed by the exact seed/config tuple so
+  repeated regenerators hit cache.
 
-Determinism: the runner keys its noise stream per config (sha256 of seed
-and config fields), so results are independent of execution order --
-planned, per-family, cached and one-at-a-time runs are byte-identical.
+Determinism: the noise stream is keyed per config (sha256 of seed and
+config fields), so results are independent of execution order --
+batched, cached and one-at-a-time runs are byte-identical.
 
 Caching vs reproducibility: a cache hit returns the very object a cold
 run would have computed, because everything that influences a result
@@ -34,7 +34,7 @@ from repro import obs
 
 from .experiment import DEFAULT_RUNS, ExperimentConfig, ExperimentRunner
 from .perfmodel import DNRError
-from .plan import PlanNotApplicable, plan_groups
+from .plan import plan_groups
 from .results import ExperimentResult
 
 __all__ = [
@@ -138,13 +138,6 @@ class SweepEngine:
     runner:
         The runner to execute through (a default calibrated runner when
         omitted).
-    planner:
-        Whether cold batches are flattened into one megagrid pass
-        (:func:`repro.core.plan.plan_groups`) instead of one
-        ``predict_batch`` call per family.  ``None`` reads
-        ``REPRO_PLANNER`` (default on; set ``0`` for the per-family
-        oracle).  Subclassed runners/models are refused by the planner
-        itself and always take the per-family path.
     store:
         Optional :class:`repro.store.ResultStore` (or a path to one;
         ``None`` reads ``REPRO_STORE``).  The durable tier under the
@@ -188,11 +181,9 @@ class SweepEngine:
         self,
         runner: ExperimentRunner | None = None,
         *,
-        planner: bool | None = None,
         store=None,
     ) -> None:
         self.runner = runner or ExperimentRunner()
-        self.planner = self._resolve_planner(planner)
         self.store = self._resolve_store(store)
         self._results: dict[tuple, ExperimentResult | DNRError] = {}
         self._inflight: dict[tuple, threading.Event] = {}
@@ -201,12 +192,6 @@ class SweepEngine:
         self.hits = 0
         self.misses = 0
         self.dnr_configs = 0
-
-    @staticmethod
-    def _resolve_planner(planner: bool | None) -> bool:
-        if planner is None:
-            return os.environ.get("REPRO_PLANNER", "1") != "0"
-        return bool(planner)
 
     @staticmethod
     def _resolve_store(store):
@@ -270,12 +255,12 @@ class SweepEngine:
     def add_family_hook(self, hook) -> None:
         """Register ``hook(n_configs, dnr)``, called after each family lands.
 
-        Hooks fire once per completed thread-sweep family -- planned or
-        per-family -- right after its results are memoised and published,
-        and always *outside* the engine lock, so a hook may freely call
-        back into the engine.  ``dnr`` is True when the family's shared
-        outcome was a DNR verdict.  Hook exceptions propagate like any
-        fatal group failure: the engine never swallows them.
+        Hooks fire once per completed thread-sweep family, right after
+        its results are memoised and published, and always *outside* the
+        engine lock, so a hook may freely call back into the engine.
+        ``dnr`` is True when the family's shared outcome was a DNR
+        verdict.  Hook exceptions propagate like any fatal group failure:
+        the engine never swallows them.
         """
         with self._lock:
             self._family_hooks.append(hook)
@@ -307,9 +292,8 @@ class SweepEngine:
         the whole batch; keys another caller holds are waited on through
         that caller's batch event, once per distinct event.  Cold configs
         are grouped into thread-sweep families (identical in everything
-        but ``n_threads``) and evaluated in one megagrid planner pass, or
-        one family at a time when the planner is off or refuses.  Output
-        order always matches input order.
+        but ``n_threads``) and evaluated in one megagrid planner pass.
+        Output order always matches input order.
 
         ``on_dnr`` controls "Did Not Run" configs: ``"raise"`` propagates
         the :class:`DNRError`, ``"none"`` yields ``None`` in that slot
@@ -533,76 +517,42 @@ class SweepEngine:
     def _execute_groups(
         self, groups: list[list[ExperimentConfig]], group_keys: list[list[tuple]]
     ) -> None:
-        """Execute cold families: one planner pass, else one family at a time.
+        """Evaluate cold families in one planner pass, then commit each.
 
-        Group spans are opened up front, in family order, so the span
-        tree's shape is the same on both paths.  Handles whose family
-        never executes (those after a family or commit that raised) are
-        abandoned in the ``finally``, so the tree stays a pure function
-        of the work actually performed.
+        Group spans are opened up front, in family order.  The planner is
+        side-effect free and validates every thread count before it
+        evaluates anything, so a batch it refuses commits nothing.  Each
+        family is then committed under its span, with the
+        ``model.batch_*`` counters.  Handles whose family is never
+        committed (all of them when planning raises, those after a
+        commit that raised) are abandoned in the ``finally``, so the tree
+        stays a pure function of the work actually committed.
         """
         handles = [
             obs.open_span(f"group[{group[0].kernel}/{group[0].npb_class}]")
             for group in groups
         ]
-        executed = [False] * len(groups)
-        try:
-            if self.planner and self._execute_groups_planned(
-                groups, group_keys, handles, executed
-            ):
-                return
-            for i, (group, keys, handle) in enumerate(zip(groups, group_keys, handles)):
-                executed[i] = True
-                self._execute_group(group, keys, handle)
-        finally:
-            for done, handle in zip(executed, handles):
-                if not done:
-                    obs.abandon_span(handle)
-
-    def _execute_groups_planned(
-        self,
-        groups: list[list[ExperimentConfig]],
-        group_keys: list[list[tuple]],
-        handles: list,
-        executed: list[bool],
-    ) -> bool:
-        """One flat megagrid pass over every cold family; True on success.
-
-        The planner computes outcomes side-effect free; each family is
-        then committed under its pre-opened span with exactly the
-        counters the per-family path would have emitted, so caches,
-        store entries and telemetry are indistinguishable.  A refusal
-        (:class:`PlanNotApplicable`) happens before any work or side
-        effect, and the caller falls back to the per-family path.
-        """
+        started = 0
         try:
             outcomes = plan_groups(self.runner, groups)
-        except PlanNotApplicable:
-            return False
-        for i, (keys, handle, outcome) in enumerate(zip(group_keys, handles, outcomes)):
-            executed[i] = True
-            self._commit_group(keys, handle, outcome)
-        return True
-
-    def _commit_group(self, keys: list[tuple], span_handle, outcome) -> None:
-        """Store one planned family exactly as per-family execution would.
-
-        ``keys`` are the family's cache keys, in config order; ``outcome``
-        is its shared :class:`DNRError` verdict or its result list.
-        Counters and the activated span mirror :meth:`_execute_group`
-        plus the ``model.batch_*`` counters the runner would have emitted
-        inside ``run_many``.
-        """
-        with obs.activate(span_handle):
-            obs.incr("model.batch_calls")
-            obs.incr("model.batch_points", len(keys))
-            self._commit_outcome(keys, outcome)
+            for keys, handle, outcome in zip(group_keys, handles, outcomes):
+                started += 1
+                with obs.activate(handle):
+                    obs.incr("model.batch_calls")
+                    obs.incr("model.batch_points", len(keys))
+                    self._commit_outcome(keys, outcome)
+        finally:
+            for handle in handles[started:]:
+                obs.abandon_span(handle)
 
     def _commit_outcome(self, keys: list[tuple], outcome) -> None:
         """Memoise and publish one family's outcome, then notify.
 
-        ``outcome`` is the family's shared :class:`DNRError` (counted as
-        ``sweep.dnr_raises``) or its result list.
+        ``keys`` are the family's cache keys, in config order; ``outcome``
+        is its shared :class:`DNRError` verdict (counted as
+        ``sweep.dnr_raises``) or its result list.  Anything this raises
+        propagates unchanged, and the families after it are not
+        committed.
         """
         dnr = isinstance(outcome, DNRError)
         if dnr:
@@ -616,23 +566,6 @@ class SweepEngine:
             self._results.update(store)
         self._publish_store(store)
         self._notify_family(len(keys), dnr=dnr)
-
-    def _execute_group(
-        self, group: list[ExperimentConfig], keys: list[tuple], span_handle=None
-    ) -> None:
-        """Run one thread-sweep family and store its results (or its DNR).
-
-        Anything other than a :class:`DNRError` propagates unchanged, and
-        nothing of the family is stored.
-        """
-        with obs.activate(span_handle):
-            try:
-                outcome = self.runner.run_many(group)
-            except DNRError as exc:
-                # DNR is a property of (machine, kernel, class), independent
-                # of thread count -- the whole family shares the verdict.
-                outcome = exc
-            self._commit_outcome(keys, outcome)
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
         """Memoised single-config execution (raises on DNR, like the runner)."""

@@ -34,31 +34,20 @@ def llvm_vs_gcc(
 ) -> list[LLVMComparisonRow]:
     """Modelled LLVM 18 vs GCC 15.2 on the SG2044 (both target RVV 1.0)."""
     get_compiler("llvm-18")  # fail fast if the registry changes
-    runner = ExperimentRunner()
-    rows = []
-    for kernel in _KERNELS:
-        vectorise = kernel != "cg"
-        gcc_mops = runner.run(
-            ExperimentConfig(
-                machine=machine,
-                kernel=kernel,
-                npb_class=npb_class,
-                n_threads=n_threads,
-                compiler="gcc-15.2",
-                vectorise=vectorise,
-            )
-        ).mean_mops
-        llvm_mops = runner.run(
-            ExperimentConfig(
-                machine=machine,
-                kernel=kernel,
-                npb_class=npb_class,
-                n_threads=n_threads,
-                compiler="llvm-18",
-                vectorise=vectorise,
-            )
-        ).mean_mops
-        rows.append(
-            LLVMComparisonRow(kernel=kernel, gcc_mops=gcc_mops, llvm_mops=llvm_mops)
+    configs = [
+        ExperimentConfig(
+            machine=machine,
+            kernel=kernel,
+            npb_class=npb_class,
+            n_threads=n_threads,
+            compiler=compiler,
+            vectorise=kernel != "cg",
         )
-    return rows
+        for kernel in _KERNELS
+        for compiler in ("gcc-15.2", "llvm-18")
+    ]
+    mops = [r.mean_mops for r in ExperimentRunner().engine.run_many(configs)]
+    return [
+        LLVMComparisonRow(kernel=kernel, gcc_mops=mops[2 * i], llvm_mops=mops[2 * i + 1])
+        for i, kernel in enumerate(_KERNELS)
+    ]

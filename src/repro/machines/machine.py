@@ -118,6 +118,8 @@ class Machine:
     def effective_cache_bytes_per_thread(self, n_threads: int) -> float:
         """Scalar view of :meth:`effective_cache_bytes_per_thread_grid`."""
         ns = np.asarray([n_threads])
+        if not 1 <= n_threads <= self.n_cores:
+            raise ValueError(f"thread counts {ns} out of range for {self.name}")
         return float(self.effective_cache_bytes_per_thread_grid(ns)[0])
 
     def effective_cache_bytes_per_thread_grid(self, ns: np.ndarray) -> np.ndarray:
@@ -128,10 +130,9 @@ class Machine:
         clusters in order).  This is the quantity the working-set model
         compares against (the paper invokes it when attributing CG gains
         to the SG2044's doubled 2 MB cluster L2).  Elementwise over an
-        array of thread counts.
+        array of thread counts, which the caller has validated
+        (:meth:`validate_thread_count`).
         """
-        if ns.size and not (1 <= int(ns.min()) and int(ns.max()) <= self.n_cores):
-            raise ValueError(f"thread counts {ns} out of range for {self.name}")
         total = np.zeros(ns.shape, dtype=np.float64)
         for cache in self.caches:
             if cache.sharing is CacheSharing.CLUSTER:
@@ -152,18 +153,20 @@ class Machine:
 
     def barrier_cost_s(self, n_threads: int) -> float:
         """Scalar view of :meth:`barrier_cost_s_grid`."""
+        if n_threads < 1:
+            raise ValueError("n_threads must be >= 1")
         return float(self.barrier_cost_s_grid(np.asarray([n_threads]))[0])
 
     def barrier_cost_s_grid(self, ns: np.ndarray) -> np.ndarray:
-        """Cost of one OpenMP barrier across each of ``ns`` threads (seconds)."""
-        if ns.size and int(ns.min()) < 1:
-            raise ValueError("n_threads must be >= 1")
+        """Cost of one OpenMP barrier across each of ``ns`` (>= 1) threads (seconds)."""
         nsf = ns.astype(np.float64)
         cost = (self.barrier_base_ns + self.barrier_log_coeff_ns * np.log2(nsf)) * 1e-9
         return np.where(ns == 1, 0.0, cost)
 
     def parallel_efficiency(self, n_threads: int, numa_sensitive: bool = True) -> float:
         """Scalar view of :meth:`parallel_efficiency_grid`."""
+        if n_threads < 1:
+            raise ValueError("n_threads must be >= 1")
         return float(
             self.parallel_efficiency_grid(np.asarray([n_threads]), numa_sensitive)[0]
         )
@@ -181,10 +184,9 @@ class Machine:
         to the four-region EPYC 7742 here) -- but only to
         ``numa_sensitive`` workloads: a kernel with no DRAM traffic (EP)
         has no remote pages to touch, which is why the EPYC keeps its EP
-        lead all the way to 64 cores in the paper's Figure 4.
+        lead all the way to 64 cores in the paper's Figure 4.  ``ns`` are
+        validated thread counts (all >= 1).
         """
-        if ns.size and int(ns.min()) < 1:
-            raise ValueError("n_threads must be >= 1")
         nsf = ns.astype(np.float64)
         eff = np.maximum(0.4, 1.0 - self.os_noise_coeff * np.log2(nsf))
         if numa_sensitive and self.topology.numa_regions > 1:

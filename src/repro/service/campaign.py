@@ -348,9 +348,7 @@ def run_campaign(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if engine.store is None:
-        engine = SweepEngine(
-            engine.runner, planner=engine.planner, store=ResultStore(out / "store")
-        )
+        engine = SweepEngine(engine.runner, store=ResultStore(out / "store"))
     with obs.span("campaign"):
         # Span handles open in scenario order so the obs tree's shape is
         # fixed before any scheduling decision is made.

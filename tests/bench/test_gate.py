@@ -6,9 +6,11 @@ fingerprint matching, baseline hygiene -- deterministically and fast.
 """
 
 import json
+import platform
 
 import pytest
 
+from repro.bench import schema
 from repro.bench.runner import (
     ESCALATION_ROUNDS,
     BenchError,
@@ -163,6 +165,30 @@ class TestCheckRun:
             ("fidelity.table_6_ratios_emergent", "mean_abs_rel_err")
         ]
         assert run.calls == [None, None]  # no speed suite was re-measured
+
+    def test_kernel_build_change_still_compares_speed(self, bench_dir, monkeypatch):
+        """Same CPU, another kernel build: speed fields are still gated."""
+        _seed(bench_dir, [_entry(1.0)])
+        build = "6.18.44-fc-v999"
+        monkeypatch.setattr(platform, "release", lambda: build)
+        monkeypatch.setattr(platform, "version", lambda: f"#1 SMP {build}")
+        monkeypatch.setattr(
+            platform, "platform", lambda *a, **k: f"Linux-{build}-x86_64-with-glibc2.36"
+        )
+        deltas, _, code = check_run(
+            bench_dir, fidelity=False, run_fn=_run_fn([[_entry(1.1)]])
+        )
+        assert code == 0
+        assert [d.verdict for d in deltas] == ["ok"]
+
+    def test_other_cpu_model_seeds_speed(self, bench_dir, monkeypatch):
+        _seed(bench_dir, [_entry(1.0)])
+        monkeypatch.setattr(schema, "_cpu_model", lambda: "Some Other CPU @ 9.99GHz")
+        deltas, _, code = check_run(
+            bench_dir, fidelity=False, run_fn=_run_fn([[_entry(5.0)]])
+        )
+        assert code == 0
+        assert [d.verdict for d in deltas] == ["seeded"]
 
 
 class TestRecordRun:

@@ -1,6 +1,6 @@
 """Absolute pins on the performance model's outputs and the paper export.
 
-The planner-vs-per-family differential (``test_plan.py``) compares two
+The planner-vs-oracle differential (``test_plan.py``) compares two
 callers of the model against each other; a change to the cost terms both
 share moves both sides and passes unseen.  These pins compare against
 checked-in digests instead:
@@ -95,7 +95,7 @@ def _model_digest() -> str:
 def _engine_digest(calibrate: bool, classes: str) -> str:
     """``classes`` through one planner-backed ``run_many`` batch."""
     runner = ExperimentRunner(model=PerformanceModel(calibrate=calibrate), noise_cv=0.0)
-    engine = SweepEngine(runner, planner=True)
+    engine = SweepEngine(runner)
     configs = [
         ExperimentConfig(
             machine=machine.name, kernel=kernel, npb_class=npb_class, n_threads=n,

@@ -1,9 +1,11 @@
-"""The megagrid planner: bit-identity with the per-family path.
+"""The megagrid planner: bit-identity with a config-at-a-time oracle.
 
-The planner's whole contract is *exactness*: results, DNR entries,
-telemetry counters and the span tree must all be indistinguishable from
-the per-family execution it replaces -- across random subgrids
-(property-based) and for the subgrid-containment fast path in the
+The planner is the only evaluation route, and its whole contract is
+*exactness*: results and DNR entries must equal the one-config-at-a-time
+oracle in ``tests/oracle.py`` (public ``predict`` plus the config's own
+seeded noise stream), and the counters and span tree must be a function
+of the families committed -- across random subgrids (property-based),
+on invalid input, and for the subgrid-containment path in the
 single-flight table.
 """
 
@@ -17,10 +19,12 @@ import pytest
 from repro import obs
 from repro.core.calibration import anchor_for
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
-from repro.core.perfmodel import PerformanceModel
-from repro.core.plan import PlanNotApplicable, _pcg64_states, plan_groups
+from repro.core.perfmodel import DNRError, PerformanceModel
+from repro.core.plan import _pcg64_states, plan_groups
 from repro.core.sweep import SweepEngine, expand_grid
 from repro.machines.catalog import get_machine
+from repro.store import ResultStore
+from tests.oracle import scalar_run
 
 try:
     from hypothesis import given, settings
@@ -76,20 +80,69 @@ def _run_recorded(engine: SweepEngine, grid):
     return results, rec.counters_snapshot(), rec.span_tree()
 
 
+def _oracle(runner, grid):
+    """The oracle's result per slot, ``None`` for DNR configs."""
+    results = []
+    for config in grid:
+        try:
+            results.append(scalar_run(runner, config))
+        except DNRError:
+            results.append(None)
+    return results
+
+
+def _expected_telemetry(grid, results):
+    """Counters and span tree of a cold run of ``grid`` on a fresh engine.
+
+    One ``model.batch_*`` count and one ``group[kernel/class]`` span
+    entry per thread-sweep family, in first-appearance order (spans
+    merge by name); ``results`` (the oracle's, ``None`` for DNR) decide
+    which families are DNR verdicts.
+    """
+    families: dict[tuple, list] = {}
+    for config, result in zip(grid, results):
+        family = families.setdefault(config.family_key(), [set(), result is None])
+        family[0].add(config)
+    dnr = [configs for configs, is_dnr in families.values() if is_dnr]
+    live = [configs for configs, is_dnr in families.values() if not is_dnr]
+    unique = sum(len(configs) for configs, _ in families.values())
+    counters = {
+        "model.batch_calls": len(families),
+        "model.batch_points": unique,
+        "sweep.cache_hits": len(grid) - unique,
+        "sweep.cache_misses": unique,
+        "sweep.configs_requested": len(grid),
+        "sweep.dnr_configs": sum(1 for result in results if result is None),
+    }
+    if live:
+        counters["sweep.groups_executed"] = len(live)
+        counters["sweep.configs_executed"] = sum(len(configs) for configs in live)
+    if dnr:
+        counters["sweep.dnr_raises"] = len(dnr)
+    groups: dict[str, int] = {}
+    for key in families:
+        name = f"group[{key[1]}/{key[2]}]"
+        groups[name] = groups.get(name, 0) + 1
+    children = [{"name": name, "count": n, "children": []} for name, n in groups.items()]
+    spans = {
+        "name": "session",
+        "count": 1,
+        "children": [{"name": "run_many", "count": 1, "children": children}],
+    }
+    return counters, spans
+
+
 def _assert_differential(grid, calibrate=True):
-    """Planner engine vs per-family engine: everything bit-identical."""
+    """Planner engine vs the oracle: results bit-identical, telemetry exact."""
 
     def runner():
         return ExperimentRunner(model=PerformanceModel(calibrate=calibrate))
 
-    planned = SweepEngine(runner=runner(), planner=True)
-    family = SweepEngine(runner=runner(), planner=False)
-    p_results, p_counters, p_spans = _run_recorded(planned, grid)
-    f_results, f_counters, f_spans = _run_recorded(family, grid)
-    assert p_results == f_results
-    assert p_counters == f_counters
-    assert p_spans == f_spans
-    return p_results
+    results, counters, spans = _run_recorded(SweepEngine(runner=runner()), grid)
+    expected = _oracle(runner(), grid)
+    assert results == expected
+    assert (counters, spans) == _expected_telemetry(grid, expected)
+    return results
 
 
 def _mixed_batch() -> list[ExperimentConfig]:
@@ -150,51 +203,75 @@ class TestPlannerDifferential:
             ExperimentConfig(machine="allwinner-d1", kernel="ft", npb_class="B"),
             ExperimentConfig(machine="sg2044", kernel="ft", npb_class="B"),
         ]
-        planned = SweepEngine(runner=ExperimentRunner(), planner=True)
-        family = SweepEngine(runner=ExperimentRunner(), planner=False)
-        p, _, _ = _run_recorded(planned, grid)
-        f, _, _ = _run_recorded(family, grid)
-        assert p == f
+        planned = SweepEngine(runner=ExperimentRunner())
+        p = _assert_differential(grid)
         assert p[0] is None and p[1] is not None
-        # And the DNR message itself is the per-family one, verbatim.
-        with pytest.raises(Exception) as a:
+        # And the DNR message itself is the model's, verbatim.
+        with pytest.raises(DNRError) as a:
             planned.run(grid[0])
-        with pytest.raises(Exception) as b:
-            family.run(grid[0])
+        with pytest.raises(DNRError) as b:
+            scalar_run(ExperimentRunner(), grid[0])
         assert str(a.value) == str(b.value)
 
-    def test_subclassed_runner_rejected(self):
+    def test_subclassed_runner_is_planned(self):
+        """A runner subclass takes the one planner route, unchanged."""
+
         class Custom(ExperimentRunner):
             pass
 
         grid = expand_grid(("sg2044",), ("is",), classes="C", thread_counts=(1, 2))
-        groups = [grid]
-        with pytest.raises(PlanNotApplicable):
-            plan_groups(Custom(), groups)
+        outcome = plan_groups(Custom(), [grid])
+        assert outcome == plan_groups(ExperimentRunner(), [grid])
+        assert outcome == [_oracle(ExperimentRunner(), grid)]
 
     def test_planner_matches_engine_error_on_invalid_threads(self):
         bad = ExperimentConfig(machine="sg2042", kernel="is", n_threads=128)
         with pytest.raises(ValueError) as planned_err:
-            SweepEngine(runner=ExperimentRunner(), planner=True).run_many([bad])
-        with pytest.raises(ValueError) as family_err:
-            SweepEngine(runner=ExperimentRunner(), planner=False).run_many([bad])
-        assert str(planned_err.value) == str(family_err.value)
+            SweepEngine(runner=ExperimentRunner()).run_many([bad])
+        with pytest.raises(ValueError) as runner_err:
+            ExperimentRunner().run(bad)
+        with pytest.raises(ValueError) as machine_err:
+            get_machine("sg2042").validate_thread_count(128)
+        assert str(planned_err.value) == str(runner_err.value) == str(machine_err.value)
+
+    def test_invalid_thread_count_commits_nothing(self, tmp_path):
+        """A valid family ahead of an invalid thread count is not committed:
+        the planner validates the whole batch before evaluating any row."""
+        grid = expand_grid("sg2042", "is", classes="C", thread_counts=(1, 2))
+        grid.append(ExperimentConfig(machine="sg2042", kernel="mg", n_threads=128))
+        engine = SweepEngine(runner=ExperimentRunner(), store=ResultStore(tmp_path))
+        rec = obs.install()
+        try:
+            with pytest.raises(ValueError, match="cannot run 128 threads"):
+                engine.run_many(grid)
+        finally:
+            obs.disable()
+        assert engine._results == {}
+        assert engine._inflight == {}
+        assert engine.store.stats()["entries"] == 0
+        counters = rec.counters_snapshot()
+        assert "model.batch_calls" not in counters
+        assert "sweep.groups_executed" not in counters
+        (run_many,) = rec.span_tree()["children"]
+        # No group was committed and nothing was published.
+        assert [node["name"] for node in run_many["children"]] == ["store.preload"]
+        assert rec.quiescent()
 
 
-class GatedRunner(ExperimentRunner):
-    """Blocks every family execution on a gate and logs the batches."""
+class GatedEngine(SweepEngine):
+    """Blocks every family commit on a gate and logs the families' keys."""
 
-    def __init__(self, gate, **kw):
-        super().__init__(**kw)
+    def __init__(self, gate):
+        super().__init__(ExperimentRunner())
         self.gate = gate
         self.calls = []
         self.calls_lock = threading.Lock()
 
-    def run_many(self, configs):
+    def _commit_outcome(self, keys, outcome):
         with self.calls_lock:
-            self.calls.append(list(configs))
+            self.calls.append(list(keys))
         assert self.gate.wait(timeout=30)
-        return super().run_many(configs)
+        super()._commit_outcome(keys, outcome)
 
 
 def test_pcg64_states_equal_numpy_seeding():
@@ -213,8 +290,7 @@ class TestSubgridContainment:
     def test_gated_batch_claims_share_one_event(self):
         """Every key a batch claims maps to that batch's one event."""
         gate = threading.Event()
-        runner = GatedRunner(gate)
-        engine = SweepEngine(runner=runner)
+        engine = GatedEngine(gate)
         grid = expand_grid(
             ("sg2044",), ("is", "mg"), classes="C", thread_counts=(1, 2, 4, 8)
         )
@@ -222,9 +298,9 @@ class TestSubgridContainment:
         thread.start()
         try:
             deadline = time.monotonic() + 30
-            while not runner.calls and time.monotonic() < deadline:
+            while not engine.calls and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert runner.calls, "batch never started executing"
+            assert engine.calls, "batch never started committing"
             with engine._lock:
                 table = dict(engine._inflight)
         finally:
@@ -239,8 +315,7 @@ class TestSubgridContainment:
     def test_contained_requests_never_double_execute(self):
         """8 threads riding one in-flight super-sweep: zero re-execution."""
         gate = threading.Event()
-        runner = GatedRunner(gate)  # subclass: forces the per-family path
-        engine = SweepEngine(runner=runner, planner=True)
+        engine = GatedEngine(gate)
         grid = expand_grid(
             ("sg2044",), ("is", "mg"), classes="C", thread_counts=(1, 2, 4, 8)
         )
@@ -252,11 +327,11 @@ class TestSubgridContainment:
             )
             super_thread.start()
             # Wait until the super-sweep has claimed its keys and is
-            # blocked inside its first family.
+            # blocked inside its first family's commit.
             deadline = time.monotonic() + 30
-            while not runner.calls and time.monotonic() < deadline:
+            while not engine.calls and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert runner.calls, "super-sweep never started executing"
+            assert engine.calls, "super-sweep never started committing"
 
             subgrids = [grid[i % len(grid) :] for i in range(8)]
             sub_results: dict[int, list] = {}
@@ -284,8 +359,8 @@ class TestSubgridContainment:
         assert not super_thread.is_alive()
         assert rec.counters_snapshot().get("sweep.containment_waits", 0) == 8
         # Each family ran exactly once: the riders recomputed nothing.
-        assert len(runner.calls) == 2
-        assert sorted(len(c) for c in runner.calls) == [4, 4]
+        assert len(engine.calls) == 2
+        assert sorted(len(c) for c in engine.calls) == [4, 4]
         for i, sub in enumerate(subgrids):
             assert sub_results[i] == super_results[len(grid) - len(sub) :]
         # The single-flight table drained completely.

@@ -3,8 +3,8 @@
 For random experiment grids (seeded, replayable -- see ``strategies``),
 the counters and span tree a sweep produces must be byte-identical
 
-* across the planned megagrid pass and the per-family path
-  (``planner=False``),
+* across independent sessions on fresh engines, whose results equal the
+  one-config-at-a-time oracle (``tests/oracle.py``) slot by slot,
 * across cold and warm-cache replays (warm runs are all hits),
 
 and span trees must always be well-nested (every entry exited, in
@@ -19,9 +19,11 @@ import pytest
 
 from repro import obs
 from repro.core.experiment import ExperimentRunner
+from repro.core.perfmodel import DNRError
 from repro.core.sweep import SweepEngine
 from repro.obs.export import report_dict
 
+from ..oracle import scalar_run
 from .strategies import grid_fingerprint, random_grid
 
 try:
@@ -46,9 +48,9 @@ def _telemetry_off():
     obs.disable()
 
 
-def _session(grid, runner, planner=True):
+def _session(grid, runner):
     """Run ``grid`` cold then warm on a fresh engine; a report per phase."""
-    engine = SweepEngine(runner, planner=planner)
+    engine = SweepEngine(runner)
     reports = []
     results = []
     for _ in ("cold", "warm"):
@@ -74,15 +76,22 @@ def shared_runner():
 
 class TestCounterIdentity:
     @seeded
-    def test_planned_per_family_and_warm_identical(self, seed, shared_runner):
+    def test_planned_oracle_and_warm_identical(self, seed, shared_runner):
         grid = random_grid(seed)
-        _, planned, res_planned = _session(grid, shared_runner)
-        _, per_family, res_family = _session(grid, shared_runner, planner=False)
-        # Byte-identical reports, phase by phase, across execution modes.
-        assert _bytes(planned[0]) == _bytes(per_family[0])
-        assert _bytes(planned[1]) == _bytes(per_family[1])
-        # And identical results, slot by slot.
-        assert res_planned == res_family
+        _, first, (cold, warm) = _session(grid, shared_runner)
+        _, second, _ = _session(grid, shared_runner)
+        # Byte-identical reports, phase by phase, across sessions.
+        assert _bytes(first[0]) == _bytes(second[0])
+        assert _bytes(first[1]) == _bytes(second[1])
+        # Results equal the oracle's slot by slot, cold and warm.
+        expected = []
+        for config in grid:
+            try:
+                expected.append(scalar_run(shared_runner, config))
+            except DNRError:
+                expected.append(None)
+        assert cold == expected
+        assert warm == expected
 
     @seeded
     def test_counter_conservation(self, seed, shared_runner):
@@ -114,15 +123,18 @@ class TestCounterIdentity:
         assert engine.dnr_configs == 2 * n_dnr_slots
 
     @seeded
-    def test_span_tree_shape_is_mode_independent(self, seed, shared_runner):
+    def test_span_tree_shape_is_session_independent(self, seed, shared_runner):
         grid = random_grid(seed)
-        _, (cold_planned, _), _ = _session(grid, shared_runner)
-        _, (cold_family, _), _ = _session(grid, shared_runner, planner=False)
-        assert cold_planned["spans"] == cold_family["spans"]
-        # Every group span hangs under run_many, which hangs under session.
-        (run_many,) = cold_planned["spans"]["children"]
+        _, (cold_first, _), _ = _session(grid, shared_runner)
+        _, (cold_second, _), _ = _session(grid, shared_runner)
+        assert cold_first["spans"] == cold_second["spans"]
+        # Every group span hangs under run_many, which hangs under session:
+        # one entry per thread-sweep family, merged by name.
+        (run_many,) = cold_first["spans"]["children"]
         assert run_many["name"] == "run_many"
         assert all(c["name"].startswith("group[") for c in run_many["children"])
+        families = {c.family_key() for c in grid}
+        assert sum(c["count"] for c in run_many["children"]) == len(families)
 
 
 class TestWellNestedSpans:

@@ -1,9 +1,9 @@
 """Concurrency stress: one engine, eight hammering threads, no double work.
 
 The single-flight table in :class:`SweepEngine` guarantees each cache key
-executes exactly once no matter how many ``run_many`` calls race.  A
-counting runner observes actual executions; the barrier maximises the
-overlap window.
+executes exactly once no matter how many ``run_many`` calls race.  An
+engine that counts at its per-family commit observes actual executions;
+the barrier maximises the overlap window.
 """
 
 import threading
@@ -11,27 +11,25 @@ import threading
 import pytest
 
 from repro import obs
-from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine, expand_grid
 from repro.obs.export import report_dict
 
 N_THREADS = 8
 
 
-class CountingRunner(ExperimentRunner):
-    """Counts how many times each config is actually executed."""
+class CountingEngine(SweepEngine):
+    """Counts how many times each config is actually executed (committed)."""
 
     def __init__(self) -> None:
         super().__init__()
         self.executions: dict[tuple, int] = {}
         self._count_lock = threading.Lock()
 
-    def run_many(self, configs):
+    def _commit_outcome(self, keys, outcome):
         with self._count_lock:
-            for c in configs:
-                key = (c.machine, c.kernel, c.npb_class, c.n_threads)
+            for key in keys:
                 self.executions[key] = self.executions.get(key, 0) + 1
-        return super().run_many(configs)
+        super()._commit_outcome(keys, outcome)
 
 
 @pytest.fixture(autouse=True)
@@ -71,8 +69,7 @@ def test_no_duplicate_executions_under_contention():
     )
     n_unique = len(grid)
     for _ in range(5):
-        runner = CountingRunner()
-        engine = SweepEngine(runner)
+        engine = CountingEngine()
         rec = obs.install()
         try:
             results = _hammer(engine, grid)
@@ -80,8 +77,8 @@ def test_no_duplicate_executions_under_contention():
             obs.disable()
 
         # Every config executed exactly once across all eight callers.
-        assert sum(runner.executions.values()) == n_unique
-        assert set(runner.executions.values()) == {1}
+        assert sum(engine.executions.values()) == n_unique
+        assert set(engine.executions.values()) == {1}
         # All callers observed identical results.
         assert all(r == results[0] for r in results[1:])
         assert all(r is not None for r in results[0])
@@ -96,7 +93,7 @@ def test_no_duplicate_executions_under_contention():
         assert rec.quiescent()
 
 
-class FatalThenHealedRunner(CountingRunner):
+class FatalThenHealedEngine(CountingEngine):
     """One family is fatal for its first ``failures`` executions."""
 
     def __init__(self, poison_kernel: str, failures: int) -> None:
@@ -106,14 +103,14 @@ class FatalThenHealedRunner(CountingRunner):
         self.poison_attempts = 0
         self._fail_lock = threading.Lock()
 
-    def run_many(self, configs):
-        if configs[0].kernel == self.poison_kernel:
+    def _commit_outcome(self, keys, outcome):
+        if keys[0][4] == self.poison_kernel:  # compute_cache_key's kernel field
             with self._fail_lock:
                 self.poison_attempts += 1
                 if self.failures > 0:
                     self.failures -= 1
                     raise RuntimeError("poisoned family")
-        return super().run_many(configs)
+        super()._commit_outcome(keys, outcome)
 
 
 def _hammer_collecting(engine, grid, n_threads=N_THREADS):
@@ -148,8 +145,7 @@ def test_injected_fatal_failures_never_hang_waiters():
     full results -- and the single-flight table fully drains.
     """
     grid = expand_grid(("sg2044",), ("is", "ep", "cg", "mg"), thread_counts=(1, 2, 4, 8))
-    runner = FatalThenHealedRunner(poison_kernel="mg", failures=2)
-    engine = SweepEngine(runner)
+    engine = FatalThenHealedEngine(poison_kernel="mg", failures=2)
     rec = obs.install()
     try:
         results, errors = _hammer_collecting(engine, grid)
@@ -164,9 +160,9 @@ def test_injected_fatal_failures_never_hang_waiters():
     assert all(r == completed[0] for r in completed)
     # The poisoned family was attempted failures + 1 times, succeeding
     # once; every config (healthy or poisoned) executed exactly once.
-    assert runner.poison_attempts == 3
-    assert set(runner.executions.values()) == {1}
-    assert sum(runner.executions.values()) == len(grid)
+    assert engine.poison_attempts == 3
+    assert set(engine.executions.values()) == {1}
+    assert sum(engine.executions.values()) == len(grid)
     # No claim leaked: the table drained even through the failures.
     assert engine._inflight == {}
     assert rec.quiescent()
@@ -174,10 +170,9 @@ def test_injected_fatal_failures_never_hang_waiters():
 
 def test_contended_dnr_family_resolves_once():
     grid = expand_grid(("allwinner-d1",), ("ft",), classes="B", thread_counts=1)
-    runner = CountingRunner()
-    engine = SweepEngine(runner)
+    engine = CountingEngine()
     results = _hammer(engine, grid, n_threads=4)
     # The DNR family executed once; every caller got the None slot.
-    assert sum(runner.executions.values()) == 1
+    assert sum(engine.executions.values()) == 1
     assert all(r == [None] for r in results)
     assert engine.dnr_configs == 4

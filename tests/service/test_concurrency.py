@@ -11,8 +11,8 @@ Two drills over the live HTTP server:
 2. A sub-sweep submitted while its super-sweep is mid-flight must not
    execute anything: the engine's subgrid containment parks it on the
    super-sweep's completion event (``sweep.containment_waits``).  The
-   super-sweep is held open by a gated runner so the overlap is
-   deterministic, not a scheduling accident.
+   super-sweep is held open by an engine gated at its first family
+   commit, so the overlap is deterministic, not a scheduling accident.
 """
 
 import threading
@@ -81,37 +81,37 @@ def test_eight_simultaneous_duplicates_execute_once(live_server):
     assert counters["sweep.configs_executed"] == 2  # the grid ran exactly once
 
 
-class GatedRunner(ExperimentRunner):
-    """Holds the first family mid-execution until the test releases it.
+class GatedEngine(SweepEngine):
+    """Holds the first family's commit until the test releases it.
 
-    Subclassing also forces the engine off the megagrid planner and onto
-    the per-family path that registers in-flight sweeps -- exactly the
-    machinery the containment drill is probing.
+    The batch has been planned and its keys are still claimed in the
+    single-flight table -- exactly the machinery the containment drill
+    is probing.
     """
 
     def __init__(self) -> None:
-        super().__init__(noise_cv=0.0)
+        super().__init__(ExperimentRunner(noise_cv=0.0))
         self.started = threading.Event()
         self.release = threading.Event()
         self._gated = True
 
-    def run_many(self, configs):
+    def _commit_outcome(self, keys, outcome):
         if self._gated:
             self._gated = False
             self.started.set()
             assert self.release.wait(timeout=30), "containment test never released"
-        return super().run_many(configs)
+        super()._commit_outcome(keys, outcome)
 
 
 @pytest.fixture
 def gated_service(tmp_path):
-    """A live server whose engine blocks on the first family it runs."""
+    """A live server whose engine blocks on the first family it commits."""
     from repro import obs
 
-    runner = GatedRunner()
+    engine = GatedEngine()
     recorder = obs.install()
     manager = JobManager(
-        engine=SweepEngine(runner=runner),
+        engine=engine,
         workers=2,
         queue_size=16,
         artifact_dir=tmp_path / "artifacts",
@@ -120,9 +120,9 @@ def gated_service(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_port}", runner, recorder
+        yield f"http://127.0.0.1:{server.server_port}", engine, recorder
     finally:
-        runner.release.set()  # never leave a worker parked on the gate
+        engine.release.set()  # never leave a worker parked on the gate
         server.shutdown()
         server.server_close()
         manager.shutdown()
@@ -131,15 +131,15 @@ def gated_service(tmp_path):
 
 
 def test_contained_subsweep_rides_the_superset(gated_service):
-    base, runner, recorder = gated_service
+    base, engine, recorder = gated_service
 
     super_sweep = {**SWEEP, "threads": [1, 2, 4, 8]}
     status, super_body = http_post_json(base + "/api/v1/jobs", super_sweep)
     assert status == 202
 
-    # The super-sweep is now RUNNING and parked inside the runner with
+    # The super-sweep is now RUNNING and parked in its first commit with
     # all four cache keys claimed in the single-flight table.
-    assert runner.started.wait(timeout=30)
+    assert engine.started.wait(timeout=30)
 
     sub_sweep = {**SWEEP, "threads": [1, 2]}
     status, sub_body = http_post_json(base + "/api/v1/jobs", sub_sweep)
@@ -156,7 +156,7 @@ def test_contained_subsweep_rides_the_superset(gated_service):
         deadline_poll.wait(0.05)
     assert recorder.counters_snapshot().get("sweep.containment_waits", 0) >= 1
 
-    runner.release.set()
+    engine.release.set()
     for job_id in (super_body["job_id"], sub_body["job_id"]):
         status, doc = http_get_json(f"{base}/api/v1/jobs/{job_id}?wait=30")
         assert status == 200 and doc["state"] == "done", doc

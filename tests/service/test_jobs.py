@@ -8,7 +8,6 @@ assertion about states and counters is exact.
 import pytest
 
 from repro import obs
-from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine
 from repro.service import (
     IllegalTransition,
@@ -227,17 +226,17 @@ def test_job_families_published_to_store(tmp_path):
     assert store.stats()["entries"] == len(keys) + 1  # + the artifact
 
 
-class _FailingRunner(ExperimentRunner):
-    """Raises on one kernel's family: a job killed half-way through."""
+class _FailingEngine(SweepEngine):
+    """Raises at one kernel's family commit: a job killed half-way through."""
 
-    def __init__(self, kernel):
-        super().__init__()
+    def __init__(self, kernel, store):
+        super().__init__(store=store)
         self.kernel = kernel
 
-    def run_many(self, configs):
-        if configs[0].kernel == self.kernel:
+    def _commit_outcome(self, keys, outcome):
+        if keys[0][4] == self.kernel:  # compute_cache_key's kernel field
             raise RuntimeError("worker died")
-        return super().run_many(configs)
+        super()._commit_outcome(keys, outcome)
 
 
 def test_half_done_job_resumes_from_shared_store(tmp_path):
@@ -249,9 +248,7 @@ def test_half_done_job_resumes_from_shared_store(tmp_path):
     reference_manager.run_next()
 
     store = ResultStore(tmp_path / "store")
-    first = JobManager(
-        engine=SweepEngine(_FailingRunner("is"), store=store), workers=0
-    )
+    first = JobManager(engine=_FailingEngine("is", store), workers=0)
     job, _ = first.submit(request)
     first.run_next()
     assert job.state is JobState.FAILED  # the ep family landed, is did not

@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro import obs
-from repro.core.experiment import ExperimentRunner
 from repro.core.sweep import SweepEngine, expand_grid
 from repro.store import ResultStore
 
@@ -120,18 +119,18 @@ class GatedPreloadStore(ResultStore):
         return super().get_many(keys)
 
 
-class GatedRunner(ExperimentRunner):
-    """Parks every family execution until ``gate`` opens."""
+class GatedEngine(SweepEngine):
+    """Parks every family commit until ``gate`` opens."""
 
-    def __init__(self, gate):
-        super().__init__()
+    def __init__(self, gate, store):
+        super().__init__(store=store)
         self.gate = gate
         self.started = threading.Event()
 
-    def run_many(self, configs):
+    def _commit_outcome(self, keys, outcome):
         self.started.set()
         assert self.gate.wait(timeout=30)
-        return super().run_many(configs)
+        super()._commit_outcome(keys, outcome)
 
 
 def test_waiter_on_store_absorbed_keys_does_not_spin(tmp_path):
@@ -141,8 +140,7 @@ def test_waiter_on_store_absorbed_keys_does_not_spin(tmp_path):
     SweepEngine(store=ResultStore(tmp_path / "store")).run_many(GRID[:4])
     store = GatedPreloadStore(tmp_path / "store")
     gate = threading.Event()
-    runner = GatedRunner(gate)
-    engine = SweepEngine(runner=runner, store=store)
+    engine = GatedEngine(gate, store)
     reclaims = []
     reclaim = engine._reclaim
 
@@ -166,9 +164,9 @@ def test_waiter_on_store_absorbed_keys_does_not_spin(tmp_path):
             gate.wait(0.01)
         assert recorder.counters_snapshot().get("sweep.containment_waits", 0) == 1
         store.release.set()
-        # The owner absorbed GRID[:4] and is parked executing the rest;
+        # The owner absorbed GRID[:4] and is parked committing the rest;
         # the waiter's absorbed keys must not have woken it.
-        assert runner.started.wait(timeout=30)
+        assert engine.started.wait(timeout=30)
         waiter.join(timeout=0.2)
         assert waiter.is_alive()
         assert reclaims == []

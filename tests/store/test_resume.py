@@ -25,18 +25,18 @@ def _telemetry_off():
     obs.disable()
 
 
-class CountingRunner(ExperimentRunner):
-    """Counts family executions so resume tests can prove work was skipped."""
+class CountingEngine(SweepEngine):
+    """Counts family commits so resume tests can prove work was skipped."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
+    def __init__(self, store) -> None:
+        super().__init__(store=store)
         self.calls = 0
         self._count_lock = threading.Lock()
 
-    def run_many(self, configs):
+    def _commit_outcome(self, keys, outcome):
         with self._count_lock:
             self.calls += 1
-        return super().run_many(configs)
+        super()._commit_outcome(keys, outcome)
 
 
 def _objects(root):
@@ -45,15 +45,14 @@ def _objects(root):
 
 def test_interrupted_run_resumes_from_completed_families(tmp_path):
     # "Interrupted" run: only the first two families complete.
-    first = CountingRunner()
-    SweepEngine(first, store=ResultStore(tmp_path / "store")).run_many(GRID[:4])
+    first = CountingEngine(ResultStore(tmp_path / "store"))
+    first.run_many(GRID[:4])
     assert first.calls == 2
 
     # Resumed run over the full grid: only the remaining families execute.
-    resumed_runner = CountingRunner()
-    engine = SweepEngine(resumed_runner, store=ResultStore(tmp_path / "store"))
+    engine = CountingEngine(ResultStore(tmp_path / "store"))
     resumed = engine.run_many(GRID)
-    assert resumed_runner.calls == 4  # 6 families in all, 2 already stored
+    assert engine.calls == 4  # 6 families in all, 2 already stored
 
     # Bit-identical to a cold run with no store anywhere.
     assert resumed == SweepEngine().run_many(GRID)
@@ -62,9 +61,9 @@ def test_interrupted_run_resumes_from_completed_families(tmp_path):
 def test_entries_from_other_runner_settings_are_never_served(tmp_path):
     SweepEngine(ExperimentRunner(seed=1), store=tmp_path / "store").run_many(GRID)
 
-    other_runner = CountingRunner()  # default seed != 1
-    SweepEngine(other_runner, store=tmp_path / "store").run_many(GRID)
-    assert other_runner.calls == 6  # nothing matched; everything ran
+    other = CountingEngine(tmp_path / "store")  # default seed != 1
+    other.run_many(GRID)
+    assert other.calls == 6  # nothing matched; everything ran
     assert len(_objects(tmp_path / "store")) == 2 * len(GRID)
 
 
@@ -99,15 +98,12 @@ def test_missing_root_reads_as_empty_and_is_not_created(tmp_path):
 
 def test_dnr_verdict_replayed_from_store(tmp_path):
     config = ExperimentConfig(machine="allwinner-d1", kernel="ft", npb_class="B")
-    first = CountingRunner()
-    assert SweepEngine(first, store=tmp_path / "store").run_many(
-        [config], on_dnr="none"
-    ) == [None]
+    first = CountingEngine(tmp_path / "store")
+    assert first.run_many([config], on_dnr="none") == [None]
     assert first.calls == 1
 
-    replay = CountingRunner()
-    engine = SweepEngine(replay, store=tmp_path / "store")
-    assert engine.run_many([config], on_dnr="none") == [None]
+    replay = CountingEngine(tmp_path / "store")
+    assert replay.run_many([config], on_dnr="none") == [None]
     assert replay.calls == 0  # the verdict is a result: restored, not re-derived
 
 
@@ -146,6 +142,6 @@ def test_independent_stores_on_one_root_publish_concurrently(tmp_path):
     assert all(outcome == outcomes[0] for outcome in outcomes)
     assert len(_objects(root)) == len(GRID)
     assert not list(root.rglob("*.tmp"))
-    warm = CountingRunner()
-    assert SweepEngine(warm, store=ResultStore(root)).run_many(GRID) == outcomes[0]
+    warm = CountingEngine(ResultStore(root))
+    assert warm.run_many(GRID) == outcomes[0]
     assert warm.calls == 0
