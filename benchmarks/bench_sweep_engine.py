@@ -5,9 +5,10 @@ config-at-a-time loop on grid evaluation, a warmed engine serves whole
 table/figure grids from its result cache, and one megagrid planner pass
 beats a loop of one-row ``ExperimentRunner.run`` calls on a cold
 full-paper regeneration by >= 3x while producing bit-identical results.
-Two cold ``run_many`` queries, one of 4 configs and one of ~2900, put
-the per-batch fixed cost and the per-config cost of the cold path on the
-record separately.
+Three cold ``run_many`` queries -- 4 configs, one config on each of the
+11 catalogue machines, and ~2900 configs -- put the per-batch fixed
+cost, the per-machine cost and the per-config cost of the cold path on
+the record separately.
 """
 
 from repro.compilers.gcc import get_compiler
@@ -15,7 +16,7 @@ from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.perfmodel import DNRError, PerformanceModel
 from repro.core.sweep import SweepEngine, expand_grid
 from repro.harness import paper
-from repro.machines.catalog import get_machine
+from repro.machines.catalog import get_machine, machine_names
 from repro.npb.signatures import signature_for
 
 _THREADS = (1, 2, 4, 8, 16, 26, 32, 64)
@@ -105,7 +106,10 @@ def test_planner_cold_paper_regeneration(
 
 
 def test_batch_vs_loop_prediction(benchmark, time_best_of, bench_artifact):
-    """Batched grid evaluation of every paper kernel on both Sophons."""
+    """Batched grid evaluation of every paper kernel on both Sophons.
+
+    One timed sample is 40 sweeps (about 20 ms); ``sweep_s`` is per sweep.
+    """
     model = PerformanceModel()
     compiler = get_compiler("gcc-15.2")
     sigs = [signature_for(k, "C") for k in paper.KERNELS]
@@ -123,7 +127,7 @@ def test_batch_vs_loop_prediction(benchmark, time_best_of, bench_artifact):
     # The batch path must agree with the one-at-a-time path exactly.
     spot = model.predict(machines[0], sigs[0], compiler, _THREADS[-1])
     assert spot in preds
-    sweep_s, _ = time_best_of("sweep.batch_grid", sweep, 3)
+    sweep_s, _ = time_best_of("sweep.batch_grid", sweep, 3, calls=40)
     bench_artifact(
         "sweep.batch_grid_prediction",
         n_predictions=len(preds),
@@ -194,8 +198,9 @@ def _cold_query_large():
     return grid
 
 
-def _time_cold_query(time_best_of, label, grid, reps):
-    """Best-of-``reps`` cold ``run_many`` (fresh engine and runner each)."""
+def _time_cold_query(time_best_of, label, grid, reps, calls=1):
+    """Best-of-``reps`` cold ``run_many`` (fresh engine and runner each),
+    per query; each timed sample runs ``calls`` queries back to back."""
 
     def run_cold():
         return SweepEngine(runner=ExperimentRunner()).run_many(grid, on_dnr="none")
@@ -204,20 +209,47 @@ def _time_cold_query(time_best_of, label, grid, reps):
     assert len(results) == len(grid)
     # Bit-identical to one-row runs, whatever the batch shape.
     assert results == _run_loop(ExperimentRunner(), grid)
-    query_s, _ = time_best_of(label, run_cold, reps)
+    query_s, _ = time_best_of(label, run_cold, reps, calls=calls)
     return query_s
 
 
 def test_cold_query_small(benchmark, time_best_of, bench_artifact):
-    """4 configs on one machine: the cold path's per-batch fixed cost."""
+    """4 configs on one machine: the cold path's per-batch fixed cost.
+
+    One timed sample is 80 cold queries (about 20 ms); the recorded time
+    is per query.
+    """
     grid = expand_grid("sg2044", ("is", "mg"), classes="C", thread_counts=(1, 64))
     assert len(grid) == 4
     benchmark(lambda: SweepEngine(runner=ExperimentRunner()).run_many(grid))
-    query_s = _time_cold_query(time_best_of, "sweep.cold_query_small", grid, 20)
+    query_s = _time_cold_query(time_best_of, "sweep.cold_query_small", grid, 5, calls=80)
     bench_artifact(
         "sweep.cold_query_small",
         n_configs=len(grid),
         batch_fixed_s=query_s,
+    )
+
+
+def test_cold_query_machines(benchmark, time_best_of, bench_artifact):
+    """One config on each catalogue machine: the cold path's per-machine
+    cost, now that a batch is one evaluation pass whatever its machines.
+
+    One timed sample is 32 cold queries (about 20 ms); the recorded time
+    is per query.
+    """
+    grid = [
+        ExperimentConfig(machine=name, kernel="mg", npb_class="S")
+        for name in machine_names()
+    ]
+    assert len(grid) == 11
+    benchmark(lambda: SweepEngine(runner=ExperimentRunner()).run_many(grid))
+    query_s = _time_cold_query(time_best_of, "sweep.cold_query_machines", grid, 5, calls=32)
+    bench_artifact(
+        "sweep.cold_query_machines",
+        n_configs=len(grid),
+        n_machines=len(grid),
+        query_s=query_s,
+        per_machine_s=query_s / len(grid),
     )
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.compilers.gcc import default_compiler_for, get_compiler
 from repro.machines.machine import Machine
 
-from .perfmodel import _eval_segment, _family_scalars, _row_block
+from .perfmodel import _eval_block, _family_block
 from .signature import KernelSignature
 
 __all__ = [
@@ -188,7 +188,9 @@ def anchor_config(
     Returns ``(anchor, signature, compiler name)``: the kernel's signature
     at the anchor's class and the machine's paper-default compiler, run
     with vectorisation ``anchor.vectorise``.  ``None`` for pairs without
-    an anchor.
+    an anchor.  The planner (``repro.core.plan``) adds this run as one
+    single-thread row of the batch's evaluation block, beside the
+    requested rows of every machine.
     """
     anchor = anchor_for(machine_name, kernel)
     if anchor is None:
@@ -217,16 +219,17 @@ def calibration_factors(machine: Machine, kernel: str) -> tuple[float, float]:
     instead.  Pairs without an anchor run uncalibrated (1, 1).
 
     The anchor configuration is evaluated as a one-row block of the
-    model's row evaluator.
+    model's row evaluator; the planner evaluates it as a row of the
+    batch's block instead.
     """
     config = anchor_config(machine.name, kernel)
     if config is None:
         return 1.0, 1.0
     anchor, sig, compiler_name = config
-    columns, _, _ = _family_scalars(
-        machine, sig, get_compiler(compiler_name), anchor.vectorise
+    block, _, _ = _family_block(
+        machine, sig, get_compiler(compiler_name), anchor.vectorise, (1,)
     )
-    terms = _eval_segment(machine, _row_block([columns], [1], [1]))
+    terms = _eval_block(block)
     return factors_from_raw(sig, anchor, *(float(t[0]) for t in terms))
 
 
@@ -242,8 +245,9 @@ def factors_from_raw(
 
     The four terms are the uncalibrated single-thread times (plain
     floats) of the anchor configuration, from one row of
-    :func:`repro.core.perfmodel._eval_segment` -- a one-row block here,
-    a row of its megagrid in the planner (``repro.core.plan``).
+    :func:`repro.core.perfmodel._eval_block` -- a one-row block in
+    :func:`calibration_factors`, a row of the batch's one block in the
+    planner (``repro.core.plan``).
     """
     t_anchor = sig.total_mops / anchor.mops
     if sig.residual_attribution == "compute":

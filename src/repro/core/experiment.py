@@ -11,6 +11,7 @@ numbers" behaviour all exist without real hardware.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from repro.compilers.gcc import default_compiler_for
@@ -23,6 +24,7 @@ __all__ = [
     "ExperimentRunner",
     "DEFAULT_RUNS",
     "measurement_seed",
+    "family_seed_bytes",
 ]
 
 DEFAULT_RUNS = 5  # "All results represent the average of five independent runs"
@@ -37,14 +39,28 @@ def measurement_seed(
     "measurements" reproducible across interpreter invocations.  The
     grid planner (:mod:`repro.core.plan`) seeds each config's
     ``np.random.default_rng`` PCG64 stream from it, for a whole batch in
-    bulk.
+    bulk (:func:`family_seed_bytes`).
     """
-    key = (
-        f"{base_seed}|{config.machine}|{config.kernel}|{config.npb_class}"
-        f"|{config.n_threads}|{compiler_name}|{config.vectorise}"
+    digest = family_seed_bytes(base_seed, config, compiler_name, (config.n_threads,))
+    return int.from_bytes(digest, "little")
+
+
+def family_seed_bytes(
+    base_seed: int,
+    config: "ExperimentConfig",
+    compiler_name: str,
+    thread_counts: Sequence[int],
+) -> bytes:
+    """:func:`measurement_seed` of ``config``'s family at each thread count.
+
+    The seeds come as concatenated 8-byte little-endian words, ready for
+    ``np.frombuffer(..., dtype="<u8")``; ``config.n_threads`` is ignored.
+    """
+    head = f"{base_seed}|{config.machine}|{config.kernel}|{config.npb_class}|"
+    tail = f"|{compiler_name}|{config.vectorise}"
+    return b"".join(
+        hashlib.sha256(f"{head}{n}{tail}".encode()).digest()[:8] for n in thread_counts
     )
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 @dataclass(frozen=True)

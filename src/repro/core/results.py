@@ -10,7 +10,7 @@ from .perfmodel import Prediction
 __all__ = ["RunSample", "ExperimentResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunSample:
     """One of the paper's "five independent runs"."""
 

@@ -123,7 +123,7 @@ def compute_cache_key(
         config.machine,
         config.kernel,
         config.npb_class,
-        config.n_threads,
+        config.n_threads,  # index 6: the only field a family's keys differ in
         config.resolved_compiler(),
         config.vectorise,
         config.runs,
@@ -271,6 +271,8 @@ class SweepEngine:
             self._family_hooks = [h for h in self._family_hooks if h is not hook]
 
     def _notify_family(self, n_configs: int, dnr: bool) -> None:
+        if not self._family_hooks:
+            return
         with self._lock:
             hooks = list(self._family_hooks)
         for hook in hooks:
@@ -302,7 +304,9 @@ class SweepEngine:
         if on_dnr not in ("raise", "none"):
             raise ValueError(f"on_dnr must be 'raise' or 'none', got {on_dnr!r}")
         configs = list(configs)
-        keys = [self.cache_key(c) for c in configs]
+        runner = self.runner
+        settings = (runner.seed, runner.noise_cv, runner.model.calibrate)
+        keys = [compute_cache_key(*settings, c) for c in configs]
         obs.incr("sweep.configs_requested", len(configs))
 
         with obs.span("run_many"):
@@ -470,7 +474,11 @@ class SweepEngine:
         and execute; each family carries its keys down to the commit."""
         families: dict[tuple, tuple[list[tuple], list[ExperimentConfig]]] = {}
         for key, config in pending.items():
-            family = families.setdefault(config.family_key(), ([], []))
+            # The key without its thread count names the config's family.
+            family_key = key[:6] + key[7:]
+            family = families.get(family_key)
+            if family is None:
+                family = families[family_key] = ([], [])
             family[0].append(key)
             family[1].append(config)
         self._execute_groups(
@@ -526,8 +534,13 @@ class SweepEngine:
         ``model.batch_*`` counters.  Handles whose family is never
         committed (all of them when planning raises, those after a
         commit that raised) are abandoned in the ``finally``, so the tree
-        stays a pure function of the work actually committed.
+        stays a pure function of the work actually committed.  With
+        telemetry off there are no spans to open, enter or abandon.
         """
+        if not obs.is_enabled():
+            for keys, outcome in zip(group_keys, plan_groups(self.runner, groups)):
+                self._commit_outcome(keys, outcome)
+            return
         handles = [
             obs.open_span(f"group[{group[0].kernel}/{group[0].npb_class}]")
             for group in groups

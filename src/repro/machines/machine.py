@@ -15,7 +15,76 @@ from .cpu import CacheLevel, CacheSharing, CoreModel
 from .memory import MemorySubsystem
 from .topology import Topology
 
-__all__ = ["Machine"]
+__all__ = [
+    "Machine",
+    "barrier_cost_rows",
+    "cache_bytes_per_thread_rows",
+    "parallel_efficiency_rows",
+    "spans_numa_rows",
+]
+
+
+# ----------------------------------------------------------------------
+# Row formulas: the machine side of the performance model, elementwise
+# over arrays of validated thread counts ``ns`` (all >= 1).  Every
+# machine parameter may be a scalar or a per-row column, so one block
+# of rows can span many machines; the ``Machine`` methods below are
+# their one-row views.
+# ----------------------------------------------------------------------
+
+
+def cache_bytes_per_thread_rows(ns: np.ndarray, size_bytes, sharers) -> np.ndarray:
+    """Total cache capacity one of ``ns`` threads effectively owns.
+
+    ``size_bytes`` and ``sharers`` hold one row per cache level, L1
+    first: an instance's capacity and how many cores share it.  Each
+    level contributes its instance capacity divided by the active threads
+    sharing it under a compact placement (threads fill clusters in
+    order), ``size / min(sharers, n)``: a private level (1 sharer)
+    counts whole, a chip-wide one (``n_cores`` sharers, never fewer than
+    ``n``) splits ``n`` ways.  This is the quantity the working-set model
+    compares against (the paper invokes it when attributing CG gains to
+    the SG2044's doubled 2 MB cluster L2).
+    """
+    per_level = size_bytes / np.minimum(sharers, ns)
+    total = per_level[0]
+    for level in per_level[1:]:
+        total = total + level
+    return total
+
+
+def barrier_cost_rows(ns: np.ndarray, barrier_base_ns, barrier_log_coeff_ns) -> np.ndarray:
+    """Cost of one OpenMP barrier across each of ``ns`` threads (seconds).
+
+    Tree-barrier shaped, ``base + coeff * log2(n)``; free at one thread.
+    """
+    cost = (barrier_base_ns + barrier_log_coeff_ns * np.log2(ns)) * 1e-9
+    return np.where(ns == 1, 0.0, cost)
+
+
+def spans_numa_rows(ns: np.ndarray, numa_regions, cores_per_numa) -> np.ndarray:
+    """Whether ``ns`` compactly placed threads span more than one NUMA region."""
+    return (numa_regions > 1) & (ns > cores_per_numa)
+
+
+def parallel_efficiency_rows(
+    ns: np.ndarray, os_noise_coeff, numa_penalty, remote
+) -> np.ndarray:
+    """Machine-side thread-scaling derating over an array of counts.
+
+    ``os_noise_coeff`` models scheduler noise and runtime overhead
+    growing with thread count (the SG2042 loses ~17% of EP's ideal
+    scaling at 64 cores this way).  ``numa_penalty`` applies to the
+    ``remote`` rows: runs spanning more than one NUMA region
+    (remote-touch pages under the NPB OpenMP codes' untuned first-touch
+    behaviour -- relevant only to the four-region EPYC 7742 here) of
+    ``numa_sensitive`` workloads.  A kernel with no DRAM traffic (EP) has
+    no remote pages to touch, which is why the EPYC keeps its EP lead all
+    the way to 64 cores in the paper's Figure 4.
+    """
+    eff = np.maximum(0.4, 1.0 - os_noise_coeff * np.log2(ns))
+    eff = np.where(remote, eff * numa_penalty, eff)
+    return np.where(ns == 1, 1.0, eff)
 
 
 @dataclass(frozen=True)
@@ -115,33 +184,18 @@ class Machine:
             return self.topology.cores_per_cluster
         return self.n_cores
 
+    def cache_levels(self) -> tuple[tuple[int, int], ...]:
+        """``(size_bytes, sharers)`` of each cache level, L1 first: an
+        instance's capacity and how many cores share it."""
+        return tuple((c.size_bytes, self.cores_sharing(c)) for c in self.caches)
+
     def effective_cache_bytes_per_thread(self, n_threads: int) -> float:
-        """Scalar view of :meth:`effective_cache_bytes_per_thread_grid`."""
+        """Scalar view of :func:`cache_bytes_per_thread_rows`."""
         ns = np.asarray([n_threads])
         if not 1 <= n_threads <= self.n_cores:
             raise ValueError(f"thread counts {ns} out of range for {self.name}")
-        return float(self.effective_cache_bytes_per_thread_grid(ns)[0])
-
-    def effective_cache_bytes_per_thread_grid(self, ns: np.ndarray) -> np.ndarray:
-        """Total cache capacity one of ``ns`` threads effectively owns.
-
-        Sums each level's instance capacity divided by the number of active
-        threads sharing it under a compact placement (threads fill
-        clusters in order).  This is the quantity the working-set model
-        compares against (the paper invokes it when attributing CG gains
-        to the SG2044's doubled 2 MB cluster L2).  Elementwise over an
-        array of thread counts, which the caller has validated
-        (:meth:`validate_thread_count`).
-        """
-        total = np.zeros(ns.shape, dtype=np.float64)
-        for cache in self.caches:
-            if cache.sharing is CacheSharing.CLUSTER:
-                total += cache.size_bytes / np.minimum(self.topology.cores_per_cluster, ns)
-            elif cache.sharing is CacheSharing.CHIP:
-                total += cache.size_bytes / ns
-            else:  # private: each thread owns a whole instance
-                total += cache.size_bytes
-        return total
+        levels = np.asarray(self.cache_levels())
+        return float(cache_bytes_per_thread_rows(ns, levels[:, :1], levels[:, 1:])[0])
 
     # ------------------------------------------------------------------
     # Whole-chip rate helpers used by the performance model
@@ -152,48 +206,25 @@ class Machine:
         return self.core.sustained_ipc * self.clock_hz
 
     def barrier_cost_s(self, n_threads: int) -> float:
-        """Scalar view of :meth:`barrier_cost_s_grid`."""
+        """Scalar view of :func:`barrier_cost_rows`."""
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
-        return float(self.barrier_cost_s_grid(np.asarray([n_threads]))[0])
-
-    def barrier_cost_s_grid(self, ns: np.ndarray) -> np.ndarray:
-        """Cost of one OpenMP barrier across each of ``ns`` (>= 1) threads (seconds)."""
-        nsf = ns.astype(np.float64)
-        cost = (self.barrier_base_ns + self.barrier_log_coeff_ns * np.log2(nsf)) * 1e-9
-        return np.where(ns == 1, 0.0, cost)
-
-    def parallel_efficiency(self, n_threads: int, numa_sensitive: bool = True) -> float:
-        """Scalar view of :meth:`parallel_efficiency_grid`."""
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
+        ns = np.asarray([n_threads])
         return float(
-            self.parallel_efficiency_grid(np.asarray([n_threads]), numa_sensitive)[0]
+            barrier_cost_rows(ns, self.barrier_base_ns, self.barrier_log_coeff_ns)[0]
         )
 
-    def parallel_efficiency_grid(
-        self, ns: np.ndarray, numa_sensitive: bool = True
-    ) -> np.ndarray:
-        """Machine-side thread-scaling derating over an array of counts.
-
-        ``os_noise_coeff`` models scheduler noise and runtime overhead
-        growing with thread count (the SG2042 loses ~17% of EP's ideal
-        scaling at 64 cores this way).  ``numa_penalty`` applies once a
-        run spans more than one NUMA region (remote-touch pages under the
-        NPB OpenMP codes' untuned first-touch behaviour -- relevant only
-        to the four-region EPYC 7742 here) -- but only to
-        ``numa_sensitive`` workloads: a kernel with no DRAM traffic (EP)
-        has no remote pages to touch, which is why the EPYC keeps its EP
-        lead all the way to 64 cores in the paper's Figure 4.  ``ns`` are
-        validated thread counts (all >= 1).
-        """
-        nsf = ns.astype(np.float64)
-        eff = np.maximum(0.4, 1.0 - self.os_noise_coeff * np.log2(nsf))
-        if numa_sensitive and self.topology.numa_regions > 1:
-            eff = np.where(
-                ns > self.topology.cores_per_numa, eff * self.numa_penalty, eff
-            )
-        return np.where(ns == 1, 1.0, eff)
+    def parallel_efficiency(self, n_threads: int, numa_sensitive: bool = True) -> float:
+        """Scalar view of :func:`parallel_efficiency_rows`."""
+        if n_threads < 1:
+            raise ValueError("n_threads must be >= 1")
+        ns = np.asarray([n_threads])
+        remote = numa_sensitive & spans_numa_rows(
+            ns, self.topology.numa_regions, self.topology.cores_per_numa
+        )
+        return float(
+            parallel_efficiency_rows(ns, self.os_noise_coeff, self.numa_penalty, remote)[0]
+        )
 
     def validate_thread_count(self, n_threads: int) -> None:
         if not 1 <= n_threads <= self.n_cores:

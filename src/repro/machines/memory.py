@@ -29,8 +29,21 @@ from .ddr import DDRSpec
 __all__ = [
     "smoothmin",
     "smoothmin_grid",
+    "smoothmin_rows",
     "MemorySubsystem",
 ]
+
+
+def smoothmin_rows(demand, cap, sharpness):
+    """The smooth-min formula itself, unchecked.
+
+    Elementwise over any mix of floats and arrays.  :func:`smoothmin` and
+    :func:`smoothmin_grid` validate their arguments around it; the
+    performance model validates its ceilings once per evaluation block
+    and calls it directly.
+    """
+    ratio = demand / cap
+    return demand / (1.0 + ratio**sharpness) ** (1.0 / sharpness)
 
 
 def smoothmin(demand: float, cap: float, sharpness: float = 4.0) -> float:
@@ -56,8 +69,7 @@ def smoothmin(demand: float, cap: float, sharpness: float = 4.0) -> float:
         raise ValueError("sharpness must be >= 1")
     if demand == 0.0:
         return 0.0
-    ratio = demand / cap
-    return demand / (1.0 + ratio**sharpness) ** (1.0 / sharpness)
+    return smoothmin_rows(demand, cap, sharpness)
 
 
 def smoothmin_grid(
@@ -76,8 +88,7 @@ def smoothmin_grid(
         raise ValueError("demand must be >= 0 and cap > 0")
     if sharpness < 1.0:
         raise ValueError("sharpness must be >= 1")
-    ratio = demand / cap
-    return demand / (1.0 + ratio**sharpness) ** (1.0 / sharpness)
+    return smoothmin_rows(demand, cap, sharpness)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,16 @@ class TestTimeBestOf:
         time_best_of_impl("x", seen.append, 3, setup=setup, timer=timer)
         assert seen == made and len(made) == 3
 
+    def test_calls_per_sample_report_per_call_time(self):
+        ran = []
+        timer = _fake_timer([0.08, 0.04])
+        best, result = time_best_of_impl(
+            "x", lambda: ran.append(1) or len(ran), 2, timer=timer, calls=4
+        )
+        assert best == 0.01  # the best sample over its 4 calls
+        assert len(ran) == 8 and result == 8
+        assert len(timer.calls) == 2
+
     def test_real_timer_obeys_floor(self):
         # No injected timer: the obs.host_timer path, with an empty body
         # (the fastest region possible), still respects the floor.

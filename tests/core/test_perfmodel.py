@@ -1,5 +1,7 @@
 """The analytic performance model: invariants and composition."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,21 @@ from repro.compilers.gcc import get_compiler
 from repro.core.perfmodel import (
     DNRError,
     PerformanceModel,
+    _BlockBuilder,
     _communication_bytes_rows,
     _effective_threads_rows,
-    _family_scalars,
-    _row_block,
+    _family_block,
     _spill_fraction,
 )
-from repro.machines.catalog import get_machine
+from repro.compilers.gcc import default_compiler_for
+from repro.machines.catalog import all_machines, get_machine
+from repro.machines.cpu import CacheSharing
+from repro.machines.machine import (
+    barrier_cost_rows,
+    cache_bytes_per_thread_rows,
+    parallel_efficiency_rows,
+    spans_numa_rows,
+)
 from repro.npb.signatures import signature_for
 
 GCC15 = get_compiler("gcc-15.2")
@@ -90,8 +100,14 @@ class TestSpillFraction:
 
     @pytest.mark.parametrize("working_set", [0.0, -1.0, np.asarray([1e6, 0.0])])
     def test_non_positive_working_set_rejected(self, working_set):
+        # Validated once, where the block is built (one family per value).
+        builder = _BlockBuilder()
+        for ws in np.atleast_1d(working_set).tolist():
+            sig = copy.copy(signature_for("mg", "C"))
+            object.__setattr__(sig, "working_set_bytes", ws)
+            builder.add(get_machine("sg2044"), sig, GCC15, True, (1, 2))
         with pytest.raises(ValueError, match="working_set"):
-            _spill_fraction(working_set, np.asarray([1e6, 1e6]))
+            builder.build()
 
 
 class TestVectorisationInModel:
@@ -142,9 +158,63 @@ class TestRowEvaluator:
     def test_single_thread_baselines(self):
         sig = signature_for("mg", "C")
         m = get_machine("sg2044")
-        columns, _, _ = _family_scalars(m, sig, GCC15, True)
-        g = _row_block([columns], [1], [1])
+        g, _, _ = _family_block(m, sig, GCC15, True, (1,))
         ns = g["n"]
         nsf = ns.astype(np.float64)
-        assert _effective_threads_rows(g, m, ns, nsf)[0] == 1.0
-        assert _communication_bytes_rows(g, m, ns, nsf)[0] == 0.0
+        spans_numa = np.zeros(ns.shape, dtype=bool)
+        assert _effective_threads_rows(g, ns, nsf, spans_numa)[0] == 1.0
+        assert _communication_bytes_rows(g, ns, nsf, spans_numa)[0] == 0.0
+
+
+def _cache_bytes_per_level(machine, n):
+    """The per-sharing-kind capacity sum the row formula replaces."""
+    total = 0.0
+    for cache in machine.caches:
+        if cache.sharing is CacheSharing.CLUSTER:
+            total += cache.size_bytes / min(machine.topology.cores_per_cluster, n)
+        elif cache.sharing is CacheSharing.CHIP:
+            total += cache.size_bytes / n
+        else:
+            total += cache.size_bytes
+    return total
+
+
+class TestMachineColumns:
+    def test_scalar_views_equal_block_rows(self):
+        """Every (machine, n) point of one all-machine block: the block's
+        machine columns through the row formulas give exactly the
+        ``Machine`` scalar views, both NUMA settings."""
+        builder = _BlockBuilder()
+        points = []
+        for machine in all_machines():
+            ns = list(range(1, machine.n_cores + 1))
+            compiler = get_compiler(default_compiler_for(machine.name))
+            builder.add(machine, signature_for("mg", "S"), compiler, True, ns)
+            points += [(machine, n) for n in ns]
+        assert len(points) == 277
+        g = builder.build()
+        ns = g["n"]
+        spans = spans_numa_rows(ns, g["numa_regions"], g["cores_per_numa"])
+        cache = cache_bytes_per_thread_rows(ns, g["level_bytes"], g["level_sharers"])
+        barrier = barrier_cost_rows(ns, g["barrier_base_ns"], g["barrier_log_coeff_ns"])
+        efficiency = {
+            sensitive: parallel_efficiency_rows(
+                ns, g["os_noise_coeff"], g["numa_penalty"], sensitive & spans
+            ).tolist()
+            for sensitive in (True, False)
+        }
+        for i, (machine, n) in enumerate(points):
+            assert machine.effective_cache_bytes_per_thread(n) == cache[i]
+            assert cache[i] == _cache_bytes_per_level(machine, n)
+            assert machine.barrier_cost_s(n) == barrier[i]
+            for sensitive in (True, False):
+                assert machine.parallel_efficiency(n, sensitive) == efficiency[sensitive][i]
+
+    def test_views_keep_their_checks(self):
+        m = get_machine("sg2044")
+        with pytest.raises(ValueError):
+            m.effective_cache_bytes_per_thread(65)
+        with pytest.raises(ValueError):
+            m.barrier_cost_s(0)
+        with pytest.raises(ValueError):
+            m.parallel_efficiency(0)

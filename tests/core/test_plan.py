@@ -9,6 +9,7 @@ on invalid input, and for the subgrid-containment path in the
 single-flight table.
 """
 
+import ctypes
 import random
 import threading
 import time
@@ -20,9 +21,11 @@ from repro import obs
 from repro.core.calibration import anchor_for
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.perfmodel import DNRError, PerformanceModel
-from repro.core.plan import _pcg64_states, plan_groups
+from repro.core import plan as plan_module
+from repro.core.plan import _pcg64_words, _state_address, plan_groups
 from repro.core.sweep import SweepEngine, expand_grid
-from repro.machines.catalog import get_machine
+from repro.machines.catalog import get_machine, machine_names
+from repro.npb.signatures import signature_for
 from repro.store import ResultStore
 from tests.oracle import scalar_run
 
@@ -146,9 +149,9 @@ def _assert_differential(grid, calibrate=True):
 
 
 def _mixed_batch() -> list[ExperimentConfig]:
-    """Families in an order the machine-major megagrid does not keep:
-    different ``runs``, DNR families between live ones, and calibration
-    anchors on several machines."""
+    """Families interleaving machines in one block: different ``runs``,
+    DNR families between live ones, and calibration anchors on several
+    machines."""
     grid = []
     grid += expand_grid("sg2044", "is", classes="C", thread_counts=(1, 4, 64), runs=3)
     grid += expand_grid("allwinner-d1", "ft", classes="B", thread_counts=1)  # DNR
@@ -258,6 +261,71 @@ class TestPlannerDifferential:
         assert rec.quiescent()
 
 
+def _count_evaluations(monkeypatch) -> list[int]:
+    """Record the row count of every block the planner evaluates."""
+    calls: list[int] = []
+    evaluate = plan_module._eval_block
+
+    def counted(block):
+        calls.append(len(block["n"]))
+        return evaluate(block)
+
+    monkeypatch.setattr(plan_module, "_eval_block", counted)
+    return calls
+
+
+def _all_machine_batch() -> list[ExperimentConfig]:
+    """Every catalogue machine in one batch, with the layouts whose
+    machine columns differ: a DNR family, the EPYC's NUMA boundary, an
+    L3-less board and cluster-L2 chips across a cluster boundary."""
+    grid = expand_grid("allwinner-d1", "ft", classes="C", thread_counts=1)  # DNR
+    grid += expand_grid("allwinner-d1", "is", classes="S", thread_counts=1)
+    # 16 cores per NUMA region: MG/FT/CG are NUMA-sensitive, EP is not.
+    grid += expand_grid(
+        "epyc7742", ("mg", "ep", "ft", "cg"), classes="A", thread_counts=(8, 16, 17, 32, 64)
+    )
+    grid += expand_grid("visionfive2", ("is", "cg", "mg"), classes="S", thread_counts=(1, 2, 3, 4))
+    # 4-core cluster L2s: 3/4 threads fill one cluster, 5 and 8 spill into more.
+    grid += expand_grid(("sg2044", "sg2042"), ("cg", "is"), classes="B", thread_counts=(3, 4, 5, 8, 9))
+    grid += expand_grid(
+        ("bananapi-f3", "milkv-jupiter"), ("cg", "is"), classes="W", thread_counts=(3, 4, 5, 8)
+    )
+    grid += expand_grid(
+        ("skylake8170", "thunderx2", "visionfive1", "hifive-u740"),
+        ("bt", "sp"),
+        classes="S",
+        thread_counts=(1, 2),
+    )
+    return grid
+
+
+class TestOnePassPerBatch:
+    def test_all_machine_batch_is_one_evaluation(self, monkeypatch):
+        calls = _count_evaluations(monkeypatch)
+        groups = [
+            [ExperimentConfig(machine=name, kernel="mg", npb_class="S")]
+            for name in machine_names()
+        ]
+        assert len(groups) == 11
+        outcomes = plan_groups(ExperimentRunner(), groups)
+        assert len(outcomes) == 11
+        # One block: 11 request rows plus the 11 MG anchors.
+        assert calls == [22]
+
+    def test_all_machine_differential(self, monkeypatch):
+        grid = _all_machine_batch()
+        assert {c.machine for c in grid} == set(machine_names())
+        assert signature_for("ep", "A").dram_bytes_per_op <= 0.3
+        assert signature_for("mg", "A").dram_bytes_per_op > 0.3
+        assert get_machine("epyc7742").topology.cores_per_numa == 16
+        assert get_machine("visionfive2").cache(3) is None
+        assert get_machine("sg2044").topology.cores_per_cluster == 4
+        calls = _count_evaluations(monkeypatch)
+        results = _assert_differential(grid)
+        assert len(calls) == 1
+        assert results[0] is None and results[1] is not None  # D1: FT C is DNR
+
+
 class GatedEngine(SweepEngine):
     """Blocks every family commit on a gate and logs the families' keys."""
 
@@ -280,10 +348,13 @@ def test_pcg64_states_equal_numpy_seeding():
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
     seeds += [rng.getrandbits(64) for _ in range(1000)]
     seeds += [rng.getrandbits(rng.randint(1, 63)) for _ in range(200)]
-    states = _pcg64_states(np.asarray(seeds, dtype=np.uint64))
-    assert len(states) == len(seeds)
-    for seed, state in zip(seeds, states):
-        assert state == np.random.default_rng(seed).bit_generator.state, seed
+    words = _pcg64_words(np.asarray(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4)
+    bit_generator = np.random.PCG64(0)
+    target = _state_address(bit_generator)
+    for seed, row in zip(seeds, words):
+        ctypes.memmove(target, row.ctypes.data, 32)
+        assert bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
 
 
 class TestSubgridContainment:
