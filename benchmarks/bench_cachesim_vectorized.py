@@ -9,13 +9,21 @@ is timed separately -- it resolves a harder problem and lands lower.
 Parity assertions keep the bench honest: a fast-but-wrong engine fails
 here, not in a table much later.
 
+A third entry times a cold Table 1 (``table1_profile``) on the calling
+thread alone against the calling thread plus its helper, and holds the
+split to a speedup floor where two CPUs are usable.
+
 Measurement plumbing (gc-paused best-of-N timing and the noisy-host
 escalation loop) is the shared ``time_best_of`` / ``escalate_until``
 fixtures from ``conftest.py``.
 """
 
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+from repro.cachesim import stats
 from repro.cachesim.hierarchy import xeon8170_hierarchy
 from repro.cachesim.trace import KERNEL_TRACES, build_trace
 
@@ -25,6 +33,9 @@ _SCALAR_REPS = 3
 _TARGET_SPEEDUP = 10.0
 _MARGIN_SPEEDUP = 10.6  # stop escalating once the headline has headroom
 _EXTRA_ROUNDS = 5
+_TABLE1_ACCESSES = 60_000  # what `repro table 1` and `repro export` simulate
+_TABLE1_REPS = 5
+_TABLE1_FLOOR = 1.2
 
 
 def _time_run(time_best_of, engine: str, trace, mask, reps: int):
@@ -134,3 +145,67 @@ def test_cachesim_engine_streaming_bypass(benchmark, time_best_of, bench_artifac
         trace, streaming_mask=mask
     )
     assert np.array_equal(levels, ref_levels)
+
+
+def test_table1_two_core(benchmark, time_best_of, escalate_until, bench_artifact, monkeypatch):
+    """A cold Table 1, serial against the caller plus one helper thread.
+
+    Each sample clears the profile memo outside the timed region, so
+    every one simulates all eight kernels.  The serial side fakes a
+    one-CPU host, which is the only thing that turns the split off.  The
+    floor applies only where two CPUs are usable; on one CPU both sides
+    run serially and the floor is skipped.  With OpenBLAS's own worker
+    threads busy-waiting on the second core (right after NumPy's import,
+    unless ``OPENBLAS_NUM_THREADS=1``) the split can lose its gain.
+    """
+    usable = stats._usable_cpus()
+
+    def cold_table1(_):
+        return stats.table1_profile(n_accesses=_TABLE1_ACCESSES)
+
+    def time_table1(label):
+        return time_best_of(
+            label, cold_table1, _TABLE1_REPS, setup=stats.clear_profile_cache
+        )
+
+    best = {}
+
+    def measure():
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            serial_s, serial_res = time_table1("cachesim.table1_serial")
+        split_s, split_res = time_table1("cachesim.table1_split")
+        assert split_res == serial_res  # the split changes no bit
+        best["serial"] = min(best.get("serial", serial_s), serial_s)
+        best["split"] = min(best.get("split", split_s), split_s)
+
+    measure()
+    rounds = 0
+    if usable >= 2:
+        rounds = escalate_until(
+            lambda: best["serial"] / best["split"],
+            measure,
+            margin=_TABLE1_FLOOR,
+            max_rounds=3,
+        )
+    speedup = best["serial"] / best["split"]
+
+    benchmark.pedantic(
+        lambda: cold_table1(None), setup=stats.clear_profile_cache, rounds=1
+    )
+    benchmark.extra_info["table1_speedup"] = round(speedup, 2)
+    bench_artifact(
+        "cachesim.table1_two_core",
+        n_accesses=_TABLE1_ACCESSES,
+        usable_cpus=usable,
+        serial_s=best["serial"],
+        split_s=best["split"],
+        speedup=round(speedup, 2),
+        extra_rounds=rounds,
+    )
+    if usable < 2:
+        pytest.skip("one usable CPU: both sides run serially, no floor applies")
+    assert speedup >= _TABLE1_FLOOR, (
+        f"two-thread Table 1 only {speedup:.2f}x the serial one "
+        f"(serial {best['serial'] * 1e3:.1f} ms, split {best['split'] * 1e3:.1f} ms)"
+    )

@@ -306,7 +306,8 @@ def test_restart_warm_campaign_speedup(
         cold_s, cold_out = time_best_of(
             "campaign.cold", cold_run, 1, setup=cold_setup
         )
-        warm_s, warm_out = time_best_of("campaign.warm", warm_run, 2)
+        # ~1.5 ms a warm rerun: 13 back to back make a ~20 ms sample.
+        warm_s, warm_out = time_best_of("campaign.warm", warm_run, 2, calls=13)
         best["cold"] = min(best.get("cold", cold_s), cold_s)
         best["warm"] = min(best.get("warm", warm_s), warm_s)
         best["outs"] = (cold_out, warm_out)

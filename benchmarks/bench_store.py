@@ -22,6 +22,11 @@ from repro.store import ResultStore
 _N_ENTRIES = 200
 _SIZED_ENTRIES = 1000
 _SIZED_PUTS = 50
+# Calls per timed sample, sized to about 20 ms each on a 2-CPU host
+# (put_many of 200 ~10 ms, get_many of 200 ~4.5 ms, 50 puts ~3.3 ms).
+_PUT_ALL_CALLS = 2
+_GET_ALL_CALLS = 5
+_SIZED_BATCH_CALLS = 6
 
 
 def _row(i: int) -> str:
@@ -40,8 +45,8 @@ def test_store_put_get_throughput(benchmark, bench_artifact, time_best_of, tmp_p
         assert len(found) == _N_ENTRIES
         return found
 
-    put_s, _ = time_best_of("store.put_many", put_all, 3)
-    get_s, found = time_best_of("store.get_many", get_all, 3)
+    put_s, _ = time_best_of("store.put_many", put_all, 3, calls=_PUT_ALL_CALLS)
+    get_s, found = time_best_of("store.get_many", get_all, 3, calls=_GET_ALL_CALLS)
     assert found[("bench", "entry", 7)] == items[("bench", "entry", 7)]
 
     benchmark(get_all)
@@ -58,21 +63,26 @@ def test_store_put_get_throughput(benchmark, bench_artifact, time_best_of, tmp_p
 
 
 def test_store_put_at_size(benchmark, bench_artifact, time_best_of, tmp_path):
-    """Per-put cost of new entries into a store pre-filled with 1000."""
+    """Per-put cost of new entries into a store pre-filled with 1000.
+
+    Each timed sample puts ``_SIZED_BATCH_CALLS`` batches of 50 fresh
+    entries; the recorded time is per put.
+    """
     store = ResultStore(tmp_path / "store")
     store.put_many({("bench", "fill", i): _row(i) for i in range(_SIZED_ENTRIES)})
     batches = itertools.count()
 
-    def put_batch(batch):
+    def put_batch():
+        batch = next(batches)  # fresh keys on every call
         for i in range(_SIZED_PUTS):
             store.put(("bench", "sized", batch, i), _row(i))
 
     batch_s, _ = time_best_of(
-        "store.put_at_size", put_batch, 3, setup=lambda: next(batches)
+        "store.put_at_size", put_batch, 3, calls=_SIZED_BATCH_CALLS
     )
-    assert store.stats()["entries"] >= _SIZED_ENTRIES + 3 * _SIZED_PUTS
+    assert store.stats()["entries"] >= _SIZED_ENTRIES + 3 * _SIZED_BATCH_CALLS * _SIZED_PUTS
 
-    benchmark(lambda: put_batch(next(batches)))
+    benchmark(put_batch)
     put_s = batch_s / _SIZED_PUTS
     benchmark.extra_info["put_ms"] = round(put_s * 1e3, 4)
     bench_artifact(

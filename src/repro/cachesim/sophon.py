@@ -86,9 +86,9 @@ def cg_l2_ablation(
         raise ValueError("x vector too small to be meaningful")
     results: dict[int, CGGatherStats] = {}
     matrix_bytes = 4 * MiB
+    addrs, mask = _cg_gather_trace(x_vector_bytes, matrix_bytes, n_accesses, seed)
     for l2_mib in (1, 2):
         hier = sophon_hierarchy(l2_mib)
-        addrs, mask = _cg_gather_trace(x_vector_bytes, matrix_bytes, n_accesses, seed)
         _counts, levels = hier.run_trace(
             addrs, streaming_mask=mask, engine="vectorized"
         )

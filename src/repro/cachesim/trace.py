@@ -242,9 +242,10 @@ def build_trace(
 ) -> tuple[np.ndarray, np.ndarray, TraceSpec]:
     """Materialise a kernel's trace: (addresses, prefetchable-mask, spec).
 
-    Memoised per ``(kernel, n_accesses, seed)`` -- generation is pure, and
-    every simulator pass over the same kernel spec re-requests the same
-    trace.  Cached arrays are marked read-only; copy before mutating.
+    Addresses are int32, or int64 when one reaches 2**31.  Memoised per
+    ``(kernel, n_accesses, seed)`` -- generation is pure, and every
+    simulator pass over the same kernel spec re-requests the same trace.
+    Cached arrays are marked read-only; copy before mutating.
     :func:`clear_trace_cache` evicts.
     """
     key = (kernel, n_accesses, seed)
@@ -304,7 +305,7 @@ def _build_trace_uncached(
                     out_m.append(m[lo:hi])
         addrs = np.concatenate(out_p)[:n_accesses]
         mask = np.concatenate(out_m)[:n_accesses]
-        return addrs.astype(np.int64), mask.astype(bool), spec
+        return _narrow(addrs), mask.astype(bool), spec
     # Interleave the streams the way the kernels do (fine-grained mix),
     # spreading each stream uniformly over the trace regardless of its
     # weight (a rare stream is rare *everywhere*, not just early).
@@ -315,7 +316,15 @@ def _build_trace_uncached(
     )
     order = np.argsort(positions, kind="stable")
     return (
-        all_addrs[order][:n_accesses].astype(np.int64),
+        _narrow(all_addrs[order][:n_accesses]),
         all_masks[order][:n_accesses].astype(bool),
         spec,
     )
+
+
+def _narrow(addrs: np.ndarray) -> np.ndarray:
+    """Addresses as int32 (half the memory; the vectorized engine works
+    in int32 anyway), or int64 once an address reaches 2**31."""
+    if int(addrs.max()) >= 2**31:
+        return addrs.astype(np.int64)
+    return addrs.astype(np.int32)
