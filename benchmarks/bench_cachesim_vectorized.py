@@ -23,6 +23,7 @@ import os
 import numpy as np
 import pytest
 
+from repro._two_threads import usable_cpus
 from repro.cachesim import stats
 from repro.cachesim.hierarchy import xeon8170_hierarchy
 from repro.cachesim.trace import KERNEL_TRACES, build_trace
@@ -102,14 +103,21 @@ def test_cachesim_engine_speedup(
     benchmark.extra_info["speedup_per_kernel"] = {
         k: round(v, 2) for k, v in speedups().items()
     }
-    benchmark.extra_info["max_speedup"] = round(max(speedups().values()), 2)
+    # The gated field is the eight kernels' summed serial time over their
+    # summed vectorised time: a maximum over eight short per-kernel ratios
+    # swung 17.3 -> 10.2 between records of unchanged code, so the max
+    # rides along ungated (no ``speedup`` suffix).
+    total_speedup = sum(scalar_s.values()) / sum(vec_s.values())
+    benchmark.extra_info["total_speedup"] = round(total_speedup, 2)
+    benchmark.extra_info["max_kernel_ratio"] = round(max(speedups().values()), 2)
     benchmark.extra_info["extra_rounds"] = rounds
     benchmark.extra_info["n_accesses"] = _N_ACCESSES
     bench_artifact(
         "cachesim.engine_speedup",
         n_accesses=_N_ACCESSES,
         speedup_per_kernel={k: round(v, 2) for k, v in speedups().items()},
-        max_speedup=round(max(speedups().values()), 2),
+        total_speedup=round(total_speedup, 2),
+        max_kernel_ratio=round(max(speedups().values()), 2),
         extra_rounds=rounds,
     )
     # The tentpole claim: >= 10x on a 120k-access kernel trace.
@@ -155,10 +163,11 @@ def test_table1_two_core(benchmark, time_best_of, escalate_until, bench_artifact
     one-CPU host, which is the only thing that turns the split off.  The
     floor applies only where two CPUs are usable; on one CPU both sides
     run serially and the floor is skipped.  With OpenBLAS's own worker
-    threads busy-waiting on the second core (right after NumPy's import,
-    unless ``OPENBLAS_NUM_THREADS=1``) the split can lose its gain.
+    threads busy-waiting on the second core (right after NumPy's import
+    in a process that did not set ``OPENBLAS_NUM_THREADS=1``, which the
+    ``repro`` CLI does) the split can lose its gain.
     """
-    usable = stats._usable_cpus()
+    usable = usable_cpus()
 
     def cold_table1(_):
         return stats.table1_profile(n_accesses=_TABLE1_ACCESSES)

@@ -15,14 +15,13 @@ that scales one core's DRAM traffic by the 26 active cores.
 
 from __future__ import annotations
 
-import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
+from repro._two_threads import run_in_order
 
 from .hierarchy import CacheHierarchy, LevelResult, xeon8170_hierarchy
 from .trace import _build_trace_uncached, build_trace
@@ -62,15 +61,6 @@ def _simulation_rank(kernel: str) -> int:
         return _LONGEST_FIRST.index(kernel)
     except ValueError:
         return len(_LONGEST_FIRST)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has
-    one, else the machine's count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def clear_profile_cache() -> None:
@@ -223,44 +213,18 @@ def table1_profile(
 
     Passes ``hierarchy=None`` so :func:`profile_kernel` serves repeats
     from the memoised profile cache (each call still simulates on a fresh
-    default hierarchy the first time).  With two or more kernels and two
-    usable CPUs, the calling thread and one helper thread pull the
-    kernels from one queue, longest first; each profile is the same pure
-    function of its inputs on either thread, so the result (in
-    ``kernels`` order) is bit-identical to a serial run.  An exception
-    raised on the helper is re-raised here after it is joined.
+    default hierarchy the first time).  The kernels run longest first
+    through :func:`repro._two_threads.run_in_order`: with two usable
+    CPUs the calling thread and one ``table1-helper`` thread pull them
+    from one queue.  Each profile is the same pure function of its inputs
+    on either thread, so the result (in ``kernels`` order) is
+    bit-identical to a serial run.
     """
-    todo = deque(sorted(kernels, key=_simulation_rank))
-    done: dict[str, StallProfile] = {}
-    failed: list[BaseException] = []
-
-    def drain() -> None:
-        while True:
-            try:
-                kernel = todo.popleft()
-            except IndexError:
-                return
-            try:
-                done[kernel] = profile_kernel(
-                    kernel, None, n_accesses, seed, engine=engine
-                )
-            except BaseException as exc:
-                todo.clear()  # the other thread stops after its kernel
-                failed.append(exc)
-                return
-
-    # Two threads at most, the caller and one helper.  A simulation holds
-    # the GIL between its NumPy passes, so the helper mostly fills the
-    # caller's GIL-free stretches; a third thread would add a third
-    # trace's working set to peak memory for little or no gain, and the
-    # two-core hosts this is measured on have no third core to give it.
-    helper = None
-    if len(kernels) >= 2 and _usable_cpus() >= 2:
-        helper = threading.Thread(target=drain, name="table1-helper")
-        helper.start()
-    drain()
-    if helper is not None:
-        helper.join()
-    if failed:
-        raise failed[0]
+    order = sorted(kernels, key=_simulation_rank)
+    profiles = run_in_order(
+        lambda kernel: profile_kernel(kernel, None, n_accesses, seed, engine=engine),
+        order,
+        "table1-helper",
+    )
+    done = dict(zip(order, profiles))
     return {k: done[k] for k in kernels}

@@ -21,6 +21,8 @@ import threading
 
 import numpy as np
 
+from repro._two_threads import run_in_order
+
 from .common import (
     DEFAULT_MULTIPLIER,
     MASK46,
@@ -57,8 +59,23 @@ _MASK = (1 << 46) - 1
 
 #: Pairs per sub-block: every array operation inside a batch works on
 #: at most this many pairs, so the temporaries stay cache-sized (the
-#: reference EP works in blocks of 2^16 pairs).
-_SUB_BLOCK = 1 << 14
+#: reference EP works in blocks of 2^16 pairs).  2^15 is where the
+#: two-thread split pays inside the 6 MiB class S bound of
+#: ``tests/npb/test_working_set.py`` (130 ms split, 172 ms serial): at
+#: 2^14 the GIL hand-offs around NumPy calls of a few microseconds eat
+#: the second core's gain (172 ms split, 179 ms serial); at 2^16 the
+#: split reads 121 ms but the per-thread scratch lifts the traced peak
+#: to 6.85 MiB.
+_SUB_BLOCK = 1 << 15
+
+#: Stream values per lane: a sub-block is generated as its lanes' seeds
+#: times one shared table of this many in-lane powers.
+_LANE = 1 << 12
+
+#: ``2^52`` as a double's bits: OR-ing a 46-bit integer ``s`` into its
+#: mantissa gives the double ``2^52 + s``, so a state becomes a float in
+#: place, exactly, with no conversion buffer.
+_EXP52 = np.uint64(0x4330000000000000)
 
 
 def ep_kernel(n_pairs: int, seed: int = _EP_SEED, batch: int = 1 << 18):
@@ -67,25 +84,42 @@ def ep_kernel(n_pairs: int, seed: int = _EP_SEED, batch: int = 1 << 18):
     Returns ``(sx, sy, counts)`` where ``counts[l]`` is the number of
     accepted pairs whose deviate magnitude falls in annulus ``l``.
 
-    Each batch of ``batch`` pairs is sampled in sub-blocks of
-    ``_SUB_BLOCK`` pairs through buffers allocated once per call.  The
-    accepted deviates of a batch are gathered into one buffer and summed
-    once: the batch boundaries fix the bits of ``sx`` and ``sy``.
+    The accepted deviates of a batch of ``batch`` pairs are gathered into
+    one buffer and summed once: the batch boundaries fix the bits of
+    ``sx`` and ``sy``.  A batch is sampled in sub-blocks of
+    ``_SUB_BLOCK`` pairs split into two halves, which
+    :func:`repro._two_threads.run_in_order` runs on the calling thread
+    and one ``ep-helper`` thread where two CPUs are usable.  The front
+    half fills the batch buffer leftwards from the split point, last
+    sub-block first, and the back half rightwards, so the batch's
+    accepted deviates end up contiguous and in pair order whichever
+    thread ran which half: the result equals a serial run's bits.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     a = DEFAULT_MULTIPLIER
     a2 = randlc_jump_multiplier(a, 2)
     width = min(_SUB_BLOCK, batch, n_pairs)
+    lane = min(_LANE, width)
     # Pair k is stream values 2k and 2k+1 -- ``state * a^(2k+1)`` and
-    # ``state * a^(2k+2)`` -- so each half is its own contiguous stream
-    # with multiplier a^2: a sub-block is its seed times the shared
-    # in-lane powers, and the next sub-block's seed is one jump away.
-    powers = _lcg_powers(a2, width)
-    jump = randlc_jump_multiplier(a2, width)
-    raw = np.empty(width, dtype=np.uint64)
-    x, y, t, tmp = (np.empty(width) for _ in range(4))
-    gx_batch, gy_batch = (np.empty(min(batch, n_pairs)) for _ in range(2))
+    # ``state * a^(2k+2)`` -- so the x values and the y values are each
+    # a contiguous stream with multiplier a^2: lane i of a batch starts
+    # at the batch's seed times a^(2 * lane * i), and its values are
+    # that seed times the shared in-lane powers.
+    powers = _lcg_powers(a2, lane)
+    per_batch = -(-min(batch, n_pairs) // lane)
+    lane_jumps = _lcg_powers(randlc_jump_multiplier(a2, lane), per_batch)
+    # Row 0 holds x (then gx), row 1 y (then gy); whole lanes are
+    # generated, so the row is padded to a lane multiple.  Both halves'
+    # scratch is allocated here: a helper thread's buffers come from its
+    # own malloc arena (allocated per half, they raised the class S
+    # suite's max RSS from 49.4 to 50.0-50.7 MB).
+    gxy = np.empty((2, per_batch * lane))
+    scratch = (np.empty((2, width)), np.empty((2, width)))
+
+    def fill(half):
+        return _fill_half(gxy, powers, lane, *half)
+
     state = seed
     sx = 0.0
     sy = 0.0
@@ -93,63 +127,100 @@ def ep_kernel(n_pairs: int, seed: int = _EP_SEED, batch: int = 1 << 18):
     remaining = n_pairs
     while remaining > 0:
         m = min(batch, remaining)
-        x_seed = (a * state) & _MASK
-        y_seed = (a2 * state) & _MASK
-        n_acc = 0
-        for lo in range(0, m, width):
-            w = min(width, m - lo)
-            xs = _to_unit_square(powers[:w], x_seed, raw[:w], x[:w])
-            ys = _to_unit_square(powers[:w], y_seed, raw[:w], y[:w])
-            x_seed = (jump * x_seed) & _MASK
-            y_seed = (jump * y_seed) & _MASK
-            ts = np.multiply(xs, xs, out=t[:w])
-            ts += np.multiply(ys, ys, out=tmp[:w])
-            accepted = np.flatnonzero(ts <= 1.0)
-            k = len(accepted)
-            # The indices are in range by construction; mode="clip" skips
-            # the buffered copy that the default mode makes for ``out=``.
-            ta = np.take(ts, accepted, out=tmp[:k], mode="clip")
-            # Guard t == 0 (cannot occur for randlc output, but keeps the
-            # kernel total-function for arbitrary inputs).
-            ta[ta == 0.0] = 1.0
-            factor = np.log(ta, out=t[:k])
-            factor *= -2.0
-            factor /= ta
-            np.sqrt(factor, out=factor)
-            gx = np.take(xs, accepted, out=gx_batch[n_acc : n_acc + k], mode="clip")
-            gy = np.take(ys, accepted, out=gy_batch[n_acc : n_acc + k], mode="clip")
-            gx *= factor
-            gy *= factor
-            n_acc += k
-            mag = np.maximum(
-                np.abs(gx, out=tmp[:k]), np.abs(gy, out=t[:k]), out=tmp[:k]
-            ).astype(np.intp)
-            np.minimum(mag, N_ANNULI - 1, out=mag)
-            counts += np.bincount(mag, minlength=N_ANNULI)
+        seeds = np.array([[(a * state) & _MASK], [(a2 * state) & _MASK]], np.uint64)
+        seeds = np.multiply(lane_jumps[: -(-m // lane)], seeds)
+        seeds &= MASK46
+        blocks = [(lo, min(width, m - lo)) for lo in range(0, m, width)]
+        split = len(blocks) // 2
+        mid = blocks[split][0]
+        halves = [(seeds, mid, blocks[split:], 1, scratch[0])]
+        if split:
+            halves.append((seeds, mid, blocks[split - 1 :: -1], -1, scratch[1]))
+        ends = [mid]
+        for end, half_counts in run_in_order(fill, halves, "ep-helper"):
+            ends.append(end)
+            counts += half_counts
         # One sum per batch: the batch boundaries fix the bits of sx, sy.
-        sx += float(gx_batch[:n_acc].sum())
-        sy += float(gy_batch[:n_acc].sum())
+        lo, hi = min(ends), max(ends)
+        sx += float(gxy[0, lo:hi].sum())
+        sy += float(gxy[1, lo:hi].sum())
         state = (randlc_jump_multiplier(a, 2 * m) * state) & _MASK
         remaining -= m
     return sx, sy, counts
 
 
-def _to_unit_square(
-    powers: np.ndarray, seed: int, raw: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """``2 * (s / 2^46) - 1`` for the 46-bit states ``s = seed * powers``.
+def _fill_half(
+    gxy: np.ndarray,
+    powers: np.ndarray,
+    lane: int,
+    seeds: np.ndarray,
+    mid: int,
+    blocks: list[tuple[int, int]],
+    step: int,
+    scratch: np.ndarray,
+) -> tuple[int, np.ndarray]:
+    """Sample ``blocks`` and pack their accepted deviates against ``mid``.
 
-    Scaling by 2^-45 is exact, so this is bit-identical to mapping the
-    uniforms first; the states fit ``int64``, whose float conversion is
-    much faster than ``uint64``'s.  ``raw`` and ``out`` are work buffers of
-    the same length as ``powers``; the result is written to ``out``.
+    ``step`` is 1 to fill ``gxy`` rightwards from column ``mid`` (blocks
+    in pair order) or -1 to fill it leftwards (blocks in reverse order);
+    returns the column where the packed span ends and the annulus
+    counts.  Each sub-block's x/y are generated in place in the free
+    columns next to the packed span: those columns lie inside the pairs
+    this half covers, which are never fewer than the deviates already
+    packed.  ``seeds`` holds the batch's x and y lane seeds and
+    ``scratch`` is this half's ``(2, width)`` work buffer.
     """
-    np.multiply(powers, np.uint64(seed), out=raw)
-    raw &= MASK46
-    np.copyto(out, raw.view(np.int64))
-    out *= 2.0**-45
-    out -= 1.0
-    return out
+    t, f = scratch
+    counts = np.zeros(N_ANNULI, dtype=np.int64)
+    pos = mid
+    for lo, w in blocks:
+        n_lanes = -(-w // lane)
+        c0 = pos if step > 0 else pos - w
+        xy = gxy[:, c0 : c0 + n_lanes * lane]
+        raw = xy.view(np.uint64)
+        np.multiply(
+            seeds[:, lo // lane : lo // lane + n_lanes, None],
+            powers,
+            out=raw.reshape(2, n_lanes, lane),
+        )
+        # 2 * (s / 2^46) - 1 = ((2^52 + s) - (2^52 + 2^45)) * 2^-45, every
+        # step exact: bit-identical to converting s and mapping it.
+        raw &= MASK46
+        raw |= _EXP52
+        xy -= 2.0**52 + 2.0**45
+        xy *= 2.0**-45
+        xy = xy[:, :w]
+        x, y = xy
+        squares = np.multiply(xy, xy, out=scratch[:, :w])
+        ts = np.add(squares[0], squares[1], out=t[:w])
+        accepted = np.flatnonzero(np.less_equal(ts, 1.0, out=f.view(np.bool_)[:w]))
+        k = len(accepted)
+        # The indices are in range by construction; mode="clip" skips
+        # the buffered copy that the default mode makes for ``out=``.
+        ta = np.take(ts, accepted, out=f[:k], mode="clip")
+        # Guard t == 0 (cannot occur for odd seeds, but keeps the kernel
+        # total-function for arbitrary inputs).
+        if not ta.all():
+            ta[ta == 0.0] = 1.0
+        factor = np.log(ta, out=t[:k])
+        factor *= -2.0
+        factor /= ta
+        np.sqrt(factor, out=factor)
+        # The deviates go to the k columns next to the filled span, where
+        # x/y are no longer needed once gathered.
+        d0 = pos if step > 0 else pos - k
+        g = gxy[:, d0 : d0 + k]
+        np.multiply(np.take(x, accepted, out=f[:k], mode="clip"), factor, out=g[0])
+        np.multiply(np.take(y, accepted, out=f[:k], mode="clip"), factor, out=g[1])
+        del accepted  # before the next sub-block's indices are built
+        mag = np.abs(g, out=scratch[:, :k])
+        np.maximum(mag[0], mag[1], out=mag[0])
+        annulus = f.view(np.intp)[:k]
+        np.copyto(annulus, mag[0], casting="unsafe")
+        np.minimum(annulus, N_ANNULI - 1, out=annulus)
+        counts += np.bincount(annulus, minlength=N_ANNULI)
+        pos += step * k
+    return pos, counts
 
 
 def run_ep(npb_class: NPBClass | str = NPBClass.S) -> BenchmarkResult:

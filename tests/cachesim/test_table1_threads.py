@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import _two_threads, obs
 from repro.cachesim import stats, trace
 from repro.cachesim.hierarchy import xeon8170_hierarchy
 from repro.cachesim.stats import clear_profile_cache, profile_kernel, table1_profile
@@ -93,7 +93,7 @@ def test_one_cpu_host_starts_no_thread(monkeypatch):
             raise AssertionError("a one-CPU host must simulate serially")
 
     _cpus(monkeypatch, 1)
-    monkeypatch.setattr(stats.threading, "Thread", NoThread)
+    monkeypatch.setattr(_two_threads.threading, "Thread", NoThread)
     before = threading.active_count()
     profiles = table1_profile(n_accesses=6000)
     assert len(profiles) == 8
@@ -103,9 +103,9 @@ def test_one_cpu_host_starts_no_thread(monkeypatch):
 def test_cpu_count_fallback_without_affinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert stats._usable_cpus() == 1
+    assert _two_threads.usable_cpus() == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert stats._usable_cpus() == 1
+    assert _two_threads.usable_cpus() == 1
 
 
 def test_helper_failure_reraises_in_caller(monkeypatch):

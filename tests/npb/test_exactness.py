@@ -7,6 +7,9 @@ straight-line code; a changed last bit fails here before it can drift
 into verification margins.
 """
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -146,8 +149,11 @@ def ep_cases(draw):
 @example(case=(3 * _SUB_BLOCK + 7, 271828183, 1009))  # batch below a sub-block
 @example(case=(2 * _SUB_BLOCK + 5, 12345, 2 * _SUB_BLOCK + 3))  # ragged per batch
 @settings(max_examples=40, deadline=None)
-def test_blocked_ep_matches_oneshot_batches(case):
-    sx, sy, counts = ep_kernel(*case)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_blocked_ep_matches_oneshot_batches(cpus, case):
+    """Serial (one usable CPU) and split (two) sampling, bit for bit."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        sx, sy, counts = ep_kernel(*case)
     ref_sx, ref_sy, ref_counts = oneshot_ep(*case)
     assert sx.hex() == ref_sx.hex()
     assert sy.hex() == ref_sy.hex()
