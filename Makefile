@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-cold test test-service bench bench-full bench-grid bench-store bench-record bench-check perfbench stats serve
+.PHONY: lint test test-service bench bench-full bench-grid bench-store bench-record bench-check perfbench stats serve
 
-# Repo-aware static analysis on the incremental engine (unchanged files
-# replay from .repro-lint-cache.json), then ruff/mypy when installed.
+# Repo-aware static analysis (one cold pass over src and benchmarks,
+# nothing written), then ruff/mypy when installed.
 lint:
 	$(PYTHON) -m repro lint --format json --stats
 	@$(PYTHON) -c "import ruff" 2>/dev/null \
@@ -13,10 +13,6 @@ lint:
 	@$(PYTHON) -c "import mypy" 2>/dev/null \
 		&& $(PYTHON) -m mypy src/repro \
 		|| echo "mypy not installed; skipping"
-
-# Escape hatch: full from-scratch analysis, no cache read or written.
-lint-cold:
-	$(PYTHON) -m repro lint --format json --no-cache
 
 test: lint
 	$(PYTHON) -m pytest -x -q

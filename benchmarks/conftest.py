@@ -19,14 +19,18 @@ implementation, shared with the gate's toy suites):
     A session-scoped recorder that writes this session's entries to
     ``REPRO_BENCH_ARTIFACT`` at teardown, and nothing when it is unset:
     a plain ``pytest benchmarks/`` never touches the committed baseline
-    ``benchmarks/bench_artifact.json``.  Lint rule R013 requires every
-    bench test to record through it; ``repro bench`` rewrites the
+    ``benchmarks/bench_artifact.json``.  ``repro bench`` rewrites the
     baseline from the recorded entries and ``repro bench --check``
     gates a fresh run against it.
+``require_bench_record``
+    Autouse: a test that requests ``benchmark``, ``time_best_of`` or
+    ``escalate_until`` and ends without calling ``bench_artifact``
+    fails, so every measured number reaches the gate.
 """
 
 from repro.bench.fixtures import (  # noqa: F401  (fixtures re-exported to pytest)
     bench_artifact,
     escalate_until,
+    require_bench_record,
     time_best_of,
 )

@@ -1,18 +1,26 @@
-"""Repo-aware static analysis: the invariants the harness only promised.
+"""Repo-aware static analysis: the invariants no runtime test can see.
 
-PR 1's correctness guarantees are conventions -- seeded ``Generator``
-streams so SweepEngine memoisation stays byte-identical, lock-guarded
-module-level caches, suffix-carrying unit names in the machine catalog and
-performance model, scalar/grid method parity in :class:`PerformanceModel`.
-This package turns those conventions into machine-checked lint rules:
+The harness's correctness guarantees are conventions about *how* code is
+written: seeded ``Generator`` streams so SweepEngine memoisation stays
+byte-identical, lock-guarded module-level caches shared by the service's
+``JobManager`` worker threads and the :mod:`repro._two_threads` helper,
+suffix-carrying unit names in the machine catalog and performance model,
+one timing funnel, classified exception handling, and store paths owned
+by the store.  This package turns those conventions into lint rules:
 
 =====  ===============================================================
 R001   determinism -- no global-state RNG or wall-clock on model paths
 R002   concurrency -- module-level mutable state only under a lock
 R003   units -- no arithmetic across ``_bytes``/``_ghz``/``_ns``/... suffixes
-R004   catalog -- Table 5 invariants on machine-catalog literals
-R005   parity -- the trace-engine pair and complete kernel registration
+R006   telemetry -- timing and spans only through ``repro.obs``
+R007   resilience -- broad handlers re-raise or classify
+R009   lock-order -- no lock pair taken in both orders
+R010   blocking-under-lock -- no wait/sleep/I/O while a lock is held
+R012   storeio -- result-store paths written only by ``repro.store``
 =====  ===============================================================
+
+Facts a test can read from live objects (catalog invariants, registry
+completeness, bench recording) are tests, not rules.
 
 Entry points: :func:`run_analysis` (programmatic), ``repro lint`` (CLI),
 ``make lint`` (CI).  Suppress a finding in place with

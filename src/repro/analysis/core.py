@@ -1,11 +1,12 @@
 """Analysis core: source loading, suppression, rule protocol, driver.
 
 The framework is deliberately small: a :class:`SourceModule` wraps one
-parsed file (source text, AST, the per-line suppression table), rules
-declare a ``code``/``name``/``description`` and yield :class:`Finding`
-objects, and :func:`run_analysis` walks a file set through every rule and
-folds the results into an :class:`AnalysisReport` with stable exit-code
-semantics (0 clean, 1 findings, 2 unusable input).
+parsed file (source text, AST, its node list and import table, the
+per-line suppression table), rules declare a ``code``/``name``/
+``description`` and yield :class:`Finding` objects, and
+:func:`run_analysis` walks a file set through every rule and folds the
+results into an :class:`AnalysisReport` with stable exit-code semantics
+(0 clean, 1 findings, 2 unusable input).
 
 Suppression follows the repo-wide pragma convention::
 
@@ -19,33 +20,24 @@ closing line (and vice versa).  Compound statements deliberately do not
 spread -- a pragma inside a function body must not silence the whole
 function.
 
-The driver is incremental.  Per-file results (raw findings, the
-effective suppression table, and the per-file *facts* project rules
-declare through the facts API) are cached in ``.repro-lint-cache.json``
-keyed by content sha256 under a rule-set signature; unchanged files are
-replayed from the cache without re-parsing, changed files are analysed
-in order, and the merge is deterministic regardless of cache state.
-Bump :data:`RULESET_VERSION` whenever rule semantics change in a
-way file content alone cannot capture -- the signature folds it in, so
-every cache goes cold exactly once.
-
-Project rules participate in incremental runs via the facts API: a class
-sets ``facts_key``, implements ``extract_facts(module)`` (a classmethod
-returning something JSON-serializable, cached per file) and
-``project_findings(facts_by_path)``.  Rules without the facts API fall
-back to the legacy path (every file parsed, ``finalize`` called with the
-module list) and forfeit warm-run speed.
+Every run is cold: each file is parsed and walked once, and every rule
+reads the module's shared node list and import table instead of walking
+the tree again.  Project rules (cross-file invariants) set ``facts_key``,
+implement ``extract_facts(module)`` (run once per file, shared by rules
+with the same key) and ``project_findings(facts_by_path)``, which runs
+once after every file was read.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
+
+from .astutil import ImportTable, walk_nodes
+from .callgraph import module_name_for
 
 __all__ = [
     "Finding",
@@ -57,21 +49,10 @@ __all__ = [
     "run_analysis",
     "iter_python_files",
     "PARSE_ERROR_CODE",
-    "RULESET_VERSION",
-    "CACHE_FILENAME",
 ]
 
 #: Pseudo-rule code attached to findings for files that do not parse.
 PARSE_ERROR_CODE = "E001"
-
-#: Bump to invalidate every lint cache (rule semantics changed without a
-#: per-rule ``version`` bump, driver behaviour changed, ...).
-RULESET_VERSION = 1
-
-#: Default cache file name, resolved against the analysis root.
-CACHE_FILENAME = ".repro-lint-cache.json"
-
-_CACHE_SCHEMA = 1
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Za-z0-9_,\s]+)\])?", re.IGNORECASE
@@ -106,6 +87,15 @@ class SourceModule:
 
     ``tree`` is ``None`` when the file does not parse; the driver emits a
     :data:`PARSE_ERROR_CODE` finding instead of running rules over it.
+
+    Built once per file and shared by every rule:
+
+    * ``nodes`` -- every AST node in :func:`ast.walk` order (empty when
+      the file does not parse); :meth:`nodes_of` selects them by type
+      and :meth:`owner` names a node's innermost enclosing ``def``;
+    * ``imports`` -- the module's :class:`ImportTable`, relative imports
+      resolved against ``module_name`` (the dotted name its display
+      path implies).
     """
 
     def __init__(self, path: Path, text: str, display_path: str | None = None) -> None:
@@ -119,12 +109,39 @@ class SourceModule:
             self.tree = ast.parse(text, filename=str(path))
         except SyntaxError as exc:
             self.parse_error = exc
+        self.nodes: list[ast.AST] = []
+        self._owners: dict[int, ast.AST | None] = {}
+        if self.tree is not None:
+            self.nodes, self._owners = walk_nodes(self.tree)
+        self._by_type: dict[type, list[int]] = {}
+        for i, node in enumerate(self.nodes):
+            self._by_type.setdefault(type(node), []).append(i)
+        self.module_name = module_name_for(self.display_path)
+        self.imports = ImportTable(
+            self.nodes_of(ast.Import, ast.ImportFrom),
+            self.module_name,
+            PurePath(self.display_path).name == "__init__.py",
+        )
         self._noqa = self._scan_noqa()
         self._expand_noqa_spans()
 
     @classmethod
     def from_path(cls, path: Path, display_path: str | None = None) -> "SourceModule":
         return cls(path, path.read_text(encoding="utf-8"), display_path)
+
+    # -- node selection ------------------------------------------------
+
+    def nodes_of(self, *types: type[ast.AST]) -> list[ast.AST]:
+        """Nodes whose exact type is one of ``types``, in walk order."""
+        picked = [i for t in types for i in self._by_type.get(t, ())]
+        if len(types) > 1:
+            picked.sort()
+        return [self.nodes[i] for i in picked]
+
+    def owner(self, node: ast.AST) -> ast.AST | None:
+        """The innermost ``def`` enclosing ``node`` (``None`` outside any
+        function); a function's decorators and defaults count as inside."""
+        return self._owners.get(id(node))
 
     # -- suppression ---------------------------------------------------
 
@@ -155,7 +172,7 @@ class SourceModule:
         """
         if self.tree is None or not self._noqa:
             return
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if not isinstance(node, ast.stmt):
                 continue
             if hasattr(node, "body") or hasattr(node, "cases"):
@@ -210,31 +227,22 @@ class Rule:
     code: str = ""
     name: str = ""
     description: str = ""
-    #: Folded into the cache's rule-set signature; bump when the rule's
-    #: semantics change so stale cached findings cannot survive.
-    version: int = 1
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def finalize(self, modules: Sequence[SourceModule]) -> Iterator[Finding]:
-        """Hook run once after every module was checked (default: nothing)."""
-        return iter(())
-
 
 class ProjectRule(Rule):
     """A rule that needs the whole file set (cross-file invariants).
 
-    Subclasses either implement the legacy :meth:`check_project` (called
-    with every parsed module) or opt into the incremental facts API by
-    setting ``facts_key`` and implementing :meth:`extract_facts` plus
-    :meth:`project_findings`; the facts path is what keeps warm lint
-    runs from re-parsing unchanged files.
+    Subclasses set ``facts_key`` and implement :meth:`extract_facts` (one
+    call per parsed file) and :meth:`project_findings` (one call per run,
+    over every file's facts).
     """
 
-    #: Cache slot for this rule's per-file facts; rules sharing a key
-    #: share one extractor (it runs once per file).
+    #: Slot for this rule's per-file facts; rules sharing a key share one
+    #: extractor (it runs once per file).
     facts_key: str | None = None
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
@@ -242,19 +250,12 @@ class ProjectRule(Rule):
 
     @classmethod
     def extract_facts(cls, module: SourceModule) -> object | None:
-        """Per-file facts (JSON-serializable) for :meth:`project_findings`."""
+        """Per-file facts for :meth:`project_findings`."""
         return None
 
     def project_findings(self, facts_by_path: dict[str, object]) -> Iterator[Finding]:
-        """Cross-file findings from the cached per-file facts."""
+        """Cross-file findings from the per-file facts."""
         return iter(())
-
-    def check_project(self, modules: Sequence[SourceModule]) -> Iterator[Finding]:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def finalize(self, modules: Sequence[SourceModule]) -> Iterator[Finding]:
-        return self.check_project(modules)
 
 
 @dataclass
@@ -262,10 +263,6 @@ class LintStats:
     """What one driver run did -- surfaced by ``repro lint --stats``."""
 
     files_checked: int = 0
-    files_cached: int = 0
-    files_analyzed: int = 0
-    cache_path: str | None = None
-    cache_loaded: bool = False
     #: rule code (or ``facts[<key>]`` / ``<code>.project``) -> seconds
     rule_timings_s: dict[str, float] = field(default_factory=dict)
 
@@ -282,7 +279,7 @@ class AnalysisReport:
     files_checked: int = 0
     rules_run: tuple[str, ...] = ()
     #: Driver bookkeeping; intentionally NOT part of :meth:`to_dict` --
-    #: the JSON report schema stays stable across cache states.
+    #: timings describe the run, not the code under analysis.
     stats: LintStats = field(default_factory=LintStats)
 
     @property
@@ -344,206 +341,33 @@ def _display_path(path: Path, root: Path | None) -> str:
     return str(path)
 
 
-# ---------------------------------------------------------------------------
-# Incremental engine internals
-# ---------------------------------------------------------------------------
-
-
-def _is_incremental(rule: Rule) -> bool:
-    return (
-        isinstance(rule, ProjectRule)
-        and rule.facts_key is not None
-        and type(rule).project_findings is not ProjectRule.project_findings
-    )
-
-
-def _is_legacy_project(rule: Rule) -> bool:
-    """Rules that still need the full parsed module list."""
-    if _is_incremental(rule):
-        return False
-    if isinstance(rule, ProjectRule):
-        return type(rule).check_project is not ProjectRule.check_project
-    return type(rule).finalize is not Rule.finalize
-
-
-def _ruleset_signature(rules: Sequence[Rule]) -> str:
-    payload = "|".join(
-        f"{r.code}:{getattr(type(r), 'version', 1)}"
-        for r in sorted(rules, key=lambda r: r.code)
-    )
-    payload += f"|ruleset={RULESET_VERSION}|schema={_CACHE_SCHEMA}"
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def _fact_extractors(rules: Sequence[Rule]) -> dict[str, type]:
     """facts_key -> rule class providing the shared extractor."""
     out: dict[str, type] = {}
     for rule in rules:
-        if _is_incremental(rule):
+        if isinstance(rule, ProjectRule) and rule.facts_key is not None:
             out.setdefault(rule.facts_key, type(rule))
     return out
-
-
-def _noqa_to_json(table: dict[int, frozenset[str] | None]) -> dict:
-    return {
-        str(line): (None if codes is None else sorted(codes))
-        for line, codes in table.items()
-    }
-
-
-def _noqa_from_json(raw: dict) -> dict[int, frozenset[str] | None]:
-    return {
-        int(line): (None if codes is None else frozenset(codes))
-        for line, codes in raw.items()
-    }
-
-
-def _analyze_file(
-    path: Path, display: str, rules: Sequence[Rule], sha: str
-) -> dict:
-    """Produce one cache entry: raw findings, noqa table, facts, timings."""
-    from repro import obs
-
-    entry: dict = {"sha": sha, "findings": [], "noqa": {}, "facts": {},
-                   "timings": {}}
-    try:
-        module = SourceModule.from_path(path, display)
-    except (OSError, UnicodeDecodeError) as exc:
-        entry["read_error"] = str(exc)
-        return entry
-    entry["noqa"] = _noqa_to_json(module._noqa)
-    if module.tree is None:
-        err = module.parse_error
-        entry["parse_error"] = [
-            err.lineno or 1 if err else 1,
-            err.msg if err else "unparsable",
-        ]
-        return entry
-    for rule in rules:
-        with obs.host_timer(f"lint.{rule.code}") as timer:
-            entry["findings"].extend(
-                [f.rule, f.line, f.col, f.message]
-                for f in rule.check_module(module)
-            )
-        entry["timings"][rule.code] = (
-            entry["timings"].get(rule.code, 0.0) + timer.elapsed_s
-        )
-    for key, provider in _fact_extractors(rules).items():
-        with obs.host_timer(f"lint.facts.{key}") as timer:
-            facts = provider.extract_facts(module)
-        if facts is not None:
-            entry["facts"][key] = facts
-        entry["timings"][f"facts[{key}]"] = timer.elapsed_s
-    return entry
-
-
-def _sha256_file(path: Path) -> tuple[str | None, str | None]:
-    """(sha256 hex, None) on success, (None, error message) otherwise."""
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest(), None
-    except OSError as exc:
-        return None, str(exc)
-
-
-def _load_cache(cache_path: Path, signature: str) -> dict[str, dict]:
-    try:
-        raw = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(raw, dict) or raw.get("version") != _CACHE_SCHEMA:
-        return {}
-    if raw.get("ruleset") != signature:
-        return {}
-    files = raw.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _write_cache(
-    cache_path: Path, signature: str, entries: dict[str, dict]
-) -> None:
-    from repro.faults import write_text_atomic
-
-    slim = {
-        display: {k: v for k, v in entry.items() if k != "timings"}
-        for display, entry in entries.items()
-        if "read_error" not in entry
-    }
-    payload = {"version": _CACHE_SCHEMA, "ruleset": signature, "files": slim}
-    try:
-        write_text_atomic(cache_path, json.dumps(payload, sort_keys=True))
-    except OSError:
-        pass  # a cache that cannot be written is just a cold cache
 
 
 def run_analysis(
     paths: Sequence[Path | str],
     rules: Sequence[Rule],
     root: Path | str | None = None,
-    *,
-    cache_path: Path | str | None = None,
 ) -> AnalysisReport:
     """Run ``rules`` over every Python file reachable from ``paths``.
 
     ``root`` (when given) relativises reported paths, keeping output and
-    the JSON report stable across checkouts.  ``cache_path`` enables the
-    incremental engine (unchanged files replay their cached results).
-    Findings, counts, and the JSON report are byte-identical across
-    cache states.
+    the JSON report stable across checkouts.
     """
     from repro import obs
 
     root_path = Path(root) if root is not None else None
-    files = iter_python_files(paths)
     report = AnalysisReport(rules_run=tuple(r.code for r in rules))
     stats = report.stats
-
-    signature = _ruleset_signature(rules)
-    cache: dict[str, dict] = {}
-    if cache_path is not None:
-        cache_path = Path(cache_path)
-        stats.cache_path = str(cache_path)
-        cache = _load_cache(cache_path, signature)
-        stats.cache_loaded = bool(cache)
-
-    # -- per-file phase: replay cached entries, analyze the rest -------
-    displays = [_display_path(p, root_path) for p in files]
-    entries: dict[str, dict] = {}
-    todo: list[tuple[Path, str, str]] = []
-    unreadable: list[tuple[str, str]] = []
-    for path, display in zip(files, displays):
-        sha, err = _sha256_file(path)
-        if sha is None:
-            unreadable.append((display, f"cannot read file: {err}"))
-            continue
-        cached = cache.get(display)
-        if cached is not None and cached.get("sha") == sha:
-            entries[display] = cached
-            stats.files_cached += 1
-        else:
-            todo.append((path, display, sha))
-
-    results = [
-        _analyze_file(path, display, rules, sha) for path, display, sha in todo
-    ]
-    for (_path, display, _sha), entry in zip(todo, results):
-        if "read_error" in entry:
-            unreadable.append((display, f"cannot read file: {entry['read_error']}"))
-            continue
-        entries[display] = entry
-        stats.files_analyzed += 1
-        for key, seconds in entry.get("timings", {}).items():
-            stats.add_timing(key, seconds)
-
-    ordered = [d for d in displays if d in entries]
-    report.files_checked = len(ordered)
-    for display, message in unreadable:
-        report.findings.append(Finding(PARSE_ERROR_CODE, display, 1, 0, message))
-
-    # -- merge: dedup + suppression, deterministic across cache states --
-    noqa_tables = {
-        display: _noqa_from_json(entries[display].get("noqa", {}))
-        for display in ordered
-    }
+    extractors = _fact_extractors(rules)
+    facts: dict[str, dict[str, object]] = {key: {} for key in extractors}
+    noqa_tables: dict[str, dict[int, frozenset[str] | None]] = {}
     seen_findings: set[Finding] = set()
 
     def admit(finding: Finding) -> None:
@@ -556,70 +380,49 @@ def run_analysis(
         else:
             report.findings.append(finding)
 
-    for display in ordered:
-        entry = entries[display]
-        if "parse_error" in entry:
-            line, msg = entry["parse_error"]
+    # -- per-file phase: parse once, run every rule, extract facts -----
+    for path in iter_python_files(paths):
+        display = _display_path(path, root_path)
+        try:
+            module = SourceModule.from_path(path, display)
+        except (OSError, UnicodeDecodeError) as exc:
             report.findings.append(
-                Finding(PARSE_ERROR_CODE, display, line, 0, f"syntax error: {msg}")
+                Finding(PARSE_ERROR_CODE, display, 1, 0, f"cannot read file: {exc}")
             )
             continue
-        for rule_code, line, col, message in entry.get("findings", ()):
-            admit(Finding(rule_code, display, line, col, message))
+        report.files_checked += 1
+        noqa_tables[display] = module._noqa
+        if module.tree is None:
+            err = module.parse_error
+            report.findings.append(Finding(
+                PARSE_ERROR_CODE, display, err.lineno or 1 if err else 1, 0,
+                f"syntax error: {err.msg if err else 'unparsable'}",
+            ))
+            continue
+        for rule in rules:
+            with obs.host_timer(f"lint.{rule.code}") as timer:
+                for finding in rule.check_module(module):
+                    admit(finding)
+            stats.add_timing(rule.code, timer.elapsed_s)
+        for key, provider in extractors.items():
+            with obs.host_timer(f"lint.facts.{key}") as timer:
+                found = provider.extract_facts(module)
+            if found is not None:
+                facts[key][display] = found
+            stats.add_timing(f"facts[{key}]", timer.elapsed_s)
 
     # -- project phase --------------------------------------------------
-    parsed_displays = [d for d in ordered if "parse_error" not in entries[d]]
-    legacy_rules = [r for r in rules if _is_legacy_project(r)]
-    if legacy_rules:
-        modules = _materialize_modules(files, displays, parsed_displays)
-        for rule in legacy_rules:
-            with obs.host_timer(f"lint.{rule.code}.project") as timer:
-                for finding in rule.finalize(modules):
-                    admit(finding)
-            stats.add_timing(f"{rule.code}.project", timer.elapsed_s)
     for rule in rules:
-        if not _is_incremental(rule):
+        if not isinstance(rule, ProjectRule) or rule.facts_key is None:
             continue
-        facts_by_path = {
-            d: entries[d]["facts"][rule.facts_key]
-            for d in parsed_displays
-            if rule.facts_key in entries[d].get("facts", {})
-        }
         with obs.host_timer(f"lint.{rule.code}.project") as timer:
-            for finding in rule.project_findings(facts_by_path):
+            for finding in rule.project_findings(facts[rule.facts_key]):
                 admit(finding)
         stats.add_timing(f"{rule.code}.project", timer.elapsed_s)
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     stats.files_checked = report.files_checked
-
-    if cache_path is not None:
-        fresh = {d: entries[d] for d in ordered}
-        if stats.files_analyzed or set(cache) != set(fresh):
-            _write_cache(cache_path, signature, fresh)
-
     obs.incr("lint.files_checked", report.files_checked)
-    obs.incr("lint.files_cached", stats.files_cached)
-    obs.incr("lint.files_analyzed", stats.files_analyzed)
     obs.incr("lint.findings", len(report.findings))
     obs.incr("lint.suppressed", report.suppressed)
     return report
-
-
-def _materialize_modules(
-    files: Sequence[Path],
-    displays: Sequence[str],
-    parsed_displays: Sequence[str],
-) -> list[SourceModule]:
-    wanted = set(parsed_displays)
-    modules: list[SourceModule] = []
-    for path, display in zip(files, displays):
-        if display not in wanted:
-            continue
-        try:
-            module = SourceModule.from_path(path, display)
-        except (OSError, UnicodeDecodeError):
-            continue
-        if module.tree is not None:
-            modules.append(module)
-    return modules

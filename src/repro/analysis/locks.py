@@ -1,16 +1,12 @@
 """Per-file lock model: the fact extractor behind R009/R010.
 
-Each parsed ``SourceModule`` is reduced to one JSON-serializable
-"concurrency facts" bundle -- the unit the incremental lint cache stores,
-so a warm run never has to re-parse an unchanged file.  The bundle
-records, per module:
+Each parsed ``SourceModule`` is reduced to one plain-data "concurrency
+facts" bundle, which :class:`repro.analysis.callgraph.ProjectIndex`
+stitches into the whole-program view.  The bundle records, per module:
 
-* ``aliases`` -- import table with relative imports resolved against the
-  module's own dotted name (``from .plan import plan_groups`` inside
-  ``repro.core.sweep`` maps ``plan_groups`` to ``repro.core.plan.plan_groups``;
-  inside a package ``__init__`` the package itself is the anchor, so
-  ``from .atomic import x`` in ``repro/faults/__init__.py`` maps to
-  ``repro.faults.atomic.x``),
+* ``aliases`` -- the module's import table
+  (:class:`repro.analysis.astutil.ImportTable`, relative imports
+  resolved),
 * ``locks`` / ``classes[*].locks`` -- module-level and instance
   ``threading.Lock``/``RLock`` definitions with their kind,
 * ``functions`` -- per function/method: the ordered lock *acquisitions*
@@ -37,10 +33,8 @@ function's events -- they run later, not at the point of definition.
 from __future__ import annotations
 
 import ast
-from pathlib import PurePath
 
-from .astutil import dotted_name, terminal_name
-from .callgraph import module_name_for
+from .astutil import ImportTable, dotted_name, terminal_name
 from .core import ProjectRule, SourceModule
 
 __all__ = ["ConcurrencyRule", "extract_concurrency_facts"]
@@ -65,59 +59,13 @@ def _lock_kind(value: ast.AST) -> str | None:
     return None
 
 
-class _ImportMap:
-    """Alias -> dotted target, with relative imports resolved.
-
-    ``is_package`` marks a package ``__init__``, whose dotted name is the
-    package itself: its relative imports anchor there, not one level up.
-    """
-
-    def __init__(self, tree: ast.AST, module: str, is_package: bool) -> None:
-        self.aliases: dict[str, str] = {}
-        if is_package or "." not in module:
-            package = module
-        else:
-            package = module.rsplit(".", 1)[0]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        self.aliases[alias.asname] = alias.name
-                    else:
-                        head = alias.name.split(".")[0]
-                        self.aliases[head] = head
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    # `from . import x` / `from .plan import x`: climb
-                    # level-1 packages up from the containing package.
-                    anchor = package.split(".")
-                    climb = node.level - 1
-                    anchor = anchor[: len(anchor) - climb] if climb else anchor
-                    if not anchor:
-                        continue
-                    base = ".".join(anchor) + ("." + base if base else "")
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    target = f"{base}.{alias.name}" if base else alias.name
-                    self.aliases[alias.asname or alias.name] = target
-
-    def resolve(self, chain: str) -> str | None:
-        parts = chain.split(".")
-        target = self.aliases.get(parts[0])
-        if target is None:
-            return None
-        return ".".join([target, *parts[1:]])
-
-
 class _FunctionScanner:
     """Walks one function body, producing its event summary."""
 
     def __init__(
         self,
         module_name: str,
-        imports: _ImportMap,
+        imports: ImportTable,
         module_locks: dict[str, str],
         cls: str | None,
         func: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -149,7 +97,7 @@ class _FunctionScanner:
             return f"{self.module_name}.{parts[0]}"
         # Imported lock (bare `from mod import _lock` or dotted chain);
         # the ProjectIndex confirms candidates against real definitions.
-        return self.imports.resolve(chain)
+        return self.imports.resolve_chain(chain)
 
     # -- entry point ----------------------------------------------------
 
@@ -256,7 +204,7 @@ class _FunctionScanner:
         held = list(self._held)
         site = [call.lineno, call.col_offset]
         if chain is not None:
-            resolved = self.imports.resolve(chain) or chain
+            resolved = self.imports.resolve_chain(chain) or chain
             if resolved == "time.sleep":
                 self.blocking.append(["time.sleep", 0, *site, held])
                 return
@@ -288,9 +236,8 @@ def extract_concurrency_facts(module: SourceModule) -> dict | None:
     """Reduce one parsed module to its concurrency fact bundle."""
     if module.tree is None:
         return None
-    mod_name = module_name_for(module.display_path)
-    is_package = PurePath(module.display_path).name == "__init__.py"
-    imports = _ImportMap(module.tree, mod_name, is_package)
+    mod_name = module.module_name
+    imports = module.imports
 
     module_locks: dict[str, str] = {}
     for stmt in module.tree.body:
@@ -334,8 +281,7 @@ class ConcurrencyRule(ProjectRule):
     """Base for the whole-program concurrency rules (R009/R010).
 
     Binds the shared fact extractor under one ``facts_key`` so the
-    incremental driver extracts facts once per file and caches them for
-    both rules.
+    driver extracts facts once per file for both rules.
     """
 
     facts_key = "concurrency"

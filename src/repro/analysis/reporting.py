@@ -49,17 +49,13 @@ def render_json(report: AnalysisReport) -> str:
 
 
 def render_stats(report: AnalysisReport) -> str:
-    """One ``repro lint --stats`` line: cache effectiveness + rule costs.
+    """One ``repro lint --stats`` line: files checked + rule costs.
 
     Deliberately not part of the JSON schema -- it describes *this run*
-    (cache state, timings), not the code under analysis.
+    (timings), not the code under analysis.
     """
     stats = report.stats
-    parts = [
-        f"stats: {stats.files_checked} files "
-        f"({stats.files_cached} cached, {stats.files_analyzed} analyzed)",
-        f"cache {stats.cache_path or 'off'}",
-    ]
+    parts = [f"stats: {stats.files_checked} files"]
     timings = sorted(
         stats.rule_timings_s.items(), key=lambda kv: (-kv[1], kv[0])
     )

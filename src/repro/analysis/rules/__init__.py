@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from . import (  # noqa: F401
-    benchrecord,
     blocking,
-    catalog,
     concurrency,
     determinism,
     lockorder,
-    parity,
     resilience,
     storeio,
     telemetry,
@@ -20,12 +17,9 @@ __all__ = [
     "determinism",
     "concurrency",
     "units",
-    "catalog",
-    "parity",
     "telemetry",
     "resilience",
     "lockorder",
     "blocking",
     "storeio",
-    "benchrecord",
 ]

@@ -44,8 +44,6 @@ def is_hot_module(module: str) -> bool:
 @register
 class BlockingUnderLockRule(ConcurrencyRule):
     code = "R010"
-    # v2: package ``__init__`` relative imports anchor at the package.
-    version = 2
     name = "blocking-under-lock"
     description = (
         "blocking operation (wait/result/sleep/subprocess, or file I/O in "

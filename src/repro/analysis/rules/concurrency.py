@@ -2,7 +2,10 @@
 
 The process-wide caches (`_default_engine` in ``core/sweep.py``, the memo
 dicts in ``npb/cg.py`` and ``cachesim/trace.py``, the catalog's memoised
-getters) are shared by SweepEngine's worker threads.  Every write to
+getters) are shared by every thread that runs model or kernel code: the
+service's ``JobManager`` worker threads, which share one sweep engine,
+and the helper thread of :func:`repro._two_threads.run_in_order` (Table
+1's cache simulation, the functional EP kernel).  Every write to
 module-level mutable state from function bodies must therefore sit inside
 a ``with <lock>:`` block; module import time is exempt (single-threaded
 by construction).
@@ -24,10 +27,11 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from dataclasses import dataclass, field
 
+from ..astutil import terminal_name
 from ..core import Finding, Rule, SourceModule
 from ..registry import register
-from ._astutil import terminal_name
 
 __all__ = ["ConcurrencyRule"]
 
@@ -89,25 +93,13 @@ class ConcurrencyRule(Rule):
                     if isinstance(target, ast.Name):
                         mutable_globals.add(target.id)
 
-        yield from self._walk_for_functions(module, module.tree, mutable_globals,
-                                            shadowed=frozenset())
+        scopes = _function_scopes(module)
+        for func in module.nodes_of(*_FUNCTIONS):
+            if module.owner(func) is None:
+                yield from self._check_function(module, func, mutable_globals,
+                                                frozenset(), scopes)
 
     # ------------------------------------------------------------------
-
-    def _walk_for_functions(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        mutable_globals: set[str],
-        shadowed: frozenset[str],
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, child, mutable_globals,
-                                                shadowed)
-            else:
-                yield from self._walk_for_functions(module, child,
-                                                    mutable_globals, shadowed)
 
     def _check_function(
         self,
@@ -115,39 +107,18 @@ class ConcurrencyRule(Rule):
         func: ast.FunctionDef | ast.AsyncFunctionDef,
         mutable_globals: set[str],
         outer_shadowed: frozenset[str],
+        scopes: dict[int, _Scope],
     ) -> Iterator[Finding]:
-        declared_global: set[str] = set()
+        scope = scopes[id(func)]
+        declared_global = scope.declared_global
         locals_: set[str] = {a.arg for a in (
             *func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs,
             *([func.args.vararg] if func.args.vararg else []),
             *([func.args.kwarg] if func.args.kwarg else []),
         )}
-        readonly_locals: set[str] = set()
-
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node is not func:
-                continue
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign,
-                                   ast.For, ast.withitem, ast.comprehension)):
-                for name in _bound_names(node):
-                    locals_.add(name)
+        locals_ |= scope.bound
         locals_ -= declared_global
-
-        # Locals holding results of read-only accessors (incl. unpacking).
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                callee = terminal_name(node.value.func)
-                if callee in READONLY_ACCESSORS:
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            readonly_locals.add(target.id)
-                        elif isinstance(target, (ast.Tuple, ast.List)):
-                            for elt in target.elts:
-                                if isinstance(elt, ast.Name):
-                                    readonly_locals.add(elt.id)
+        readonly_locals = scope.readonly
 
         shadowed = outer_shadowed | frozenset(locals_)
 
@@ -162,26 +133,26 @@ class ConcurrencyRule(Rule):
                                    guarded=guarded,
                                    readonly_locals=readonly_locals,
                                    mutable_globals=mutable_globals,
-                                   shadowed=shadowed)
+                                   shadowed=shadowed, scopes=scopes)
 
     def _scan_body(
         self, module, body, *, in_lock, guarded, readonly_locals,
-        mutable_globals, shadowed,
+        mutable_globals, shadowed, scopes,
     ) -> Iterator[Finding]:
         for stmt in body:
             yield from self._scan_stmt(module, stmt, in_lock=in_lock,
                                        guarded=guarded,
                                        readonly_locals=readonly_locals,
                                        mutable_globals=mutable_globals,
-                                       shadowed=shadowed)
+                                       shadowed=shadowed, scopes=scopes)
 
     def _scan_stmt(
         self, module, stmt, *, in_lock, guarded, readonly_locals,
-        mutable_globals, shadowed,
+        mutable_globals, shadowed, scopes,
     ) -> Iterator[Finding]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(stmt, _FUNCTIONS):
             yield from self._check_function(module, stmt, mutable_globals,
-                                            shadowed)
+                                            shadowed, scopes)
             return
         if isinstance(stmt, ast.With) or isinstance(stmt, ast.AsyncWith):
             locked = in_lock or any(_is_lock_guard(i) for i in stmt.items)
@@ -189,7 +160,7 @@ class ConcurrencyRule(Rule):
                                        guarded=guarded,
                                        readonly_locals=readonly_locals,
                                        mutable_globals=mutable_globals,
-                                       shadowed=shadowed)
+                                       shadowed=shadowed, scopes=scopes)
             return
 
         yield from self._check_mutations(module, stmt, in_lock, guarded,
@@ -200,7 +171,7 @@ class ConcurrencyRule(Rule):
                                        guarded=guarded,
                                        readonly_locals=readonly_locals,
                                        mutable_globals=mutable_globals,
-                                       shadowed=shadowed)
+                                       shadowed=shadowed, scopes=scopes)
 
     # ------------------------------------------------------------------
 
@@ -271,6 +242,62 @@ class ConcurrencyRule(Rule):
                             f"calls mutating `.{method}()` on module-global "
                             f"`{root}` outside a `with <lock>:` block",
                         )
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Nodes that bind names in the enclosing function.
+_BINDERS = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For, ast.withitem,
+            ast.comprehension)
+
+
+@dataclass
+class _Scope:
+    """Names one ``def`` declares ``global``, binds, or binds to results of
+    read-only accessors -- over its whole subtree, nested defs included."""
+
+    declared_global: set[str] = field(default_factory=set)
+    bound: set[str] = field(default_factory=set)
+    readonly: set[str] = field(default_factory=set)
+
+
+def _function_scopes(module: SourceModule) -> dict[int, _Scope]:
+    """``id(def) -> _Scope`` for every function in the module, in one pass
+    over the module's node list."""
+    scopes: dict[int, _Scope] = {}
+    defs: list[tuple[ast.AST, ast.AST | None]] = []
+    for node in module.nodes_of(*_FUNCTIONS, ast.Global, *_BINDERS):
+        owner = module.owner(node)
+        if isinstance(node, _FUNCTIONS):
+            scopes[id(node)] = _Scope()
+            defs.append((node, owner))
+        if owner is None:
+            continue
+        scope = scopes[id(owner)]
+        if isinstance(node, ast.Global):
+            scope.declared_global.update(node.names)
+        elif isinstance(node, _BINDERS):
+            scope.bound.update(_bound_names(node))
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and terminal_name(node.value.func) in READONLY_ACCESSORS:
+                # Locals holding results of read-only accessors (incl.
+                # unpacking).
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        scope.readonly.add(target.id)
+                    elif isinstance(target, (ast.Tuple, ast.List)):
+                        for elt in target.elts:
+                            if isinstance(elt, ast.Name):
+                                scope.readonly.add(elt.id)
+    # Nested defs come after their enclosing def in walk order: fold them
+    # in deepest first.
+    for node, owner in reversed(defs):
+        if owner is not None:
+            inner, outer = scopes[id(node)], scopes[id(owner)]
+            outer.declared_global |= inner.declared_global
+            outer.bound |= inner.bound
+            outer.readonly |= inner.readonly
+    return scopes
 
 
 def _bound_names(node: ast.AST) -> Iterator[str]:

@@ -2,8 +2,10 @@
 
 SweepEngine memoisation (and with it every table/figure regenerator)
 assumes a config's result is a pure function of its seed and fields:
-parallel, serial, cached and one-at-a-time executions must be
-byte-identical.  Three things silently break that contract:
+batched, cached, store-served and one-at-a-time executions must be
+byte-identical, whichever of the service's ``JobManager`` worker threads
+runs them and whether :func:`repro._two_threads.run_in_order` splits the
+work over its helper thread.  Three things silently break that contract:
 
 * **global-state NumPy RNG** (``np.random.rand``/``seed``/...): draws
   depend on every draw any thread made before, so results vary with
@@ -27,7 +29,6 @@ from collections.abc import Iterator
 
 from ..core import Finding, Rule, SourceModule
 from ..registry import register
-from ._astutil import ImportTable
 
 __all__ = ["DeterminismRule"]
 
@@ -57,10 +58,8 @@ class DeterminismRule(Rule):
     )
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        imports = ImportTable(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        imports = module.imports
+        for node in module.nodes_of(ast.Call):
             resolved = imports.resolve(node.func)
             if resolved is None:
                 continue

@@ -35,8 +35,6 @@ __all__ = ["LockOrderRule"]
 @register
 class LockOrderRule(ConcurrencyRule):
     code = "R009"
-    # v2: package ``__init__`` relative imports anchor at the package.
-    version = 2
     name = "lock-order"
     description = (
         "two locks acquired in opposite orders on some interprocedural "

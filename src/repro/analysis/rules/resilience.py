@@ -27,9 +27,9 @@ import ast
 from collections.abc import Iterator
 from pathlib import PurePath
 
+from ..astutil import ImportTable, terminal_name
 from ..core import Finding, Rule, SourceModule
 from ..registry import register
-from ._astutil import ImportTable, terminal_name
 
 __all__ = ["ResilienceRule"]
 
@@ -80,8 +80,6 @@ def _handles_failure(handler: ast.ExceptHandler, imports: ImportTable) -> bool:
 @register
 class ResilienceRule(Rule):
     code = "R007"
-    # v2: the injected-fault classes left the taxonomy.
-    version = 2
     name = "resilience"
     description = (
         "broad exception handlers in sweep-critical code must re-raise or "
@@ -91,10 +89,8 @@ class ResilienceRule(Rule):
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
         if not _in_scope(module):
             return
-        imports = ImportTable(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        imports = module.imports
+        for node in module.nodes_of(ast.ExceptHandler):
             if not _is_broad(node):
                 continue
             if _handles_failure(node, imports):

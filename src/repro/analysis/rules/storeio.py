@@ -25,7 +25,6 @@ from pathlib import PurePath
 
 from ..core import Finding, Rule, SourceModule
 from ..registry import register
-from ._astutil import ImportTable
 
 __all__ = ["StoreIORule"]
 
@@ -76,8 +75,6 @@ def _mentions_store_path(nodes: list[ast.AST]) -> bool:
 @register
 class StoreIORule(Rule):
     code = "R012"
-    # v2: leases left the store, and with them the lease markers.
-    version = 2
     name = "storeio"
     description = (
         "direct file I/O on result-store paths outside repro.store bypasses "
@@ -87,10 +84,8 @@ class StoreIORule(Rule):
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
         if _inside_exempt_package(module):
             return
-        imports = ImportTable(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        imports = module.imports
+        for node in module.nodes_of(ast.Call):
             targets: list[ast.AST] = []
             sink = None
             resolved = imports.resolve(node.func)

@@ -28,7 +28,6 @@ from pathlib import PurePath
 
 from ..core import Finding, Rule, SourceModule
 from ..registry import register
-from ._astutil import ImportTable
 
 __all__ = ["TelemetryRule"]
 
@@ -63,10 +62,8 @@ class TelemetryRule(Rule):
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
         if _inside_obs_package(module):
             return
-        imports = ImportTable(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        imports = module.imports
+        for node in module.nodes_of(ast.Call):
             resolved = imports.resolve(node.func)
             if resolved is None:
                 continue

@@ -24,9 +24,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from ..astutil import terminal_name
 from ..core import Finding, Rule, SourceModule
 from ..registry import register
-from ._astutil import terminal_name
 
 __all__ = ["UnitsRule", "unit_of_name"]
 
@@ -92,6 +92,10 @@ def _unit_of_expr(node: ast.AST) -> str | None:
     return None
 
 
+#: The node types the rule inspects.
+_CHECKED = (ast.BinOp, ast.Compare, ast.Assign, ast.AnnAssign, ast.Call, ast.Return)
+
+
 @register
 class UnitsRule(Rule):
     code = "R003"
@@ -102,7 +106,7 @@ class UnitsRule(Rule):
     )
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        for func_unit, node in _walk_with_function(module.tree):
+        for node in module.nodes_of(*_CHECKED):
             if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
                 yield from self._check_additive(module, node)
             elif isinstance(node, ast.Compare):
@@ -112,7 +116,10 @@ class UnitsRule(Rule):
             elif isinstance(node, ast.Call):
                 yield from self._check_keywords(module, node)
             elif isinstance(node, ast.Return) and node.value is not None:
-                yield from self._check_return(module, node, func_unit)
+                owner = module.owner(node)
+                if owner is not None:
+                    yield from self._check_return(module, node,
+                                                  unit_of_name(owner.name))
 
     # ------------------------------------------------------------------
 
@@ -189,14 +196,3 @@ class UnitsRule(Rule):
                 f"name promises {func_unit}",
             )
 
-
-def _walk_with_function(tree: ast.Module):
-    """Yield ``(enclosing_function_unit, node)`` pairs over the whole tree."""
-    stack: list[tuple[str | None, ast.AST]] = [(None, tree)]
-    while stack:
-        func_unit, node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func_unit = unit_of_name(node.name)
-        for child in ast.iter_child_nodes(node):
-            stack.append((func_unit, child))
-        yield func_unit, node

@@ -1,7 +1,7 @@
 """repro.bench -- the committed perf baseline and its regression gate.
 
-Measured speedups (batched sweeps, the vectorized cache simulator, warm
-lint, store-warm campaigns) are claims about *time*, and time regresses
+Measured speedups (batched sweeps, the vectorized cache simulator,
+store-warm campaigns) are claims about *time*, and time regresses
 silently unless something keeps score.  This package is that something:
 one committed baseline, ``benchmarks/bench_artifact.json``, and one gate
 comparing a fresh run against it -- the same discipline the SG2042 /
@@ -28,7 +28,8 @@ Layers
 :mod:`~repro.bench.fixtures`
     The shared pytest fixtures every ``benchmarks/bench_*.py`` file
     records through (``bench_artifact``, ``time_best_of``,
-    ``escalate_until``); lint rule R013 keeps adoption total.
+    ``escalate_until``); the autouse ``require_bench_record`` fails any
+    test that measures without recording, which keeps adoption total.
 """
 
 from __future__ import annotations

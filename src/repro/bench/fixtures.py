@@ -25,6 +25,12 @@ one implementation.
     tagged with its suite (the ``bench_<suite>.py`` stem, read from
     ``PYTEST_CURRENT_TEST``), which is what the runner's subset merge
     and escalation re-runs key on.
+``require_bench_record``
+    Autouse: a test that requests a measuring fixture (``benchmark``,
+    ``time_best_of`` or ``escalate_until``) and ends without calling
+    ``bench_artifact`` fails at teardown.  Its number would have no
+    baseline and no regression margin, so a slowdown in it would ship
+    silently.
 """
 
 from __future__ import annotations
@@ -44,9 +50,11 @@ __all__ = [
     "escalate_until_impl",
     "current_suite",
     "ArtifactRecorder",
+    "MEASURING_FIXTURES",
     "time_best_of",
     "escalate_until",
     "bench_artifact",
+    "require_bench_record",
 ]
 
 #: Floor on any best-of-N elapsed time.  Below this the reading is
@@ -60,6 +68,9 @@ MIN_ELAPSED_S = 1e-6
 #: Extra best-of-N rounds to spend trying to observe a measurable
 #: elapsed time before clamping to the floor.
 _FLOOR_RETRY_ROUNDS = 3
+
+#: Fixtures that measure: a test requesting one must record its numbers.
+MEASURING_FIXTURES = frozenset({"benchmark", "time_best_of", "escalate_until"})
 
 _CURRENT_TEST_RE = re.compile(r"(?:^|[/\\])bench_([A-Za-z0-9_]+)\.py::")
 
@@ -161,14 +172,19 @@ class ArtifactRecorder:
 
     Entries recorded with the same label within one session keep the
     last recording (a re-measured entry supersedes its earlier self).
+    Calling the recorder records; ``calls`` counts the recordings.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, dict] = {}
+        self.calls = 0
 
     def record(self, label: str, **fields) -> None:
+        self.calls += 1
         suite = fields.pop("suite", None) or current_suite()
         self._entries[label] = {"label": label, "suite": suite, **fields}
+
+    __call__ = record
 
     def entries(self) -> list[dict]:
         return sorted(self._entries.values(), key=lambda e: e["label"])
@@ -202,5 +218,23 @@ def escalate_until():
 @pytest.fixture(scope="session")
 def bench_artifact():
     recorder = ArtifactRecorder()
-    yield recorder.record
+    yield recorder
     recorder.flush()
+
+
+@pytest.fixture(autouse=True)
+def require_bench_record(request):
+    if not MEASURING_FIXTURES & set(request.fixturenames):
+        yield
+        return
+    recorder = request.getfixturevalue("bench_artifact")
+    before, failed_before = recorder.calls, request.session.testsfailed
+    yield
+    # A test that already failed needs no second report.
+    if recorder.calls == before and request.session.testsfailed == failed_before:
+        pytest.fail(
+            f"bench test {request.node.nodeid} measures but never calls "
+            "bench_artifact(label, **fields); its numbers would reach no "
+            "baseline and no regression gate",
+            pytrace=False,
+        )

@@ -76,8 +76,9 @@ def _vectorized_levels(
     return levels, counts
 
 
-# Scalar/vectorized engine pair: lint rule R005 keeps these registered
-# together so the implementations cannot drift apart silently.
+# Scalar/vectorized engine pair, registered together so the
+# implementations cannot drift apart silently
+# (tests/cachesim/test_vectorized.py holds the pair).
 TRACE_ENGINES = {
     "exact": _exact_levels,
     "vectorized": _vectorized_levels,

@@ -16,9 +16,9 @@ Commands
 ``export``       write every table and figure to a directory as CSV
 ``score``        model-vs-paper error scorecard across all tables
 ``lint``         repo-aware static analysis (determinism, locking, units,
-                 catalog invariants, model parity, telemetry discipline,
-                 exception hygiene, whole-program concurrency: lock
-                 order, blocking-under-lock) on an incremental engine
+                 telemetry discipline, exception hygiene, store I/O,
+                 whole-program concurrency: lock order,
+                 blocking-under-lock)
 ``stats``        regenerate one table/figure with telemetry enabled and
                  print the span tree, counters and timings
 ``serve``        long-running prediction service: HTTP API + job manager
@@ -264,18 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         dest="lint_stats",
         action="store_true",
-        help="print cache effectiveness and per-rule timings to stderr",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental lint cache",
-    )
-    p.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="lint cache file (default: .repro-lint-cache.json in the root)",
+        help="print files checked and per-rule timings to stderr",
     )
 
     return parser
@@ -657,14 +646,11 @@ def _lint_help() -> str:
     each of them ~50 ms.  ``TestLintHelp`` fails the moment the span and
     the registered codes disagree.
     """
-    return "repo-aware static analysis (R001-R013)"
+    return "repo-aware static analysis (R001-R012)"
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis import run_analysis
-    from repro.analysis.core import CACHE_FILENAME
     from repro.analysis.registry import all_rules, rules_for
     from repro.analysis.reporting import render_json, render_stats, render_text
 
@@ -681,11 +667,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except KeyError as exc:
             print(f"repro: error: {exc.args[0]}", file=sys.stderr)
             return 2
-    if args.no_cache:
-        cache_path = None
-    else:
-        cache_path = Path(args.cache) if args.cache else Path(".") / CACHE_FILENAME
-    report = run_analysis(args.paths, rules, root=".", cache_path=cache_path)
+    report = run_analysis(args.paths, rules, root=".")
     render = render_json if args.fmt == "json" else render_text
     sys.stdout.write(render(report))
     if args.lint_stats:

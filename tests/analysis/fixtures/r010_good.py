@@ -1,8 +1,8 @@
 """Known-good fixture for R010: snapshot under the lock, block outside.
 
-The single-flight discipline from the sweep engine: the lock guards only
-state transitions; waiting, sleeping, and harvesting futures all happen
-after the lock is released.
+The sweep engine's single-flight discipline, which the JobManager worker
+threads rely on: the lock guards only state transitions; waiting,
+sleeping, and harvesting futures all happen after the lock is released.
 """
 
 import threading

@@ -1,5 +1,7 @@
 """Framework core: suppression, parse errors, file discovery, reports."""
 
+import ast
+
 import pytest
 
 from repro.analysis.core import (
@@ -12,6 +14,7 @@ from repro.analysis.core import (
     run_analysis,
 )
 from repro.analysis.registry import all_rules, get_rule, register, rules_for
+from repro.analysis.reporting import render_json
 
 
 class TestFinding:
@@ -32,6 +35,57 @@ class TestFinding:
         assert len({a, b}) == 1
 
 
+class TestSourceModule:
+    """The per-file structures every rule shares."""
+
+    _TEXT = (
+        "import numpy as np\n"
+        "from .plan import plan_groups\n"
+        "from .. import obs\n"
+        "def outer(x):\n"
+        "    def inner(y):\n"
+        "        return y\n"
+        "    return inner(x)\n"
+    )
+
+    def test_nodes_are_the_ast_walk_list(self):
+        m = SourceModule("src/repro/core/sweep.py", self._TEXT)
+        assert m.nodes == list(ast.walk(m.tree))
+
+    def test_nodes_of_selects_by_type_in_walk_order(self):
+        m = SourceModule("src/repro/core/sweep.py", self._TEXT)
+        picked = m.nodes_of(ast.Return, ast.FunctionDef)
+        assert picked == [
+            n for n in ast.walk(m.tree) if isinstance(n, (ast.Return, ast.FunctionDef))
+        ]
+        assert m.nodes_of(ast.While) == []
+
+    def test_owner_is_the_innermost_def(self):
+        m = SourceModule("src/repro/core/sweep.py", self._TEXT)
+        returns = m.nodes_of(ast.Return)
+        assert [m.owner(r).name for r in returns] == ["outer", "inner"]
+        defs = m.nodes_of(ast.FunctionDef)
+        assert m.owner(defs[0]) is None
+        assert m.owner(defs[1]) is defs[0]
+
+    def test_imports_resolve_relative_to_the_module(self):
+        m = SourceModule("src/repro/core/sweep.py", self._TEXT)
+        assert m.module_name == "repro.core.sweep"
+        assert m.imports.aliases == {
+            "np": "numpy",
+            "plan_groups": "repro.core.plan.plan_groups",
+            "obs": "repro.obs",
+        }
+
+    def test_package_init_is_its_own_anchor(self):
+        m = SourceModule("src/repro/faults/__init__.py", "from .atomic import x\n")
+        assert m.imports.resolve_chain("x.y") == "repro.faults.atomic.x.y"
+
+    def test_unparseable_source_has_no_nodes(self):
+        m = SourceModule("broken.py", "def f(:\n")
+        assert m.nodes == [] and m.imports.aliases == {}
+
+
 class TestSuppression:
     def _module(self, text):
         return SourceModule("fixture.py", text)
@@ -39,7 +93,7 @@ class TestSuppression:
     def test_bare_noqa_suppresses_every_rule(self):
         m = self._module("x = 1  # repro: noqa\n")
         assert m.is_suppressed("R001", 1)
-        assert m.is_suppressed("R004", 1)
+        assert m.is_suppressed("R007", 1)
 
     def test_coded_noqa_suppresses_only_listed_rules(self):
         m = self._module("x = 1  # repro: noqa[R001, R003]\n")
@@ -79,7 +133,7 @@ class TestNoqaSpan:
     def test_pragma_on_first_line_covers_last(self):
         m = self._module("x = compute(  # repro: noqa\n    1,\n)\n")
         assert m.is_suppressed("R001", 3)
-        assert m.is_suppressed("R004", 3)
+        assert m.is_suppressed("R007", 3)
 
     def test_codes_union_across_the_span(self):
         m = self._module(
@@ -181,11 +235,71 @@ class TestReport:
         assert report.suppressed == 1
 
 
+class TestColdPass:
+    """One run analyses every file afresh: nothing is carried between runs,
+    so a report is a function of the tree and the rule selection alone."""
+
+    def _tree(self, tmp_path):
+        """Three files: clean, one R001 finding, one suppressed R001."""
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "clean.py").write_text("x = 1\n")
+        (pkg / "hot.py").write_text("import time\nt = time.time()\n")
+        (pkg / "quiet.py").write_text(
+            "import time\nt = time.time()  # repro: noqa[R001] -- fixture\n"
+        )
+        return pkg
+
+    def _run(self, tmp_path, pkg, rules=None):
+        return run_analysis(
+            [pkg], rules if rules is not None else all_rules(), root=tmp_path
+        )
+
+    def test_repeat_run_reports_identically(self, tmp_path):
+        pkg = self._tree(tmp_path)
+        (pkg / "broken.py").write_text("def f(:\n")
+        first, second = self._run(tmp_path, pkg), self._run(tmp_path, pkg)
+        assert first.stats.files_checked == second.stats.files_checked == 4
+        assert render_json(first) == render_json(second)
+        assert any(f.rule == PARSE_ERROR_CODE for f in second.findings)
+        assert first.suppressed == second.suppressed == 1
+
+    def test_content_change_shows_in_next_run(self, tmp_path):
+        pkg = self._tree(tmp_path)
+        self._run(tmp_path, pkg)
+        (pkg / "hot.py").write_text("x = 1\n")
+        again = self._run(tmp_path, pkg)
+        assert not any(f.path.endswith("hot.py") for f in again.findings)
+
+    def test_new_file_joins_next_run(self, tmp_path):
+        pkg = self._tree(tmp_path)
+        self._run(tmp_path, pkg)
+        (pkg / "late.py").write_text("import time\nt = time.time()\n")
+        again = self._run(tmp_path, pkg)
+        assert again.stats.files_checked == 4
+        # late.py carries the usual R001+R006 pair for a bare time.time().
+        assert sum(f.path.endswith("late.py") for f in again.findings) == 2
+
+    def test_rule_selection_narrows_findings(self, tmp_path):
+        pkg = self._tree(tmp_path)
+        everything = self._run(tmp_path, pkg)
+        narrowed = self._run(tmp_path, pkg, rules=rules_for(["R001"]))
+        assert narrowed.rules_run == ("R001",)
+        assert {f.rule for f in narrowed.findings} == {"R001"}
+        assert len(narrowed.findings) < len(everything.findings)
+
+    def test_run_writes_no_file(self, tmp_path):
+        pkg = self._tree(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert self._run(tmp_path, pkg).exit_code == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestRegistry:
     def test_all_rules_in_code_order(self):
         codes = [r.code for r in all_rules()]
         assert codes == sorted(codes)
-        assert {"R001", "R002", "R003", "R004", "R005"} <= set(codes)
+        assert {"R001", "R002", "R003", "R006", "R007"} <= set(codes)
 
     def test_get_rule_case_insensitive(self):
         assert get_rule("r001").code == "R001"

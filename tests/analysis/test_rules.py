@@ -15,14 +15,11 @@ CASES = [
     ("R001", 4),
     ("R002", 4),
     ("R003", 4),
-    ("R004", 4),
-    ("R005", 2),
     ("R006", 4),
     ("R007", 4),
     ("R009", 4),
     ("R010", 4),
     ("R012", 3),
-    ("R013", 4),
 ]
 
 
@@ -127,123 +124,6 @@ class TestUnitsSpecifics:
         f = tmp_path / "m.py"
         f.write_text("def stream_time_s(window_ns):\n    return window_ns\n")
         assert _count(f, "R003") == 1
-
-
-class TestCatalogSpecifics:
-    def test_bandwidth_overclaim_message_names_jedec(self):
-        report = _run("R004", FIXTURES / "r004_bad.py")
-        assert any("JEDEC peak" in f.message for f in report.findings)
-
-    def test_table5_clock_anchor_enforced(self):
-        report = _run("R004", FIXTURES / "r004_bad.py")
-        assert any("paper measured 2 GHz" in f.message for f in report.findings)
-
-    def test_unevaluable_arguments_skipped(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text("def mk(size):\n    return CacheLevel(1, size, 'core', 4)\n")
-        assert _count(f, "R004") == 0
-
-
-class TestParityProjectChecks:
-    def _mini_repo(self, tmp_path, *, builders, traces, kernels=("ft",)):
-        npb = tmp_path / "npb"
-        npb.mkdir()
-        for k in kernels:
-            stem = f"{k}_" if k in {"is"} else k
-            (npb / f"{stem}.py").write_text(f"def run_{k}(n):\n    return n\n")
-        builder_defs = "".join(
-            f"def _build_{k}(npb_class):\n"
-            "    return KernelSignature(name='x', display='X', npb_class=npb_class,\n"
-            "        total_mops=1.0, work_per_op=1.0, dram_bytes_per_op=1.0,\n"
-            "        working_set_bytes=1.0)\n"
-            for k in builders
-        )
-        entries = ", ".join(f"'{k}': _build_{k}" for k in builders)
-        (npb / "signatures.py").write_text(
-            "from x import KernelSignature\n"
-            f"{builder_defs}"
-            f"SIGNATURE_BUILDERS = {{{entries}}}\n"
-        )
-        trace_entries = ", ".join(f"'{k}': None" for k in traces)
-        (tmp_path / "trace.py").write_text(f"KERNEL_TRACES = {{{trace_entries}}}\n")
-        return run_analysis([tmp_path], rules_for(["R005"]), root=tmp_path)
-
-    def test_complete_registration_is_clean(self, tmp_path):
-        report = self._mini_repo(tmp_path, builders=["ft"], traces=["ft"])
-        assert report.findings == []
-
-    def test_kernel_missing_from_builders(self, tmp_path):
-        report = self._mini_repo(tmp_path, builders=[], traces=["ft"])
-        assert any("SIGNATURE_BUILDERS" in f.message for f in report.findings)
-
-    def test_orphan_builder_entry(self, tmp_path):
-        report = self._mini_repo(tmp_path, builders=["ft", "zz"], traces=["ft"])
-        assert any("registers `zz`" in f.message for f in report.findings)
-
-    def test_kernel_missing_from_traces(self, tmp_path):
-        report = self._mini_repo(tmp_path, builders=["ft"], traces=[])
-        assert any("KERNEL_TRACES" in f.message for f in report.findings)
-
-    def test_incomplete_signature_fields(self, tmp_path):
-        npb = tmp_path / "npb"
-        npb.mkdir()
-        (npb / "ft.py").write_text("def run_ft(n):\n    return n\n")
-        (npb / "signatures.py").write_text(
-            "from x import KernelSignature\n"
-            "def _build_ft(npb_class):\n"
-            "    return KernelSignature(name='ft', npb_class=npb_class)\n"
-            "SIGNATURE_BUILDERS = {'ft': _build_ft}\n"
-        )
-        report = run_analysis([tmp_path], rules_for(["R005"]), root=tmp_path)
-        assert any("incomplete" in f.message for f in report.findings)
-
-
-class TestEngineRegistrySpecifics:
-    def test_missing_vectorized_entry_flagged(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text(
-            "def _exact_levels(h, a, s):\n    return a\n"
-            "TRACE_ENGINES = {'exact': _exact_levels}\n"
-        )
-        report = _run_path(f, "R005")
-        assert any("omits the 'vectorized' engine" in x.message
-                   for x in report.findings)
-
-    def test_value_must_be_module_function(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text(
-            "def _exact_levels(h, a, s):\n    return a\n"
-            "def _vectorized_levels(h, a, s):\n    return a\n"
-            "TRACE_ENGINES = {\n"
-            "    'exact': _exact_levels,\n"
-            "    'vectorized': lambda h, a, s: a,\n"
-            "}\n"
-        )
-        report = _run_path(f, "R005")
-        assert any("module-level engine function" in x.message
-                   for x in report.findings)
-
-    def test_unregistered_vectorized_entry_point_flagged(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text("def run_trace_vectorized(h, a, s=None):\n    return a\n")
-        report = _run_path(f, "R005")
-        assert any("no TRACE_ENGINES registry" in x.message
-                   for x in report.findings)
-
-    def test_registry_in_sibling_module_satisfies_pairing(self, tmp_path):
-        (tmp_path / "vec.py").write_text(
-            "def run_trace_vectorized(h, a, s=None):\n    return a\n"
-        )
-        (tmp_path / "hier.py").write_text(
-            "def _exact_levels(h, a, s):\n    return a\n"
-            "def _vectorized_levels(h, a, s):\n    return a\n"
-            "TRACE_ENGINES = {\n"
-            "    'exact': _exact_levels,\n"
-            "    'vectorized': _vectorized_levels,\n"
-            "}\n"
-        )
-        report = run_analysis([tmp_path], rules_for(["R005"]), root=tmp_path)
-        assert report.findings == []
 
 
 class TestTelemetrySpecifics:

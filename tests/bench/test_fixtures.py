@@ -160,3 +160,111 @@ class TestArtifactRecorder:
         text = path.read_text()
         assert text.endswith("\n")
         assert json.loads(text)["schema_version"] == 2
+
+    def test_calling_the_recorder_records_and_counts(self):
+        rec = ArtifactRecorder()
+        rec("x", suite="s", v_s=1.0)
+        rec.record("y", suite="s", v_s=2.0)
+        assert rec.calls == 2
+        assert [e["label"] for e in rec.entries()] == ["x", "y"]
+
+
+_RECORD_CONFTEST = """\
+from repro.bench.fixtures import (  # noqa: F401
+    bench_artifact,
+    escalate_until,
+    require_bench_record,
+    time_best_of,
+)
+"""
+
+#: Bench tests that measure and record, or measure nothing: all pass.
+_BENCH_RECORDS = """\
+def test_direct_record(benchmark, time_best_of, bench_artifact):
+    get_s, _ = time_best_of("store.get", lambda: sum(range(64)), reps=3)
+    bench_artifact("store.get_warm", get_s=get_s, gets_per_s=64 / get_s)
+
+
+def test_record_via_helper(benchmark, bench_artifact):
+    _record_speedup(bench_artifact, label="engine.warm", speedup=11.5)
+
+
+def test_shape_smoke_measures_nothing():
+    assert 1 + 1 == 2
+
+
+def test_failure_is_reported_once(time_best_of, bench_artifact):
+    assert False, "the measured property broke"
+
+
+def _record_speedup(record, label, speedup):
+    record(label, speedup=speedup)
+"""
+
+#: Bench tests that measure and never record: each one must fail.
+_BENCH_DROPS = """\
+def test_measures_but_never_records(benchmark, time_best_of):
+    elapsed_s, _ = time_best_of("grid.cold", lambda: sum(range(256)), reps=3)
+    assert elapsed_s > 0
+
+
+def test_takes_fixture_but_ignores_it(benchmark, bench_artifact):
+    assert sum(range(128)) > 0
+
+
+def test_only_prints_the_number(benchmark, time_best_of):
+    elapsed_s, _ = time_best_of("sweep.batch", lambda: sum(range(512)), reps=3)
+    print(f"batch sweep: {elapsed_s:.6f}s")
+
+
+def test_escalates_but_never_records(escalate_until):
+    assert escalate_until(lambda: 2.0, lambda: None, margin=1.0, max_rounds=1) == 0
+
+
+class TestGrouped:
+    def test_class_level_also_gated(self, benchmark, bench_artifact):
+        assert sum(range(32)) == 496
+"""
+
+
+class TestRequireBenchRecord:
+    """A bench test that measures must record through ``bench_artifact``."""
+
+    def test_measuring_without_recording_fails(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        (tmp_path / "conftest.py").write_text(_RECORD_CONFTEST)
+        (tmp_path / "bench_records.py").write_text(_BENCH_RECORDS)
+        (tmp_path / "bench_drops.py").write_text(_BENCH_DROPS)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("REPRO_BENCH_ARTIFACT", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+             "-o", "python_files=bench_*.py", "--benchmark-disable", "."],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        out = proc.stdout
+        assert proc.returncode == 1, out
+        dropped = [
+            "test_measures_but_never_records",
+            "test_takes_fixture_but_ignores_it",
+            "test_only_prints_the_number",
+            "test_escalates_but_never_records",
+            "TestGrouped::test_class_level_also_gated",
+        ]
+        for name in dropped:
+            assert f"ERROR bench_drops.py::{name} - " in out, out
+        assert out.count("never calls bench_artifact") == len(dropped), out
+        for name in ("test_direct_record", "test_record_via_helper",
+                     "test_shape_smoke_measures_nothing"):
+            assert f"PASSED bench_records.py::{name}" in out, out
+        # A test that fails on its own is not reported a second time.
+        assert "FAILED bench_records.py::test_failure_is_reported_once" in out
+        assert "ERROR bench_records.py::test_failure_is_reported_once" not in out
+        assert list(tmp_path.glob("*.json")) == []

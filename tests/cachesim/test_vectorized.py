@@ -1,6 +1,9 @@
 """Engine equivalence: the vectorized reuse-distance simulator against
 the dict-based oracle, on random traces/geometries and the kernel set."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +163,11 @@ class TestKernelParity:
 class TestEngineContract:
     def test_registry_holds_both_engines(self):
         assert set(TRACE_ENGINES) == {"exact", "vectorized"}
+        for engine in TRACE_ENGINES.values():
+            # A module-level function: no lambda, method or closure.
+            assert isinstance(engine, types.FunctionType)
+            assert engine.__qualname__ == engine.__name__
+            assert getattr(sys.modules[engine.__module__], engine.__name__) is engine
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown trace engine"):

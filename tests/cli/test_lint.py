@@ -8,13 +8,22 @@ import pytest
 from repro.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "analysis" / "fixtures"
-SRC = Path(__file__).resolve().parents[2] / "src"
+#: Every rule's known-good fixture: clean under every rule.  The whole
+#: repository's lint is tests/analysis/test_repo_clean.py's job.
+CLEAN = sorted(str(p) for p in FIXTURES.glob("*_good.py"))
 
 
 class TestLintCommand:
-    def test_repo_source_is_clean(self, capsys):
-        assert main(["lint", str(SRC)]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_clean_fixtures_are_clean(self, capsys):
+        assert main(["lint", *CLEAN]) == 0
+        assert f"clean: {len(CLEAN)} file(s)" in capsys.readouterr().out
+
+    def test_lint_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "m.py").write_text("import time\nt = time.time()\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--stats", "."]) == 1
+        assert main(["lint", "--format", "json", "."]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.py"]
 
     def test_bad_fixture_exits_nonzero(self, capsys):
         rc = main(["lint", str(FIXTURES / "r003_bad.py")])
@@ -23,10 +32,11 @@ class TestLintCommand:
         assert "R003" in out
 
     def test_json_format_parses(self, capsys):
-        assert main(["lint", "--format", "json", str(SRC)]) == 0
+        assert main(["lint", "--format", "json", *CLEAN]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == 1
         assert doc["exit_code"] == 0
+        assert doc["files_checked"] == len(CLEAN)
 
     def test_rule_selection(self, capsys):
         rc = main(["lint", "--rules", "R001", str(FIXTURES / "r003_bad.py")])
@@ -41,7 +51,8 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R001", "R002", "R003", "R004", "R005"):
+        for code in ("R001", "R002", "R003", "R006", "R007", "R009", "R010",
+                     "R012"):
             assert code in out
 
     def test_bad_format_rejected(self):
@@ -49,41 +60,18 @@ class TestLintCommand:
             main(["lint", "--format", "yaml"])
 
 
-class TestLintCache:
-    """CLI wiring for the incremental engine: cache flags and --stats."""
-
-    def _project(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "m.py").write_text("import time\nt = time.time()\n")
-        return tmp_path
-
-    def test_cache_written_in_cwd_by_default(self, tmp_path, monkeypatch, capsys):
-        root = self._project(tmp_path, monkeypatch)
-        assert main(["lint", "."]) == 1
-        assert (root / ".repro-lint-cache.json").exists()
-
-    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        root = self._project(tmp_path, monkeypatch)
-        main(["lint", "--no-cache", "."])
-        assert not (root / ".repro-lint-cache.json").exists()
-
-    def test_cache_flag_overrides_location(self, tmp_path, monkeypatch, capsys):
-        root = self._project(tmp_path, monkeypatch)
-        main(["lint", "--cache", "elsewhere.json", "."])
-        assert (root / "elsewhere.json").exists()
-        assert not (root / ".repro-lint-cache.json").exists()
-
+class TestLintStats:
     def test_stats_on_stderr_keeps_json_stdout_clean(
         self, tmp_path, monkeypatch, capsys
     ):
-        self._project(tmp_path, monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.py").write_text("import time\nt = time.time()\n")
         main(["lint", "--stats", "--format", "json", "."])
         cap = capsys.readouterr()
         doc = json.loads(cap.out)  # would raise if stats leaked into stdout
         assert doc["version"] == 1
-        assert "stats:" in cap.err
-        main(["lint", "--stats", "--format", "json", "."])
-        assert "(1 cached, 0 analyzed)" in capsys.readouterr().err
+        assert cap.err.startswith("stats: 1 files | timings ")
+        assert "R001 " in cap.err
 
 
 class TestLintHelp:
@@ -93,4 +81,4 @@ class TestLintHelp:
 
         codes = registered_codes()
         assert f"{codes[0]}-{codes[-1]}" in _lint_help()
-        assert "R013" in _lint_help()  # the newest rule is covered
+        assert "R012" in _lint_help()  # the highest registered code

@@ -30,6 +30,58 @@ class TestCatalogIntegrity:
         assert set(PAPER_RISCV_BOARDS) <= names
 
 
+def _is_pow2(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
+#: Table 5 anchors for the two parts the paper's conclusions hang on:
+#: (cores, memory channels, clock in Hz, DRAM generation).
+TABLE5_ANCHORS = {
+    "sg2044": (64, 32, 2.6e9, "DDR5"),
+    "sg2042": (64, 4, 2.0e9, "DDR4"),
+}
+
+
+class TestCatalogInvariants:
+    def test_table5_anchors_are_in_catalog(self):
+        assert set(TABLE5_ANCHORS) <= set(machine_names())
+
+    @pytest.mark.parametrize("name", machine_names())
+    def test_machine_is_physically_consistent(self, name):
+        """Cache geometry, topology, memory and the Table 5 anchors, checked
+        on the live catalog object (every violation listed at once)."""
+        m = get_machine(name)
+        bad = []
+        sizes = [c.size_bytes for c in m.caches]
+        levels = [c.level for c in m.caches]
+        if levels != sorted(set(levels)) or sizes != sorted(sizes):
+            bad.append(f"levels {levels} / sizes {sizes} do not ascend")
+        for c in m.caches:
+            # A power-of-two associativity indexes a power-of-two set
+            # count; the 11-way Skylake-SP L3 is the one exception.
+            if _is_pow2(c.associativity) and not _is_pow2(c.n_sets):
+                bad.append(f"L{c.level} has {c.n_sets} sets")
+            if c.level == 1 and not _is_pow2(c.size_bytes):
+                bad.append(f"L1 of {c.size_bytes} B")
+        topo = m.topology
+        if topo.total_cores % topo.cores_per_cluster \
+                or topo.total_cores % topo.numa_regions:
+            bad.append(f"{topo} does not divide evenly")
+        mem = m.memory
+        if mem.capacity_bytes % 2**30:
+            bad.append(f"{mem.capacity_bytes} B is not whole GiB")
+        if mem.sustained_bw_gbs > mem.peak_bw_gbs:
+            bad.append(
+                f"sustained {mem.sustained_bw_gbs} GB/s exceeds "
+                f"the {mem.peak_bw_gbs:.1f} GB/s peak"
+            )
+        if name in TABLE5_ANCHORS:
+            got = (m.n_cores, mem.channels, m.clock_hz, mem.ddr.generation.value)
+            if got != TABLE5_ANCHORS[name]:
+                bad.append(f"{got} != Table 5 {TABLE5_ANCHORS[name]}")
+        assert bad == []
+
+
 class TestTable5Parameters:
     """Every row of the paper's Table 5, checked against the catalog."""
 

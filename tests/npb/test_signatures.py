@@ -1,9 +1,43 @@
 """Workload signatures: Table 1 character and structural expectations."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.npb
+from repro.cachesim.trace import KERNEL_TRACES
 from repro.npb.params import ALL_BENCHMARKS
-from repro.npb.signatures import signature_for
+from repro.npb.signatures import SIGNATURE_BUILDERS, signature_for
+
+
+def _npb_kernels() -> set[str]:
+    """Every ``repro.npb.<k>`` module that defines its own ``run_<k>``
+    (``is_.py`` defines ``run_is``); ``suite.run_suite`` is the driver."""
+    kernels = set()
+    for info in pkgutil.iter_modules(repro.npb.__path__):
+        kernel = info.name.rstrip("_")
+        module = importlib.import_module(f"repro.npb.{info.name}")
+        run = getattr(module, f"run_{kernel}", None)
+        if kernel != "suite" and getattr(run, "__module__", None) == module.__name__:
+            kernels.add(kernel)
+    return kernels
+
+
+class TestRegistration:
+    def test_kernels_signatures_and_traces_agree(self):
+        """A kernel missing from either registry would drop out of the
+        tables without an error."""
+        assert _npb_kernels() == set(SIGNATURE_BUILDERS) == set(KERNEL_TRACES)
+
+    @pytest.mark.parametrize("kernel", sorted(SIGNATURE_BUILDERS))
+    def test_signature_has_positive_core_axes(self, kernel):
+        """Every signature carries its core resource axes (EP alone is
+        cache-resident: no DRAM bytes)."""
+        for npb_class in "SWABC":
+            sig = signature_for(kernel, npb_class)
+            assert sig.total_mops > 0 and sig.work_per_op > 0, sig
+            assert sig.working_set_bytes > 0 and sig.dram_bytes_per_op >= 0, sig
 
 
 class TestCharacter:
