@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["ImportTable", "dotted_name", "terminal_name", "walk_nodes"]
+__all__ = [
+    "ImportTable",
+    "dotted_name",
+    "lazy_export_aliases",
+    "terminal_name",
+    "walk_nodes",
+]
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -61,6 +67,62 @@ def terminal_name(node: ast.AST) -> str | None:
     return None
 
 
+def _absolute(package: str, level: int, name: str) -> str | None:
+    """Absolute dotted form of ``name`` written with ``level`` leading
+    dots inside ``package``: one dot is ``package`` itself and each
+    further dot climbs one package up (``from .plan import x``,
+    ``from .. import y``); ``name`` as given at level 0, ``None`` when
+    the climb passes the top."""
+    if not level:
+        return name
+    anchor = package.split(".")
+    climb = level - 1
+    anchor = anchor[: len(anchor) - climb] if climb else anchor
+    if not anchor:
+        return None
+    return ".".join(anchor) + ("." + name if name else "")
+
+
+def lazy_export_aliases(tree: ast.Module, module: str) -> dict[str, str]:
+    """``name -> dotted target`` for every name a package exports through
+    a module-level ``lazy_exports(globals(), {...})`` call
+    (:mod:`repro._lazy`).
+
+    The dict literal maps a relative submodule (``".tables"``) to the
+    names it provides, resolved against ``module`` itself as
+    ``importlib.import_module`` does: inside ``repro.harness``,
+    ``".tables": ("build_table",)`` maps ``build_table`` to
+    ``repro.harness.tables.build_table``.  Entries that are not string
+    literals are skipped.
+    """
+    aliases: dict[str, str] = {}
+    for stmt in tree.body:
+        call = getattr(stmt, "value", None)
+        if not (
+            isinstance(call, ast.Call)
+            and terminal_name(call.func) == "lazy_exports"
+            and len(call.args) == 2
+            and isinstance(call.args[1], ast.Dict)
+        ):
+            continue
+        table = call.args[1]
+        for key, names in zip(table.keys, table.values):
+            if not (
+                isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(names, (ast.Tuple, ast.List))
+            ):
+                continue
+            relative = key.value.lstrip(".")
+            base = _absolute(module, len(key.value) - len(relative), relative)
+            if base is None:
+                continue
+            for name in names.elts:
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    aliases[name.value] = f"{base}.{name.value}"
+    return aliases
+
+
 class ImportTable:
     """Maps local names to the dotted module/object paths they import.
 
@@ -95,16 +157,9 @@ class ImportTable:
                         head = alias.name.split(".")[0]
                         self.aliases[head] = head
             elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    # `from . import x` / `from .plan import x`: climb
-                    # level-1 packages up from the containing package.
-                    anchor = package.split(".")
-                    climb = node.level - 1
-                    anchor = anchor[: len(anchor) - climb] if climb else anchor
-                    if not anchor:
-                        continue
-                    base = ".".join(anchor) + ("." + base if base else "")
+                base = _absolute(package, node.level, node.module or "")
+                if base is None:
+                    continue
                 for alias in node.names:
                     if alias.name == "*":
                         continue

@@ -8,8 +8,8 @@ operations.  This module stitches those
 per-file bundles into a whole-program view:
 
 * a symbol table mapping dotted names to function ids (``repo.*`` imports,
-  ``from`` re-exports through package ``__init__`` modules, methods via
-  ``self.``, and constructors via ``ClassName(...)``),
+  ``from`` re-exports and ``lazy_exports`` tables in package ``__init__``
+  modules, methods via ``self.``, and constructors via ``ClassName(...)``),
 * a call graph whose edges are the resolved call descriptors, and
 * memoised transitive closures over that graph (locks acquired and
   blocking operations reached).
@@ -126,7 +126,9 @@ class ProjectIndex:
         Handles ``repro.core.plan.plan_groups`` (module function),
         ``repro.core.sweep.SweepEngine`` (constructor), and package
         re-exports (``repro.store.ResultStore`` chasing the alias in
-        ``repro/store/__init__.py`` to ``repro.store.store``).
+        ``repro/store/__init__.py`` to ``repro.store.store``;
+        ``repro.harness.build_table`` chasing the ``lazy_exports`` table
+        in ``repro/harness/__init__.py`` to ``repro.harness.tables``).
         """
         if _depth > _MAX_REEXPORT_DEPTH:
             return None

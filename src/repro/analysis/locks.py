@@ -6,7 +6,8 @@ stitches into the whole-program view.  The bundle records, per module:
 
 * ``aliases`` -- the module's import table
   (:class:`repro.analysis.astutil.ImportTable`, relative imports
-  resolved),
+  resolved) plus, in a package ``__init__``, the names it exports
+  lazily (:func:`repro.analysis.astutil.lazy_export_aliases`),
 * ``locks`` / ``classes[*].locks`` -- module-level and instance
   ``threading.Lock``/``RLock`` definitions with their kind,
 * ``functions`` -- per function/method: the ordered lock *acquisitions*
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import ast
 
-from .astutil import ImportTable, dotted_name, terminal_name
+from .astutil import ImportTable, dotted_name, lazy_export_aliases, terminal_name
 from .core import ProjectRule, SourceModule
 
 __all__ = ["ConcurrencyRule", "extract_concurrency_facts"]
@@ -250,7 +251,7 @@ def extract_concurrency_facts(module: SourceModule) -> dict | None:
 
     facts: dict = {
         "module": mod_name,
-        "aliases": imports.aliases,
+        "aliases": {**imports.aliases, **lazy_export_aliases(module.tree, mod_name)},
         "locks": module_locks,
         "functions": {},
         "classes": {},

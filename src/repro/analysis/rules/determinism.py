@@ -17,9 +17,9 @@ work over its helper thread.  Three things silently break that contract:
 The sanctioned pattern is ``np.random.default_rng(seed)`` (or a
 ``Generator``/``SeedSequence`` derived from one) with an explicit seed.
 Modules that *deliberately* time real execution (STREAM, the functional
-NPB timers, the HPL/HPCG mini-drivers) route the measurement through
-``repro.obs.host_timer``, whose single ``perf_counter`` site carries the
-one ``# repro: noqa[R001]`` suppression (rule R006 enforces the funnel).
+NPB timers) route the measurement through ``repro.obs.host_timer``, whose
+single ``perf_counter`` site carries the one ``# repro: noqa[R001]``
+suppression (rule R006 enforces the funnel).
 """
 
 from __future__ import annotations

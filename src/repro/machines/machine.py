@@ -205,15 +205,6 @@ class Machine:
         """Sustained scalar instructions per second for one core."""
         return self.core.sustained_ipc * self.clock_hz
 
-    def barrier_cost_s(self, n_threads: int) -> float:
-        """Scalar view of :func:`barrier_cost_rows`."""
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        ns = np.asarray([n_threads])
-        return float(
-            barrier_cost_rows(ns, self.barrier_base_ns, self.barrier_log_coeff_ns)[0]
-        )
-
     def parallel_efficiency(self, n_threads: int, numa_sensitive: bool = True) -> float:
         """Scalar view of :func:`parallel_efficiency_rows`."""
         if n_threads < 1:

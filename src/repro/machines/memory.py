@@ -9,7 +9,8 @@ both effects with a *smooth-min* saturation law:
 
 ``BW(n) = smoothmin(n * per_core_bw, total_sustained_bw)``
 
-and, for latency-bound (random access) traffic such as the IS benchmark:
+and, for latency-bound (random access) traffic such as the IS benchmark,
+the performance model's latency term (:mod:`repro.core.perfmodel`) uses
 
 ``R(n) = smoothmin(n * mlp / latency, channels * per_channel_random_rate)``
 
@@ -20,15 +21,12 @@ controlling how abrupt the knee is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .ddr import DDRSpec
 
 __all__ = [
     "smoothmin",
-    "smoothmin_grid",
     "smoothmin_rows",
     "MemorySubsystem",
 ]
@@ -37,10 +35,9 @@ __all__ = [
 def smoothmin_rows(demand, cap, sharpness):
     """The smooth-min formula itself, unchecked.
 
-    Elementwise over any mix of floats and arrays.  :func:`smoothmin` and
-    :func:`smoothmin_grid` validate their arguments around it; the
-    performance model validates its ceilings once per evaluation block
-    and calls it directly.
+    Elementwise over any mix of floats and arrays.  :func:`smoothmin`
+    validates its arguments around it; the performance model validates
+    its ceilings once per evaluation block and calls it directly.
     """
     ratio = demand / cap
     return demand / (1.0 + ratio**sharpness) ** (1.0 / sharpness)
@@ -69,25 +66,6 @@ def smoothmin(demand: float, cap: float, sharpness: float = 4.0) -> float:
         raise ValueError("sharpness must be >= 1")
     if demand == 0.0:
         return 0.0
-    return smoothmin_rows(demand, cap, sharpness)
-
-
-def smoothmin_grid(
-    demand: np.ndarray, cap: np.ndarray | float, sharpness: float = 4.0
-) -> np.ndarray:
-    """Vectorised :func:`smoothmin` over arrays of demands (and caps).
-
-    ``demand`` and ``cap`` broadcast against each other; the result is
-    elementwise identical to calling the scalar form point by point, which
-    is what lets the batched performance model match per-call prediction
-    bit for bit.
-    """
-    demand = np.asarray(demand, dtype=np.float64)
-    cap = np.asarray(cap, dtype=np.float64)
-    if np.any(demand < 0) or np.any(cap <= 0):
-        raise ValueError("demand must be >= 0 and cap > 0")
-    if sharpness < 1.0:
-        raise ValueError("sharpness must be >= 1")
     return smoothmin_rows(demand, cap, sharpness)
 
 
@@ -191,10 +169,6 @@ class MemorySubsystem:
         demand = n_cores * self.per_core_stream_bw_gbs
         return smoothmin(demand, self.sustained_bw_gbs, self.saturation_sharpness)
 
-    def bandwidth_utilisation(self, n_cores: int) -> float:
-        """Fraction of the sustained ceiling used by ``n_cores`` streaming."""
-        return self.stream_bw_gbs(n_cores) / self.sustained_bw_gbs
-
     # ------------------------------------------------------------------
     # Latency (random access) model
     # ------------------------------------------------------------------
@@ -211,28 +185,6 @@ class MemorySubsystem:
             * self.ddr.random_requests_per_second()
             * self.random_rate_scale
         )
-
-    def random_access_rate(self, n_cores: int) -> float:
-        """Sustained random-access throughput with ``n_cores`` (requests/s).
-
-        One core issues ``mlp / latency`` misses per second; the chip caps
-        the total at the channels' random-row throughput.  The IS benchmark
-        (Figure 2) and its 4.91x SG2044/SG2042 ratio at 64 cores are direct
-        consequences of this cap.
-        """
-        if n_cores < 1:
-            raise ValueError("n_cores must be >= 1")
-        per_core = self.core_mlp / (self.idle_latency_ns * 1e-9)
-        demand = n_cores * per_core
-        return smoothmin(demand, self.random_rate_cap(), self.saturation_sharpness)
-
-    def loaded_latency_ns(self, n_cores: int) -> float:
-        """Effective per-request latency under load (queueing inflation)."""
-        util = self.bandwidth_utilisation(n_cores)
-        # Classic M/M/1-flavoured inflation, clamped to keep the model sane
-        # at full utilisation.
-        inflation = 1.0 / max(1.0 - 0.85 * util, 0.15)
-        return self.idle_latency_ns * inflation
 
     # ------------------------------------------------------------------
 

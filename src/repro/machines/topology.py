@@ -89,7 +89,9 @@ class Topology:
             yield self.location(cid)
 
     # ------------------------------------------------------------------
-    # Placement helpers used by repro.openmp.affinity
+    # Placement helpers: the OMP_PROC_BIND=close/spread core orders.
+    # The cost model assumes compact placement throughout
+    # (cache_bytes_per_thread_rows); a binding-aware model builds here.
     # ------------------------------------------------------------------
 
     def compact_placement(self, n_threads: int) -> list[int]:

@@ -1,10 +1,8 @@
-"""Simulated message passing: alpha-beta links, a functional communicator,
-distributed NPB kernels, and multi-socket cluster projection."""
+"""Simulated message passing: alpha-beta links and multi-socket cluster
+projection."""
 
 from .cluster import ClusterPrediction, cluster_sweep, predict_cluster
 from .netmodel import ETHERNET_100G, INFINIBAND_HDR, PCIE5_FABRIC, LinkModel
-from .npb_dist import distributed_dot, distributed_ep, distributed_fft3d
-from .simcomm import SimComm
 
 __all__ = [
     "ClusterPrediction",
@@ -12,10 +10,6 @@ __all__ = [
     "INFINIBAND_HDR",
     "LinkModel",
     "PCIE5_FABRIC",
-    "SimComm",
     "cluster_sweep",
-    "distributed_dot",
-    "distributed_ep",
-    "distributed_fft3d",
     "predict_cluster",
 ]

@@ -73,7 +73,7 @@ class HostTimer:
     """Context manager measuring one wall-clock interval.
 
     This is the package's only sanctioned ``perf_counter`` site: host
-    measurements (STREAM, the functional NPB timers, HPL/HPCG drivers)
+    measurements (STREAM, the functional NPB timers, the bench suites)
     enter one of these, read ``elapsed_s`` on exit, and the interval is
     recorded -- when a real recorder is installed -- under ``name`` in the
     report's volatile ``timings`` section.  Timing happens even when

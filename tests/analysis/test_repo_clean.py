@@ -7,7 +7,9 @@ test` runs.
 
 from pathlib import Path
 
-from repro.analysis.core import run_analysis
+from repro.analysis.callgraph import ProjectIndex
+from repro.analysis.core import SourceModule, iter_python_files, run_analysis
+from repro.analysis.locks import extract_concurrency_facts
 from repro.analysis.registry import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -26,3 +28,18 @@ def test_src_and_benchmarks_lint_clean():
     # other host-measurement site now routes through repro.obs.host_timer.
     assert report.suppressed >= 3
     assert report.files_checked > 90
+
+
+def test_call_graph_follows_lazy_package_exports():
+    """``from repro.harness import build_table`` inside ``execute_request``
+    reaches ``repro.harness.tables`` through the package's
+    ``lazy_exports`` table, so the call-graph rules see the edge."""
+    facts = {}
+    for path in iter_python_files([REPO_ROOT / "src"]):
+        module = SourceModule.from_path(path, str(path.relative_to(REPO_ROOT)))
+        facts[module.display_path] = extract_concurrency_facts(module)
+    index = ProjectIndex(facts)
+    caller = "repro.service.requests::execute_request"
+    assert index.resolve_call(caller, "build_table") == "repro.harness.tables::build_table"
+    assert index.resolve_call(caller, "build_figure") == "repro.harness.figures::build_figure"
+    assert index.resolve_dotted("repro.core.SweepEngine") == "repro.core.sweep::SweepEngine.__init__"

@@ -341,6 +341,33 @@ class TestBlockingSpecifics:
         assert [(f.path, f.line) for f in report.findings] == [("src/repro/user.py", 6)]
         assert "time.sleep" in report.findings[0].message
 
+    def test_blocking_callee_seen_through_lazy_export(self, tmp_path):
+        # A name a package __init__ exports through its lazy_exports
+        # table resolves to the submodule that defines it.
+        pkg = tmp_path / "src" / "repro" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(
+            "from repro._lazy import lazy_exports\n"
+            "__getattr__, __dir__ = lazy_exports(globals(), {'.impl': ('slow',)})\n"
+        )
+        (pkg / "impl.py").write_text(
+            "import time\n"
+            "def slow():\n"
+            "    time.sleep(1)\n"
+        )
+        user = tmp_path / "src" / "repro" / "user.py"
+        user.write_text(
+            "import threading\n"
+            "_l = threading.Lock()\n"
+            "def f():\n"
+            "    from repro.pkg import slow\n"
+            "    with _l:\n"
+            "        slow()\n"
+        )
+        report = run_analysis([tmp_path / "src"], rules_for(["R010"]), root=tmp_path)
+        assert [(f.path, f.line) for f in report.findings] == [("src/repro/user.py", 6)]
+        assert "time.sleep" in report.findings[0].message
+
 
 def _count(path, code):
     return len(run_analysis([path], rules_for([code]), root=path.parent).findings)

@@ -141,6 +141,17 @@ class TestCommandBudgets:
         assert "repro.npb.ep" in modules
         assert offenders(modules, ("scipy",)) == []
 
+    def test_cluster_loads_no_functional_kernel(self, tmp_path):
+        # The projection is analytic: no functional EP, no EP thread
+        # split, and of repro.mpi only the projection and its link model.
+        modules = cli_modules(tmp_path, "cluster", "sg2044", "ep", "--sockets", "1", "2")
+        assert offenders(modules, ("repro.mpi",)) == [
+            "repro.mpi",
+            "repro.mpi.cluster",
+            "repro.mpi.netmodel",
+        ]
+        assert offenders(modules, ("repro.npb.ep", "repro._two_threads")) == []
+
     def test_whatif_request_does_not_load_the_functional_suite(self, tmp_path):
         snippet = (
             "from repro.service.requests import parse_request\n"

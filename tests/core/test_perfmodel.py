@@ -183,7 +183,8 @@ class TestMachineColumns:
     def test_scalar_views_equal_block_rows(self):
         """Every (machine, n) point of one all-machine block: the block's
         machine columns through the row formulas give exactly the
-        ``Machine`` scalar views, both NUMA settings."""
+        ``Machine`` scalar views, both NUMA settings, and the barrier cost
+        of the machine's own parameters."""
         builder = _BlockBuilder()
         points = []
         for machine in all_machines():
@@ -206,7 +207,9 @@ class TestMachineColumns:
         for i, (machine, n) in enumerate(points):
             assert machine.effective_cache_bytes_per_thread(n) == cache[i]
             assert cache[i] == _cache_bytes_per_level(machine, n)
-            assert machine.barrier_cost_s(n) == barrier[i]
+            assert barrier[i] == barrier_cost_rows(
+                np.asarray([n]), machine.barrier_base_ns, machine.barrier_log_coeff_ns
+            )[0]
             for sensitive in (True, False):
                 assert machine.parallel_efficiency(n, sensitive) == efficiency[sensitive][i]
 
@@ -214,7 +217,5 @@ class TestMachineColumns:
         m = get_machine("sg2044")
         with pytest.raises(ValueError):
             m.effective_cache_bytes_per_thread(65)
-        with pytest.raises(ValueError):
-            m.barrier_cost_s(0)
         with pytest.raises(ValueError):
             m.parallel_efficiency(0)

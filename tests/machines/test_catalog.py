@@ -1,5 +1,6 @@
 """The machine catalog: every paper CPU with its Table 5 parameters."""
 
+import numpy as np
 import pytest
 
 from repro.machines import (
@@ -11,6 +12,7 @@ from repro.machines import (
     machine_names,
 )
 from repro.machines.cpu import CacheSharing
+from repro.machines.machine import barrier_cost_rows
 
 
 class TestCatalogIntegrity:
@@ -171,8 +173,11 @@ class TestOtherArchitectures:
 class TestMachineBehaviour:
     def test_barrier_cost_grows_with_threads(self):
         m = get_machine("sg2044")
-        assert m.barrier_cost_s(1) == 0.0
-        assert m.barrier_cost_s(64) > m.barrier_cost_s(2) > 0.0
+        one, two, full = barrier_cost_rows(
+            np.array([1, 2, 64]), m.barrier_base_ns, m.barrier_log_coeff_ns
+        )
+        assert one == 0.0
+        assert full > two > 0.0
 
     def test_parallel_efficiency_decreasing(self):
         m = get_machine("sg2042")

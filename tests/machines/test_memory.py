@@ -1,10 +1,11 @@
 """Memory-subsystem model: saturation curves and their invariants."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.machines.ddr import ddr4, ddr5
-from repro.machines.memory import MemorySubsystem, smoothmin
+from repro.machines.memory import MemorySubsystem, smoothmin, smoothmin_rows
 
 GiB = 2**30
 
@@ -86,25 +87,26 @@ class TestStreamBandwidth:
     def test_utilisation_in_unit_range(self):
         mem = _mem(sustained_bw_override_gbs=40.0)
         for n in (1, 8, 64):
-            assert 0.0 < mem.bandwidth_utilisation(n) <= 1.0
+            assert 0.0 < mem.stream_bw_gbs(n) / mem.sustained_bw_gbs <= 1.0
 
 
 class TestRandomAccess:
     def test_rate_monotone_and_capped(self):
+        # The latency term's law: n cores issue n * mlp / latency misses
+        # per second, smoothly capped at the channels' random-row rate.
         mem = _mem()
-        rates = [mem.random_access_rate(n) for n in (1, 2, 4, 8, 16, 32, 64)]
-        assert all(r2 >= r1 for r1, r2 in zip(rates, rates[1:]))
+        ns = np.array([1, 2, 4, 8, 16, 32, 64], dtype=np.float64)
+        demand = ns * mem.core_mlp / (mem.idle_latency_ns * 1e-9)
+        rates = smoothmin_rows(demand, mem.random_rate_cap(), mem.saturation_sharpness)
+        assert np.all(np.diff(rates) >= 0)
         assert rates[-1] <= mem.random_rate_cap() * 1.0001
+        assert rates[0] == pytest.approx(demand[0], rel=0.01)
 
     def test_idle_latency_includes_fabric(self):
         mem = _mem(extra_latency_ns=30.0)
         assert mem.idle_latency_ns == pytest.approx(
             ddr4(3200).random_access_latency_ns + 30.0
         )
-
-    def test_loaded_latency_inflates_under_load(self):
-        mem = _mem(sustained_bw_override_gbs=40.0)
-        assert mem.loaded_latency_ns(64) > mem.loaded_latency_ns(1)
 
 
 class TestCapacity:

@@ -17,9 +17,6 @@ import tracemalloc
 import pytest
 
 from repro import _two_threads
-from repro.mpi.netmodel import INFINIBAND_HDR
-from repro.mpi.npb_dist import distributed_ep
-from repro.mpi.simcomm import SimComm
 from repro.npb import ep
 from repro.npb.ep import ep_kernel
 
@@ -84,13 +81,6 @@ def test_helper_failure_reraises_in_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="helper failed"):
         ep_kernel(2**18)
     assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_one_rank_distributed_ep_is_ep_kernel_bit_for_bit(monkeypatch, cpus):
-    _cpus(monkeypatch, cpus)
-    one_rank = distributed_ep(SimComm(1, INFINIBAND_HDR), 2**18 + 5)
-    assert _bits(one_rank) == _bits(ep_kernel(2**18 + 5))
 
 
 def _traced_peak(fn):
